@@ -8,6 +8,7 @@ design on rings, and the spatially invariant picture on discrete tori.
 """
 
 from .errors import (
+    ConsistencyCheckFailed,
     ConstraintViolated,
     DegreeCapExceeded,
     DisconnectedGraph,
@@ -17,6 +18,7 @@ from .errors import (
     ImproperEntry,
     LocrelError,
     ModeZeroDetectable,
+    NoSamplesEvaluated,
     NonNegativeA,
     NonzeroFeedthrough,
     NotCirculant,
@@ -65,6 +67,7 @@ from .structure import (
     is_block_diagonal,
     is_graph_structured,
     is_tf_structured,
+    transfer_support,
     tridiag_counterexample,
 )
 from .relative import (

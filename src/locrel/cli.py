@@ -94,7 +94,7 @@ def cmd_structure(args):
     if args.action == "check":
         system = StateSpace.from_json(doc["system"])
         flags = _structure_flags(check_realization_structure(system, pattern))
-        flags["tfStructured"] = bool(is_tf_structured(tf_of(system), pattern))
+        flags["tfStructured"] = bool(is_tf_structured(system, pattern))
         return flags, 0
     matrix = RationalMatrix.from_json(doc["matrix"])
     orientation = doc.get("orientation", "rows")

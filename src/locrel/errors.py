@@ -57,6 +57,14 @@ class ConstraintViolated(LocrelError):
     """Closed-loop maps do not satisfy the affine achievability constraint."""
 
 
+class NoSamplesEvaluated(LocrelError):
+    """A sampled check found every probe point singular, so it checked nothing."""
+
+
+class ConsistencyCheckFailed(LocrelError):
+    """An identity that holds in exact arithmetic failed on computed values."""
+
+
 class HypothesisViolated(LocrelError):
     """A structural hypothesis (relative plant drift, full-rank input map) fails."""
 

@@ -23,6 +23,8 @@ from .rational import (
     pmul,
     ptrim,
 )
+from .statespace import StateSpace
+from .structure import _responses
 
 PINV_CUTOFF_REL = 1e-10
 
@@ -59,9 +61,13 @@ def _row_over_common_denominator(K, r):
 def is_relative(K, tol=1e-10):
     """True when every row of the gain sums to zero.
 
-    Accepts a real matrix or a RationalMatrix; for the latter the row
-    sums must be the zero rational function.
+    Accepts a real matrix, a RationalMatrix or a StateSpace; for the latter
+    two the row sums must be the zero function.  A realization is relative
+    when D 1 = 0 and C annihilates the reachable subspace of B 1; it is
+    judged with the tolerances of ``transfer_support``, not ``tol``.
     """
+    if isinstance(K, StateSpace):
+        return not any(np.any(col) for col in _responses(K, np.ones((K.n_inputs, 1))))
     if isinstance(K, RationalMatrix):
         p, _ = K.shape
         for r in range(p):

@@ -15,8 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ConsistencyCheckFailed,
     ConstraintViolated,
     HypothesisViolated,
+    NoSamplesEvaluated,
     NotTFStructured,
     SingularAtS,
     SingularPhiX,
@@ -175,6 +177,14 @@ def closed_loops_of(plant, K):
     return ClosedLoopPair(phi_x, phi_u)
 
 
+def _require_samples(evaluated, attempted):
+    """A residual over zero evaluated samples would read as a pass."""
+    if evaluated == 0:
+        raise NoSamplesEvaluated(
+            f"closed loops are singular at all {attempted} sample points"
+        )
+
+
 def check_affine_constraint(cl, plant, n_samples=7, seed=0):
     """Max residual of (sI - A) phi_x - B2 phi_u = I over random samples.
 
@@ -184,13 +194,16 @@ def check_affine_constraint(cl, plant, n_samples=7, seed=0):
     """
     n = plant.n
     worst = 0.0
+    evaluated = 0
     for s in sample_points(n_samples, seed):
         try:
             px, pu = cl.evaluate(s)
         except SingularAtS:
             continue
+        evaluated += 1
         resid = (s * np.eye(n) - plant.A) @ px - plant.B2 @ pu - np.eye(n)
         worst = max(worst, float(np.max(np.abs(resid))))
+    _require_samples(evaluated, n_samples)
     norms = []
     for k in range(2, 6):
         px, pu = cl.evaluate(10.0**k)
@@ -326,10 +339,15 @@ def recover_controller_sf(cl):
             K = ru.matmul(aff, simplify=False)
             factors = _denominator_pool((ru,))
             return K.map(lambda e: _reduce_entry(e, factors))
+    convertible = (RationalMatrix, StateSpace)
+    if (
+        not isinstance(phi_x, convertible)
+        or not isinstance(phi_u, convertible)
+        or phi_x.shape[0] > RATIONAL_RECOVERY_LIMIT
+    ):
+        return freq_form()
     rx = to_rational(phi_x)
     ru = to_rational(phi_u)
-    if rx is None or ru is None or rx.shape[0] > RATIONAL_RECOVERY_LIMIT:
-        return freq_form()
     try:
         inv = rx.inverse(simplify=False)
     except ZeroDivisionError as exc:
@@ -437,11 +455,13 @@ def check_of_constraints(cl4, plant, n_samples=7, seed=0):
     A, B2, C2 = plant.A, plant.B2, plant.C2
     n = A.shape[0]
     worst = 0.0
+    evaluated = 0
     for s in sample_points(n_samples, seed):
         try:
             pxx, pxy, pux, puy = cl4.evaluate(s)
         except SingularAtS:
             continue
+        evaluated += 1
         sIA = s * np.eye(n) - A
         r1 = sIA @ pxx - B2 @ pux - np.eye(n)
         r2 = sIA @ pxy - B2 @ puy
@@ -458,6 +478,7 @@ def check_of_constraints(cl4, plant, n_samples=7, seed=0):
                 )
             ),
         )
+    _require_samples(evaluated, n_samples)
     return worst
 
 
@@ -581,7 +602,8 @@ def check_relative_equivalence(plant, K, n_samples=5, seed=0, tol=1e-8):
 
     The plant drift must annihilate the all-ones vector and B2 must have
     full row rank; under those hypotheses the two conditions are
-    equivalent, and this function asserts that the sampled flags match.
+    equivalent, and ConsistencyCheckFailed is raised when the sampled flags
+    differ.
     """
     n = plant.n
     ones = np.ones(n)
@@ -603,5 +625,9 @@ def check_relative_equivalence(plant, K, n_samples=5, seed=0, tol=1e-8):
         pu_scale = max(np.max(np.abs(phi_u)), 1.0)
         if np.max(np.abs(phi_u @ ones)) > tol * pu_scale:
             phi_rel = False
-    assert k_rel == phi_rel, "relative feedback equivalence violated"
+    if k_rel != phi_rel:
+        raise ConsistencyCheckFailed(
+            f"relative feedback equivalence violated: K relative is {k_rel}, "
+            f"phi_u relative is {phi_rel}"
+        )
     return RelativeEquivalence(k_rel, phi_rel)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConsistencyCheckFailed,
+    ConstraintViolated,
     FeasibilityPreconditionError,
     SymbolPoleClash,
     UnstableKernelEntry,
@@ -275,7 +277,10 @@ def spatial_feasibility(d, n, b, gamma=0.0):
         if circular_sup_distance(off, n) > b
     ]
     count = n**d - (2 * b + 1) ** d
-    assert len(excluded) == count
+    if len(excluded) != count:
+        raise ConsistencyCheckFailed(
+            f"enumerated {len(excluded)} excluded offsets, expected {count}"
+        )
     note = (
         f"relative feedback leaves the deflated state loop with tap -1/({n**d} s) "
         f"at each of the {count} offsets beyond sup-distance {b}; a b-local design "
@@ -364,5 +369,5 @@ def si_closed_loops(controller_kernel):
     # residual guards against coefficient bookkeeping mistakes
     residual = loops.affine_residual(1.0 + 0.7j)
     if residual > 1e-8:
-        raise AssertionError(f"affine identity violated: residual {residual:.3e}")
+        raise ConstraintViolated(f"affine identity violated: residual {residual:.3e}")
     return loops

@@ -4,10 +4,13 @@ Systems are kept alongside block partitions of their state, input and
 output dimensions so that sparsity checks can be made per node.
 Interconnections never reduce their realizations: non-minimal modes are
 harmless for the evaluation-based checks used throughout and keeping
-them makes the realizations predictable.  The one exception is rational
-conversion, which compresses each entry to the invariant subspace it
-actually reaches, because characteristic polynomials of large composite
-state matrices are numerically useless.
+them makes the realizations predictable.  Reachable (Krylov) subspaces
+from ``_invariant_subspace`` decide which transfer entries vanish
+(``structure.transfer_support``), so structure and relativity verdicts on
+a realization never convert it to rational form.  Rational conversion
+itself compresses each entry to the invariant subspace it actually
+reaches, because characteristic polynomials of large composite state
+matrices are numerically useless.
 """
 
 from __future__ import annotations
@@ -317,31 +320,35 @@ def char_poly(A):
     return q, mats
 
 
-def _invariant_subspace(A, V, rtol=1e-10):
+def _invariant_subspace(A, V, rtol=1e-10, atol=0.0):
     """Orthonormal basis of the smallest A-invariant subspace holding range(V).
 
     Grows the basis one Krylov block at a time; directions whose residual
     after reorthogonalization falls below rtol of the block norm are
-    treated as already captured.
+    treated as already captured.  Once the blocks are images A @ Q, a
+    residual at most atol is captured too: an image that vanishes in exact
+    arithmetic is rounding of the size of A, not a new direction.
     """
     n = A.shape[0]
     Q = np.zeros((n, 0))
     W = np.atleast_2d(V)
+    floor = 0.0
     while W.shape[1] and Q.shape[1] < n:
         # threshold against the block before orthogonalization, so that a
         # block already inside span(Q) up to rounding terminates the loop
         scale = np.linalg.norm(W)
-        if scale <= 1e-300:
+        if scale <= max(floor, 1e-300):
             break
         W = W - Q @ (Q.T @ W)
         W = W - Q @ (Q.T @ W)
         qw, rw = np.linalg.qr(W)
-        keep = np.abs(np.diag(rw)) > rtol * scale
+        keep = np.abs(np.diag(rw)) > max(rtol * scale, floor)
         if not np.any(keep):
             break
         fresh = qw[:, keep]
         Q = np.hstack([Q, fresh])
         W = A @ fresh
+        floor = atol
     return Q
 
 

@@ -15,24 +15,52 @@ import numpy as np
 
 from .errors import NotTFStructured
 from .graphs import Partition, StructurePattern, path_graph
-from .statespace import StateSpace, realize_rational, tf_of
+from .statespace import StateSpace, _invariant_subspace, realize_rational
 
 ZERO_BLOCK_TOL = 1e-12
+# Tolerances of transfer_support, each relative to the largest entry (at
+# least one) of the matrix it concerns.  An input column B v, a feedthrough
+# D v or a Krylov image A q (against the norm of A) below INPUT_ZERO_TOL is
+# rounding.  A response C_i Q below OUTPUT_ZERO_TOL is zero; it is looser
+# because the basis Q carries the rounding of every Krylov step.
+INPUT_ZERO_TOL = 1e-10
+OUTPUT_ZERO_TOL = 1e-8
+
+
+def _largest(matrix):
+    return max(float(np.max(np.abs(matrix))) if matrix.size else 0.0, 1.0)
+
+
+def _block_maxima(matrix, row_part, col_part):
+    """Largest absolute entry of every block; zero for empty blocks.
+
+    ``np.maximum.reduceat`` reads an empty segment as the single entry at
+    its start, so only the starts of nonempty blocks are passed to it.
+    """
+    if matrix.shape != (row_part.total, col_part.total):
+        raise ValueError(
+            f"matrix of shape {matrix.shape} does not match partitions of "
+            f"{row_part.total} rows and {col_part.total} columns"
+        )
+    out = np.zeros((row_part.n_blocks, col_part.n_blocks))
+    rows = np.asarray(row_part.block_sizes) > 0
+    cols = np.asarray(col_part.block_sizes) > 0
+    if matrix.size == 0:
+        return out
+    maxima = np.maximum.reduceat(
+        np.abs(matrix), np.asarray(row_part.offsets()[:-1])[rows], axis=0
+    )
+    maxima = np.maximum.reduceat(
+        maxima, np.asarray(col_part.offsets()[:-1])[cols], axis=1
+    )
+    out[np.ix_(rows, cols)] = maxima
+    return out
 
 
 def _blocks_conform(matrix, row_part, col_part, allowed, tol=ZERO_BLOCK_TOL):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    ro = row_part.offsets()
-    co = col_part.offsets()
-    scale = max(np.max(np.abs(matrix)) if matrix.size else 0.0, 1.0)
-    for i in range(row_part.n_blocks):
-        for j in range(col_part.n_blocks):
-            if allowed[i, j]:
-                continue
-            block = matrix[ro[i] : ro[i + 1], co[j] : co[j + 1]]
-            if block.size and np.max(np.abs(block)) > tol * scale:
-                return False
-    return True
+    maxima = _block_maxima(matrix, row_part, col_part)
+    return not np.any(maxima[~np.asarray(allowed, dtype=bool)] > tol * _largest(matrix))
 
 
 def is_graph_structured(matrix, pattern, tol=ZERO_BLOCK_TOL):
@@ -54,13 +82,72 @@ def is_block_diagonal(matrix, row_part, col_part, tol=ZERO_BLOCK_TOL):
     return _blocks_conform(matrix, row_part, col_part, allowed, tol)
 
 
+def _responses(sys, V):
+    """For each input direction V[:, k], the outputs of sys that respond to it.
+
+    Yields boolean vectors of length p, lazily so that a caller can stop at
+    the first response it rejects.  Output i ignores direction v exactly
+    when D_i v = 0 and C_i annihilates the smallest A-invariant subspace
+    holding B v, the states v can reach.  The thresholds are scaled by the
+    matrices of sys, not by B V and D V, so that the rounding left in a
+    direction that cancels reads as zero.
+    """
+    BV, DV = sys.B @ V, sys.D @ V
+    d_tol = INPUT_ZERO_TOL * _largest(sys.D)
+    b_tol = INPUT_ZERO_TOL * _largest(sys.B)
+    a_tol = INPUT_ZERO_TOL * np.linalg.norm(sys.A)
+    c_tol = OUTPUT_ZERO_TOL * _largest(sys.C)
+    for k in range(BV.shape[1]):
+        out = np.abs(DV[:, k]) > d_tol
+        if np.max(np.abs(BV[:, k]), initial=0.0) > b_tol:
+            Q = _invariant_subspace(sys.A, BV[:, k : k + 1], atol=a_tol)
+            out |= np.max(np.abs(sys.C @ Q), axis=1) > c_tol
+        yield out
+
+
+def transfer_support(sys):
+    """Nonzero pattern of the transfer matrix C (sI - A)^-1 B + D.
+
+    Returns a boolean (p, m) array, True where the entry is not the zero
+    function: entry (i, j) vanishes exactly when D_ij = 0 and C_i
+    annihilates the reachable (Krylov) subspace of column B_j, as in the
+    staircase form of Van Dooren (IEEE TAC 26(1), 1981).  Decided from the
+    realization alone; nothing is converted to rational form.
+    """
+    columns = list(_responses(sys, np.eye(sys.n_inputs)))
+    return np.array(columns, dtype=bool).reshape(sys.n_inputs, sys.n_outputs).T
+
+
+def _transfer_partitions(H):
+    if isinstance(H, StateSpace):
+        p, m = H.shape
+        row = H.out_partition or Partition.scalar(p)
+        col = H.in_partition or Partition.scalar(m)
+        if row.total != p or col.total != m:
+            raise ValueError("system partitions do not match its dimensions")
+        return row, col
+    return H.row_partition, H.col_partition
+
+
 def is_tf_structured(H, pattern):
-    """True when every non-edge block of a rational matrix is the zero entry."""
+    """True when every non-edge block of a transfer matrix is the zero entry.
+
+    H is a RationalMatrix or a StateSpace; a realization is judged by
+    ``transfer_support`` and never converted to rational form.
+    """
+    row_part, col_part = _transfer_partitions(H)
     if (
-        H.row_partition.block_sizes != pattern.row_partition.block_sizes
-        or H.col_partition.block_sizes != pattern.col_partition.block_sizes
+        row_part.block_sizes != pattern.row_partition.block_sizes
+        or col_part.block_sizes != pattern.col_partition.block_sizes
     ):
-        raise ValueError("rational matrix partitions do not match the pattern")
+        raise ValueError("transfer matrix partitions do not match the pattern")
+    if isinstance(H, StateSpace):
+        adj = pattern.graph.adjacency
+        rows = np.repeat(np.arange(adj.shape[0]), row_part.block_sizes)
+        cols = np.repeat(np.arange(adj.shape[0]), col_part.block_sizes)
+        allowed = adj[np.ix_(rows, cols)]
+        columns = _responses(H, np.eye(H.n_inputs))
+        return not any(np.any(col & ~allowed[:, j]) for j, col in enumerate(columns))
     ro = pattern.row_partition.offsets()
     co = pattern.col_partition.offsets()
     adj = pattern.graph.adjacency
@@ -169,5 +256,4 @@ def tridiag_counterexample(n=3):
         out_partition=part,
     )
     pattern = StructurePattern(graph, part, part)
-    flag = is_tf_structured(tf_of(sys), pattern)
-    return TridiagCounterexample(sys, pattern, flag)
+    return TridiagCounterexample(sys, pattern, is_tf_structured(sys, pattern))

@@ -305,6 +305,9 @@ def test_gap_demonstration_report():
 
 def test_gap_demonstration_structure_flags():
     flags = gap_demonstration(4, 1, 1.0).structure
+    # n = 64 used to fail in rational conversion; the flags do not depend on n
+    for n in (8, 64):
+        assert gap_demonstration(n, 1, 1.0).structure == flags
     assert flags == {
         "ksRealizationStructured": True,
         "ksNetworkRealizable": False,

@@ -10,7 +10,13 @@ from conftest import (
     random_proper_entry,
 )
 
-from locrel.errors import ConstraintViolated, HypothesisViolated, SingularPhiX
+from locrel.errors import (
+    ConstraintViolated,
+    HypothesisViolated,
+    NoSamplesEvaluated,
+    SingularAtS,
+    SingularPhiX,
+)
 from locrel.graphs import Graph, StructurePattern
 from locrel.rational import RationalEntry, RationalMatrix
 from locrel.sls import (
@@ -208,6 +214,24 @@ def scalar_of_plant():
 def test_output_feedback_constraints_scalar():
     cl4 = scalar_of_tuple()
     assert check_of_constraints(cl4, scalar_of_plant()) < 1e-10
+
+
+class _SingularEverywhere:
+    """A closed-loop map with a pole at every point it is evaluated at."""
+
+    def evaluate(self, s):
+        raise SingularAtS(f"singular at s = {s}")
+
+
+def test_sampled_checks_refuse_zero_evaluated_samples():
+    # a residual over no samples would read 0.0, a pass
+    sing = _SingularEverywhere()
+    with pytest.raises(NoSamplesEvaluated):
+        check_affine_constraint(ClosedLoopPair(sing, sing), chain_plant())
+    with pytest.raises(NoSamplesEvaluated):
+        check_of_constraints(
+            OutputFeedbackClosedLoops(sing, sing, sing, sing), scalar_of_plant()
+        )
 
 
 def test_output_feedback_constraints_random_static(rng):
