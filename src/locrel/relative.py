@@ -24,7 +24,7 @@ from .rational import (
     ptrim,
 )
 from .statespace import StateSpace
-from .structure import _responses
+from .structure import transfer_support
 
 PINV_CUTOFF_REL = 1e-10
 
@@ -58,16 +58,26 @@ def _row_over_common_denominator(K, r):
     return common, nums
 
 
+def _row_sums(M, tol):
+    """M @ 1, with sums at most tol of their row's largest term (or 1) set to zero."""
+    sums = M.sum(axis=1, keepdims=True)
+    scale = np.maximum(np.max(np.abs(M), axis=1, keepdims=True, initial=0.0), 1.0)
+    sums[np.abs(sums) <= tol * scale] = 0.0
+    return sums
+
+
 def is_relative(K, tol=1e-10):
     """True when every row of the gain sums to zero.
 
     Accepts a real matrix, a RationalMatrix or a StateSpace; for the latter
     two the row sums must be the zero function.  A realization is relative
-    when D 1 = 0 and C annihilates the reachable subspace of B 1; it is
-    judged with the tolerances of ``transfer_support``, not ``tol``.
+    when D 1 = 0 and C annihilates the reachable subspace of B 1, that is
+    when the one-input system (A, B 1, C, D 1) has no ``transfer_support``;
+    the sums B 1 and D 1 are zero up to tol of their rows' terms.
     """
     if isinstance(K, StateSpace):
-        return not any(np.any(col) for col in _responses(K, np.ones((K.n_inputs, 1))))
+        summed = StateSpace(K.A, _row_sums(K.B, tol), K.C, _row_sums(K.D, tol))
+        return not transfer_support(summed).any()
     if isinstance(K, RationalMatrix):
         p, _ = K.shape
         for r in range(p):

@@ -320,19 +320,20 @@ def char_poly(A):
     return q, mats
 
 
-def _invariant_subspace(A, V, rtol=1e-10, atol=0.0):
+def _invariant_subspace(A, V, rtol=1e-10):
     """Orthonormal basis of the smallest A-invariant subspace holding range(V).
 
     Grows the basis one Krylov block at a time; directions whose residual
     after reorthogonalization falls below rtol of the block norm are
     treated as already captured.  Once the blocks are images A @ Q, a
-    residual at most atol is captured too: an image that vanishes in exact
-    arithmetic is rounding of the size of A, not a new direction.
+    residual at most rtol times the norm of A is captured too: an image
+    that vanishes in exact arithmetic leaves rounding of the size of A,
+    not a new direction.
     """
     n = A.shape[0]
     Q = np.zeros((n, 0))
     W = np.atleast_2d(V)
-    floor = 0.0
+    floor, image_floor = 0.0, rtol * np.linalg.norm(A)
     while W.shape[1] and Q.shape[1] < n:
         # threshold against the block before orthogonalization, so that a
         # block already inside span(Q) up to rounding terminates the loop
@@ -348,7 +349,7 @@ def _invariant_subspace(A, V, rtol=1e-10, atol=0.0):
         fresh = qw[:, keep]
         Q = np.hstack([Q, fresh])
         W = A @ fresh
-        floor = atol
+        floor = image_floor
     return Q
 
 

@@ -18,17 +18,15 @@ from .graphs import Partition, StructurePattern, path_graph
 from .statespace import StateSpace, _invariant_subspace, realize_rational
 
 ZERO_BLOCK_TOL = 1e-12
-# Tolerances of transfer_support, each relative to the largest entry (at
-# least one) of the matrix it concerns.  An input column B v, a feedthrough
-# D v or a Krylov image A q (against the norm of A) below INPUT_ZERO_TOL is
-# rounding.  A response C_i Q below OUTPUT_ZERO_TOL is zero; it is looser
-# because the basis Q carries the rounding of every Krylov step.
+# Tolerances of transfer_support.  A feedthrough D_ij, or an input column
+# B_j, of size at most INPUT_ZERO_TOL is zero, as ``rational.pis_zero``
+# reads a constant entry.  A response C_i Q is zero when at most
+# OUTPUT_ZERO_TOL times the largest entry (at least one) of row C_i, since
+# the basis Q carries the rounding of every Krylov step: up to 6e-11 of C_i
+# on dense 30-state realizations with a hidden mode.  Judged per entry
+# and per row, a verdict does not move when one input or output is scaled.
 INPUT_ZERO_TOL = 1e-10
 OUTPUT_ZERO_TOL = 1e-8
-
-
-def _largest(matrix):
-    return max(float(np.max(np.abs(matrix))) if matrix.size else 0.0, 1.0)
 
 
 def _block_maxima(matrix, row_part, col_part):
@@ -60,7 +58,8 @@ def _block_maxima(matrix, row_part, col_part):
 def _blocks_conform(matrix, row_part, col_part, allowed, tol=ZERO_BLOCK_TOL):
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     maxima = _block_maxima(matrix, row_part, col_part)
-    return not np.any(maxima[~np.asarray(allowed, dtype=bool)] > tol * _largest(matrix))
+    scale = max(np.max(np.abs(matrix)) if matrix.size else 0.0, 1.0)
+    return not np.any(maxima[~np.asarray(allowed, dtype=bool)] > tol * scale)
 
 
 def is_graph_structured(matrix, pattern, tol=ZERO_BLOCK_TOL):
@@ -82,27 +81,16 @@ def is_block_diagonal(matrix, row_part, col_part, tol=ZERO_BLOCK_TOL):
     return _blocks_conform(matrix, row_part, col_part, allowed, tol)
 
 
-def _responses(sys, V):
-    """For each input direction V[:, k], the outputs of sys that respond to it.
-
-    Yields boolean vectors of length p, lazily so that a caller can stop at
-    the first response it rejects.  Output i ignores direction v exactly
-    when D_i v = 0 and C_i annihilates the smallest A-invariant subspace
-    holding B v, the states v can reach.  The thresholds are scaled by the
-    matrices of sys, not by B V and D V, so that the rounding left in a
-    direction that cancels reads as zero.
-    """
-    BV, DV = sys.B @ V, sys.D @ V
-    d_tol = INPUT_ZERO_TOL * _largest(sys.D)
-    b_tol = INPUT_ZERO_TOL * _largest(sys.B)
-    a_tol = INPUT_ZERO_TOL * np.linalg.norm(sys.A)
-    c_tol = OUTPUT_ZERO_TOL * _largest(sys.C)
-    for k in range(BV.shape[1]):
-        out = np.abs(DV[:, k]) > d_tol
-        if np.max(np.abs(BV[:, k]), initial=0.0) > b_tol:
-            Q = _invariant_subspace(sys.A, BV[:, k : k + 1], atol=a_tol)
-            out |= np.max(np.abs(sys.C @ Q), axis=1) > c_tol
-        yield out
+def _column_support(sys, j):
+    """Outputs whose transfer entry from input j is not the zero function."""
+    b = sys.B[:, j : j + 1]
+    out = np.abs(sys.D[:, j]) > INPUT_ZERO_TOL
+    if np.max(np.abs(b), initial=0.0) > INPUT_ZERO_TOL:
+        row_scale = np.maximum(np.max(np.abs(sys.C), axis=1, initial=0.0), 1.0)
+        c_tol = OUTPUT_ZERO_TOL * row_scale
+        Q = _invariant_subspace(sys.A, b)
+        out |= np.max(np.abs(sys.C @ Q), axis=1, initial=0.0) > c_tol
+    return out
 
 
 def transfer_support(sys):
@@ -114,7 +102,7 @@ def transfer_support(sys):
     staircase form of Van Dooren (IEEE TAC 26(1), 1981).  Decided from the
     realization alone; nothing is converted to rational form.
     """
-    columns = list(_responses(sys, np.eye(sys.n_inputs)))
+    columns = [_column_support(sys, j) for j in range(sys.n_inputs)]
     return np.array(columns, dtype=bool).reshape(sys.n_inputs, sys.n_outputs).T
 
 
@@ -146,8 +134,10 @@ def is_tf_structured(H, pattern):
         rows = np.repeat(np.arange(adj.shape[0]), row_part.block_sizes)
         cols = np.repeat(np.arange(adj.shape[0]), col_part.block_sizes)
         allowed = adj[np.ix_(rows, cols)]
-        columns = _responses(H, np.eye(H.n_inputs))
-        return not any(np.any(col & ~allowed[:, j]) for j, col in enumerate(columns))
+        # column by column: the first off-pattern response settles it
+        return not any(
+            np.any(_column_support(H, j) & ~allowed[:, j]) for j in range(H.n_inputs)
+        )
     ro = pattern.row_partition.offsets()
     co = pattern.col_partition.offsets()
     adj = pattern.graph.adjacency

@@ -9,8 +9,13 @@ from sympy.polys.matrices import DomainMatrix
 from locrel.consensus import proper_approximation
 from locrel.graphs import Graph, Partition, StructurePattern
 from locrel.relative import is_relative
-from locrel.statespace import StateSpace, tf_of
-from locrel.structure import is_tf_structured, transfer_support, tridiag_counterexample
+from locrel.statespace import StateSpace, _invariant_subspace, tf_of
+from locrel.structure import (
+    check_realization_structure,
+    is_tf_structured,
+    transfer_support,
+    tridiag_counterexample,
+)
 
 _S = sympy.symbols("s")
 _POLY = sympy.ZZ[_S]
@@ -122,8 +127,41 @@ def test_rounding_in_a_vanishing_krylov_image_is_not_a_direction():
     # rounding behind; C b = 0, so the entry is zero
     A = np.array([[3.0, 0.0, -1.0], [2.0, -1.0, 0.0], [0.0, 3.0, -2.0]])
     b = np.array([[1.0], [2.0], [3.0]])
+    assert _invariant_subspace(A, b).shape[1] == 1
     sys = StateSpace(A, b, np.array([[2.0, -1.0, 0.0]]), np.zeros((1, 1)))
     assert not transfer_support(sys).any()
+
+
+def test_small_feedthrough_beside_a_large_one_is_a_response():
+    # D_01 is tiny beside D_00 but no rounding: every check calls it nonzero
+    D = np.array([[1e3, 1e-8], [0.0, 1.0]])
+    static = StateSpace(
+        np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D,
+        state_partition=Partition((0, 0)),
+    )
+    np.testing.assert_array_equal(
+        transfer_support(static), np.array([[True, True], [False, True]])
+    )
+    pattern = StructurePattern.scalar(Graph(np.zeros((2, 2), dtype=bool)))
+    assert not is_tf_structured(static, pattern)
+    assert not is_tf_structured(tf_of(static), pattern)
+    assert not check_realization_structure(static, pattern).structured
+
+
+def test_scaling_one_input_or_output_keeps_the_support():
+    # both inputs drive the mode output 0 cannot see; D_01 alone joins them
+    g = _hidden_mode_system()
+    sys = StateSpace(g.A, g.B[:, [0, 0]], g.C, np.array([[0.0, 1e-8], [0.0, 1e3]]))
+    want = np.array([[False, True], [True, True]])
+    np.testing.assert_array_equal(transfer_support(sys), want)
+    for k in range(2):
+        for factor in (1e4, 1e-1):
+            out = np.ones((2, 1))
+            out[k] = factor
+            scaled_out = StateSpace(sys.A, sys.B, out * sys.C, out * sys.D)
+            np.testing.assert_array_equal(transfer_support(scaled_out), want)
+            scaled_in = StateSpace(sys.A, sys.B * out.T, sys.C, sys.D * out.T)
+            np.testing.assert_array_equal(transfer_support(scaled_in), want)
 
 
 def test_support_of_static_and_empty_systems():
@@ -148,6 +186,11 @@ def _relative_cases(rng):
     B = np.column_stack([g.B[:, 0] + g.B[:, 1], -g.B[:, 1]])
     yield StateSpace(g.A, B, g.C[:1], np.zeros((1, 2)))
     yield StateSpace(g.A, B, g.C, np.zeros((2, 2)))
+    # relative with terms of 1e7: the row sums of B and D are rounding, not zero
+    B, D = 1e7 * rng.standard_normal((3, 3)), 1e7 * rng.standard_normal((2, 3))
+    B -= B.mean(axis=1, keepdims=True)
+    D -= D.mean(axis=1, keepdims=True)
+    yield StateSpace(-np.eye(3), B, rng.standard_normal((2, 3)), D)
     for _ in range(6):
         n, m = int(rng.integers(1, 5)), int(rng.integers(2, 5))
         B = rng.standard_normal((n, m))
@@ -166,5 +209,5 @@ def test_is_relative_state_space_matches_rational(rng):
         verdict = is_relative(sys)
         assert verdict == is_relative(tf_of(sys))
         verdicts.append(verdict)
-    assert verdicts[:4] == [True, False, True, False]
-    assert any(verdicts[4:]) and not all(verdicts[4:])
+    assert verdicts[:5] == [True, False, True, False, True]
+    assert any(verdicts[5:]) and not all(verdicts[5:])
