@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import Partition, StructurePattern, b_hops, laplacian, ring_graph
 from .rational import RationalEntry, RationalMatrix
-from .statespace import StateSpace, feedback
+from .statespace import StateSpace, batch_h2_squared, feedback
 from .structure import check_realization_structure, is_tf_structured
 
 RANK_TOL_REL = 1e-10
@@ -353,24 +353,25 @@ def h2_deflated(prob, K):
             raise ModeZeroDetectable(
                 "controller is not relative: its average mode reacts to the state"
             )
-        total = 0.0
-        for k in range(1, n):
-            A_cl = np.array(
-                [[d_sym[k], k_sym[k]], [b_sym[k], a_sym[k]]], dtype=complex
-            )
-            eigs = np.linalg.eigvals(A_cl)
-            if np.max(eigs.real) >= -1e-9:
-                raise UnstableNonzeroMode(f"closed-loop mode {k} is not Hurwitz")
-            B_cl = np.array([[1.0], [0.0]], dtype=complex)
-            C_cl = np.array(
-                [[c_sym[k], 0.0], [gamma * d_sym[k], gamma * k_sym[k]]],
-                dtype=complex,
-            )
-            Q = scipy.linalg.solve_continuous_lyapunov(
-                A_cl.conj().T, -C_cl.conj().T @ C_cl
-            )
-            total += float(np.real(np.trace(B_cl.conj().T @ Q @ B_cl)))
-        return total
+        # per mode the loop is x' = d x + k xi + w, xi' = b x + a xi: over
+        # den = s^2 - (a + d) s + (a d - k b), x = (s - a)/den w and
+        # u = (d (s - a) + k b)/den w
+        a, b, k, d = (sym[1:] for sym in (a_sym, b_sym, k_sym, d_sym))
+        A_cl = np.stack((np.stack((d, k), -1), np.stack((b, a), -1)), -2)
+        unstable = np.max(np.linalg.eigvals(A_cl).real, axis=1) >= -1e-9
+        if np.any(unstable):
+            mode = 1 + int(np.argmax(unstable))
+            raise UnstableNonzeroMode(f"closed-loop mode {mode} is not Hurwitz")
+        c = c_sym[1:]
+        den = np.stack((a * d - k * b, -(a + d), np.ones_like(a)), axis=1)
+        num = np.stack(
+            (
+                np.stack((-c * a, c), axis=1),
+                gamma * np.stack((k * b - d * a, d), axis=1),
+            ),
+            axis=1,
+        )
+        return float(np.sum(batch_h2_squared(num, den)))
     lam = _symbols_of_circulant(K)
     k_scale = max(np.max(np.abs(lam)), 1.0)
     if abs(lam[0]) > 1e-9 * k_scale:

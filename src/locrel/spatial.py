@@ -1,16 +1,22 @@
 """Spatially invariant analysis on the d-dimensional discrete torus.
 
-Controllers and closed loops are convolution operators: a single array
-of rational taps indexed by spatial offset acts on signals over Z_n^d.
+Controllers and closed loops are convolution operators: a sparse set of
+rational taps indexed by spatial offset acts on signals over Z_n^d.
 The spatial DFT turns convolution into multiplication by a frequency
 symbol, which decouples H2 norms and closed-loop computations into
-independent scalar problems per frequency.
+independent scalar problems per frequency.  Those problems are solved
+together: the symbols are one coefficient array of shape (n,)*d + (deg,)
+over the taps' common denominator, and closed loops and per-frequency
+H2 norms are batched array operations on it.  Objects of
+``RationalEntry`` are built only where a caller asks for them:
+``dft_symbol`` and the ``phi_x_symbols`` and ``phi_u_symbols`` of a
+closed loop, built on first access.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +24,14 @@ from .errors import (
     ConsistencyCheckFailed,
     ConstraintViolated,
     FeasibilityPreconditionError,
+    LocrelError,
+    SingularAtS,
     SymbolPoleClash,
     UnstableKernelEntry,
 )
 from .consensus import FeasibilityCertificate
-from .rational import RationalEntry, ptrim, try_exact_divide
-from .statespace import scalar_h2_squared
+from .rational import ZERO_REL_TOL, RationalEntry, ptrim, try_exact_divide
+from .statespace import batch_h2_squared, scalar_h2_squared
 
 __all__ = [
     "ConvKernelArray",
@@ -69,8 +77,8 @@ def circular_sup_distance(offset, n):
 class ConvKernelArray:
     """Rational convolution kernel over the torus Z_n^d.
 
-    Taps are stored densely on the (n,)*d grid indexed by offset modulo
-    n; missing taps are the zero transfer function.
+    Nonzero taps are kept in a dict keyed by offset modulo n; missing
+    taps are the zero transfer function.
     """
 
     def __init__(self, d, n, taps=None):
@@ -80,10 +88,7 @@ class ConvKernelArray:
             raise ValueError("torus size must be at least 3")
         self.d = int(d)
         self.n = int(n)
-        self.table = np.empty((self.n,) * self.d, dtype=object)
-        zero = RationalEntry.zero()
-        for idx in itertools.product(range(self.n), repeat=self.d):
-            self.table[idx] = zero
+        self._taps = {}
         if taps:
             for offset, entry in dict(taps).items():
                 self.set_tap(offset, entry)
@@ -97,19 +102,22 @@ class ConvKernelArray:
     def set_tap(self, offset, entry):
         if not isinstance(entry, RationalEntry):
             entry = RationalEntry.constant(float(entry))
-        self.table[self._grid_index(offset)] = entry
+        idx = self._grid_index(offset)
+        if entry.is_zero():
+            self._taps.pop(idx, None)
+        else:
+            self._taps[idx] = entry
 
     def tap(self, offset):
-        return self.table[self._grid_index(offset)]
+        entry = self._taps.get(self._grid_index(offset))
+        return RationalEntry.zero() if entry is None else entry
 
     def taps(self):
-        """Nonzero taps as (canonical offset, entry) pairs."""
-        out = []
-        for offset in canonical_offsets(self.n, self.d):
-            entry = self.tap(offset)
-            if not entry.is_zero():
-                out.append((offset, entry))
-        return out
+        """Nonzero taps as (canonical offset, entry) pairs, in canonical order."""
+        return sorted(
+            ((canonical_offset(idx, self.n), entry) for idx, entry in self._taps.items()),
+            key=lambda item: item[0],
+        )
 
     def support_radius(self):
         taps = self.taps()
@@ -120,10 +128,8 @@ class ConvKernelArray:
     def evaluate_grid(self, s):
         """Complex array of tap values at s, laid out on the offset grid."""
         values = np.zeros((self.n,) * self.d, dtype=complex)
-        for idx in itertools.product(range(self.n), repeat=self.d):
-            entry = self.table[idx]
-            if not entry.is_zero():
-                values[idx] = entry.evaluate(s)
+        for idx, entry in self._taps.items():
+            values[idx] = entry.evaluate(s)
         return values
 
     def to_json(self):
@@ -181,12 +187,26 @@ def _common_denominator_taps(kernel):
     return common, numerators
 
 
-def dft_symbol(kernel):
-    """Frequency symbols of the kernel as rational functions.
+def _trim(coeffs):
+    """Rows of coefficients as ptrim leaves them, with their degrees.
 
-    Returns an object array on the frequency grid; entry f is the scalar
-    transfer sum_m k_m(s) exp(-2 pi i <f, m> / n), represented over the
-    taps' common denominator (coefficients are complex in general).
+    Works along the last axis for every row at once: leading coefficients
+    at most ZERO_REL_TOL of their row's largest become zero.
+    """
+    magnitude = np.abs(coeffs)
+    kept = magnitude > ZERO_REL_TOL * np.max(magnitude, axis=-1, keepdims=True)
+    degree = coeffs.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
+    above = np.arange(coeffs.shape[-1]) > degree[..., None]
+    return np.where(above, 0.0, coeffs), degree
+
+
+def _symbol_coeffs(kernel):
+    """Symbol numerators on the frequency grid, over the taps' common denominator.
+
+    Returns (coeffs, common): coeffs has shape (n,)*d + (deg,), and
+    coeffs[f] holds the ascending numerator of the symbol at frequency f
+    over the monic polynomial ``common``, trimmed as ``RationalEntry``
+    stores it (a vanishing symbol is exactly zero).
     """
     common, numerators = _common_denominator_taps(kernel)
     deg = max([len(num) for num in numerators.values()], default=1)
@@ -194,10 +214,24 @@ def dft_symbol(kernel):
     for offset, num in numerators.items():
         idx = tuple(o % kernel.n for o in offset)
         coeff_grid[idx][: len(num)] = num
-    sym_coeffs = np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d)))
-    symbols = np.empty((kernel.n,) * kernel.d, dtype=object)
-    for idx in itertools.product(range(kernel.n), repeat=kernel.d):
-        symbols[idx] = RationalEntry(sym_coeffs[idx], common, simplify=False)
+    # ptrim can drop the leading 1 of a product of high degree
+    lead = common[-1]
+    coeffs, _ = _trim(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))) / lead)
+    coeffs[np.max(np.abs(coeffs), axis=-1) <= ZERO_REL_TOL] = 0.0
+    return coeffs, common / lead
+
+
+def dft_symbol(kernel):
+    """Frequency symbols of the kernel as rational functions.
+
+    Returns an object array on the frequency grid; entry f is the scalar
+    transfer sum_m k_m(s) exp(-2 pi i <f, m> / n), represented over the
+    taps' common denominator (coefficients are complex in general).
+    """
+    coeffs, common = _symbol_coeffs(kernel)
+    symbols = np.empty(coeffs.shape[:-1], dtype=object)
+    for idx in np.ndindex(symbols.shape):
+        symbols[idx] = RationalEntry(coeffs[idx], common, simplify=False)
     return symbols
 
 
@@ -207,7 +241,7 @@ def si_h2_squared(kernel):
     for offset, entry in kernel.taps():
         try:
             total += scalar_h2_squared(entry)
-        except Exception as exc:
+        except LocrelError as exc:
             raise UnstableKernelEntry(
                 f"tap at offset {offset} has no finite H2 norm: {exc}"
             ) from exc
@@ -220,14 +254,10 @@ def si_h2_norm(kernel):
 
 def si_h2_squared_parseval(kernel):
     """Same norm computed in frequency: the mean of squared symbol norms."""
-    symbols = dft_symbol(kernel)
-    total = 0.0
-    for idx in itertools.product(range(kernel.n), repeat=kernel.d):
-        entry = symbols[idx]
-        if entry.is_zero():
-            continue
-        total += scalar_h2_squared(entry)
-    return total / kernel.n**kernel.d
+    coeffs, common = _symbol_coeffs(kernel)
+    num = coeffs.reshape(-1, coeffs.shape[-1])
+    den = np.broadcast_to(common, (num.shape[0], common.size))
+    return float(np.sum(batch_h2_squared(num, den))) / kernel.n**kernel.d
 
 
 def is_relative_si(kernel, tol=1e-10):
@@ -251,7 +281,7 @@ def is_cl_tf_structured_si(kernel, b):
     )
 
 
-def spatial_feasibility(d, n, b, gamma=0.0):
+def spatial_feasibility(d, n, b):
     """Locality infeasibility certificate for relative design on Z_n^d.
 
     The agents are scalar integrators dx = u + w coupled only through
@@ -297,46 +327,86 @@ def spatial_feasibility(d, n, b, gamma=0.0):
     )
 
 
+def _polyval(coeffs, s):
+    """Values at s of the ascending polynomials along the last axis."""
+    return np.polynomial.polynomial.polyval(s, np.moveaxis(coeffs, -1, 0))
+
+
 @dataclass
 class SIClosedLoops:
-    """State and control closed-loop symbols of a spatially invariant loop."""
+    """State and control closed-loop symbols of a spatially invariant loop.
+
+    At frequency f, phi_x = phi_x_num[f] / cl_den[f] and
+    phi_u = phi_u_num[f] / cl_den[f]: arrays of shape (n,)*d + (width,)
+    in ascending powers of s, each cl_den[f] monic of degree degree[f]
+    and zero above it.  ``phi_x_symbols`` and ``phi_u_symbols`` give the
+    same loops as object arrays of ``RationalEntry``, built on first
+    access.
+    """
 
     d: int
     n: int
-    phi_x_symbols: np.ndarray
-    phi_u_symbols: np.ndarray
+    phi_x_num: np.ndarray
+    phi_u_num: np.ndarray
+    cl_den: np.ndarray
+    degree: np.ndarray
+    _symbols: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _objects(self, name):
+        if name not in self._symbols:
+            num = getattr(self, name)
+            out = np.empty(num.shape[:-1], dtype=object)
+            for idx in np.ndindex(out.shape):
+                out[idx] = RationalEntry(num[idx], self.cl_den[idx], simplify=False)
+            self._symbols[name] = out
+        return self._symbols[name]
+
+    @property
+    def phi_x_symbols(self):
+        return self._objects("phi_x_num")
+
+    @property
+    def phi_u_symbols(self):
+        return self._objects("phi_u_num")
+
+    def _values(self, s):
+        """phi_x and phi_u at the point s on the frequency grid."""
+        den = _polyval(self.cl_den, s)
+        scale = np.maximum(np.max(np.abs(self.cl_den), axis=-1), 1.0)
+        scale = scale * max(1.0, abs(s)) ** self.degree
+        if np.any(np.abs(den) <= 1e-12 * scale):
+            raise SingularAtS(f"closed loop has a pole at s = {s}")
+        return _polyval(self.phi_x_num, s) / den, _polyval(self.phi_u_num, s) / den
 
     def kernel_at(self, s):
         """Closed-loop taps at s via the inverse DFT of the symbol values."""
-        shape = (self.n,) * self.d
-        px = np.zeros(shape, dtype=complex)
-        pu = np.zeros(shape, dtype=complex)
-        for idx in itertools.product(range(self.n), repeat=self.d):
-            px[idx] = self.phi_x_symbols[idx].evaluate(s)
-            pu[idx] = self.phi_u_symbols[idx].evaluate(s)
+        px, pu = self._values(s)
         return np.fft.ifftn(px), np.fft.ifftn(pu)
 
     def h2_squared(self, gamma):
-        """Squared deflated H2 norm of (phi_x, gamma phi_u), dropping mode 0."""
+        """Squared deflated H2 norm of (phi_x, gamma phi_u), dropping mode 0.
+
+        Both loops share their denominator at each frequency, so one
+        Gramian per frequency serves both.
+        """
+        width = self.phi_x_num.shape[-1]
+        num = self.phi_x_num.reshape(-1, 1, width)
+        if gamma > 0:
+            num = np.concatenate(
+                (num, gamma * self.phi_u_num.reshape(-1, 1, width)), axis=1
+            )
+        den = self.cl_den.reshape(-1, self.cl_den.shape[-1])
+        degree = self.degree.reshape(-1)
         total = 0.0
-        for idx in itertools.product(range(self.n), repeat=self.d):
-            if all(i == 0 for i in idx):
-                continue
-            px = self.phi_x_symbols[idx]
-            pu = self.phi_u_symbols[idx]
-            total += scalar_h2_squared(px)
-            if gamma > 0 and not pu.is_zero():
-                total += gamma**2 * scalar_h2_squared(pu)
+        for k in np.unique(degree[1:]):
+            rows = 1 + np.flatnonzero(degree[1:] == k)
+            total += float(np.sum(batch_h2_squared(num[rows], den[rows, : k + 1])))
         return total / self.n**self.d
 
     def affine_residual(self, s):
         """Max over frequencies of |s phi_x - phi_u - 1| at the point s."""
-        worst = 0.0
-        for idx in itertools.product(range(self.n), repeat=self.d):
-            px = self.phi_x_symbols[idx].evaluate(s)
-            pu = self.phi_u_symbols[idx].evaluate(s)
-            worst = max(worst, abs(s * px - pu - 1.0))
-        return worst
+        px, pu = self._values(s)
+        return float(np.max(np.abs(s * px - pu - 1.0)))
 
 
 def si_closed_loops(controller_kernel):
@@ -346,25 +416,35 @@ def si_closed_loops(controller_kernel):
     are phi_x = den / (s den - num) and phi_u = num / (s den - num).
     The denominator s den - num must not vanish identically.
     """
-    symbols = dft_symbol(controller_kernel)
+    coeffs, common = _symbol_coeffs(controller_kernel)
     n, d = controller_kernel.n, controller_kernel.d
-    phi_x = np.empty((n,) * d, dtype=object)
-    phi_u = np.empty((n,) * d, dtype=object)
-    for idx in itertools.product(range(n), repeat=d):
-        entry = symbols[idx]
-        num, den = entry.num, entry.den
-        s_den = np.concatenate(([0.0], den))
-        cl_den = ptrim(
-            s_den + np.concatenate((-np.asarray(num), np.zeros(len(s_den) - len(num))))
+    width = max(coeffs.shape[-1], common.size + 1)
+    num = np.zeros(coeffs.shape[:-1] + (width,), dtype=complex)
+    num[..., : coeffs.shape[-1]] = coeffs
+    # a vanishing symbol is 0/1, as dft_symbol gives it
+    den = np.zeros_like(num)
+    den[..., : common.size] = common
+    den[~np.any(coeffs, axis=-1)] = np.eye(width)[0]
+    s_den = np.concatenate((np.zeros_like(den[..., :1]), den[..., :-1]), axis=-1)
+    cl_den = s_den - num
+    largest = np.max(np.abs(cl_den), axis=-1)
+    scale = np.maximum(np.max(np.abs(s_den), axis=-1), np.max(np.abs(num), axis=-1))
+    clash = largest <= 1e-10 * np.maximum(scale, 1.0)
+    if np.any(clash):
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(clash), clash.shape))
+        raise SymbolPoleClash(
+            f"closed-loop denominator vanishes identically at frequency {idx}"
         )
-        scale = max(np.max(np.abs(s_den)), np.max(np.abs(num)), 1.0)
-        if np.max(np.abs(cl_den)) <= 1e-10 * scale:
-            raise SymbolPoleClash(
-                f"closed-loop denominator vanishes identically at frequency {idx}"
-            )
-        phi_x[idx] = RationalEntry(den, cl_den, simplify=False)
-        phi_u[idx] = RationalEntry(num, cl_den, simplify=False)
-    loops = SIClosedLoops(d=d, n=n, phi_x_symbols=phi_x, phi_u_symbols=phi_u)
+    cl_den, degree = _trim(cl_den)
+    lead = np.take_along_axis(cl_den, degree[..., None], axis=-1)
+    loops = SIClosedLoops(
+        d=d,
+        n=n,
+        phi_x_num=den / lead,
+        phi_u_num=num / lead,
+        cl_den=cl_den / lead,
+        degree=degree,
+    )
     # the identity s phi_x - phi_u = 1 holds by construction; a sampled
     # residual guards against coefficient bookkeeping mistakes
     residual = loops.affine_residual(1.0 + 0.7j)

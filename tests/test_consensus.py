@@ -355,3 +355,46 @@ def test_certificate_json_round_values():
     assert doc["rank"] == 7
     assert doc["threshold"] == 3
     assert np.allclose(doc["witnessRowSums"], 1.0)
+
+
+def per_mode_lyapunov_h2(prob, K):
+    """Deflated H2 of a one-state-per-node circulant controller, one mode at a time.
+
+    Mode k has state (x, xi) with A = [[d, k], [b, a]], input (1, 0) and
+    outputs (c x, gamma (d x + k xi)); each mode is one scipy Lyapunov solve.
+    """
+    a, b, k, d, c = (np.fft.fft(M[0]) for M in (K.A, K.B, K.C, K.D, prob.c))
+    total = 0.0
+    for m in range(1, prob.n):
+        A = np.array([[d[m], k[m]], [b[m], a[m]]])
+        C = np.array([[c[m], 0.0], [prob.gamma * d[m], prob.gamma * k[m]]])
+        Q = scipy.linalg.solve_continuous_lyapunov(A.conj().T, -C.conj().T @ C)
+        total += Q[0, 0].real
+    return total
+
+
+def test_h2_dynamic_with_feedthrough_matches_per_mode_lyapunov():
+    # a circulant controller with complex symbols and a relative feedthrough
+    n = 7
+    rng = np.random.default_rng(31)
+    shift = np.roll(np.eye(n), 1, axis=1)
+    A = -2.0 * np.eye(n) + 0.4 * shift - 0.1 * shift.T
+    Ks = static_consensus_gain(n)
+    K = StateSpace(A, Ks @ shift, np.eye(n) + 0.3 * shift, 0.5 * Ks)
+    for kind in ("ave", "le"):
+        prob = ConsensusProblem(
+            n=n, b=1, gamma=float(rng.uniform(0.5, 2.0)), c=consensus_measures(n)[kind]
+        )
+        want = per_mode_lyapunov_h2(prob, K)
+        assert h2_deflated(prob, K) == pytest.approx(want, rel=1e-11)
+
+
+def test_h2_unstable_mode_is_named():
+    # feedthrough symbol -1 on every mode but 2 and 4, where it is +1
+    n = 6
+    d = -np.ones(n)
+    d[0] = 0.0
+    d[2] = d[4] = 1.0
+    K = StateSpace(-np.eye(n), np.zeros((n, n)), np.zeros((n, n)), circulant_from_symbol(d))
+    with pytest.raises(UnstableNonzeroMode, match="mode 2 "):
+        h2_deflated(ave_problem(n, 1, 1.0), K)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from locrel.consensus import ConsensusProblem, consensus_measures, sls_relative_feasibility
 from locrel.errors import (
     FeasibilityPreconditionError,
+    NonzeroFeedthrough,
+    NotHurwitz,
     SymbolPoleClash,
     UnstableKernelEntry,
 )
@@ -404,3 +407,121 @@ def test_corpus_kernel_file():
     k = ConvKernelArray.from_json(doc["kernel"])
     assert si_h2_squared(k) == pytest.approx(0.625, abs=1e-12)
     assert si_h2_squared_parseval(k) == pytest.approx(0.625, abs=1e-8)
+
+
+def test_kernel_keeps_only_nonzero_taps(rng):
+    k = ConvKernelArray(2, 5)
+    offsets = [(2, -1), (0, 0), (-2, 2), (1, 0), (0, 3)]
+    for i in rng.permutation(len(offsets)):
+        k.set_tap(offsets[i], RationalEntry([1.0 + i], [2.0, 1.0]))
+    k.set_tap((1, 0), RationalEntry.zero())
+    k.set_tap((4, 4), 0.0)
+    scan = [
+        (off, k.tap(off)) for off in canonical_offsets(5, 2) if not k.tap(off).is_zero()
+    ]
+    assert [off for off, _ in k.taps()] == [off for off, _ in scan]
+    assert [off for off, _ in k.taps()] == [(-2, 2), (0, -2), (0, 0), (2, -1)]
+    assert k.tap((6, 5)).is_zero() and k.tap((5, 5)).equals(k.tap((0, 0)))
+    grid = k.evaluate_grid(1.0)
+    assert np.count_nonzero(grid) == 4 and grid[2, 4] == pytest.approx(k.tap((2, -1)).evaluate(1.0))
+
+
+def test_closed_loop_symbols_are_built_once_on_access():
+    loops = si_closed_loops(ring_consensus_kernel(6))
+    px = loops.phi_x_symbols
+    assert loops.phi_x_symbols is px and loops.phi_u_symbols is loops.phi_u_symbols
+    with pytest.raises(AttributeError):
+        loops.phi_x_symbols = px
+    s = 0.7 + 0.2j
+    px_at, pu_at = loops.kernel_at(s)
+    want_px = np.array([e.evaluate(s) for e in px])
+    want_pu = np.array([e.evaluate(s) for e in loops.phi_u_symbols])
+    assert np.allclose(px_at, np.fft.ifft(want_px), atol=1e-14)
+    assert np.allclose(pu_at, np.fft.ifft(want_pu), atol=1e-14)
+
+
+def test_kernel_h2_errors():
+    unstable = ConvKernelArray(1, 5, {(0,): RationalEntry([1.0], [-1.0, 1.0])})
+    with pytest.raises(NotHurwitz):
+        si_h2_squared_parseval(unstable)
+    static = ConvKernelArray(1, 5, {(0,): 1.0, (1,): -0.5})
+    with pytest.raises(NonzeroFeedthrough):
+        si_h2_squared_parseval(static)
+    with pytest.raises(UnstableKernelEntry) as info:
+        si_h2_squared(static)
+    assert isinstance(info.value.__cause__, NonzeroFeedthrough)
+    # positive feedback 1/(s - 1) at every frequency but the average
+    loops = si_closed_loops(ConvKernelArray(1, 5, {(0,): 1.0}))
+    with pytest.raises(NotHurwitz):
+        loops.h2_squared(1.0)
+    # symbol s - 1 at frequency 2 and -1 elsewhere: the loop denominator is
+    # 1 there and s + 1 elsewhere, so phi_x = 1 at frequency 2
+    taps = {(m,): RationalEntry([-(m == 0), 0.25 * (-1.0) ** m]) for m in range(4)}
+    loops = si_closed_loops(ConvKernelArray(1, 4, taps))
+    assert loops.phi_x_symbols[2].equals(RationalEntry.one())
+    assert loops.phi_x_symbols[1].equals(RationalEntry([1.0], [1.0, 1.0]))
+    with pytest.raises(NonzeroFeedthrough):
+        loops.h2_squared(0.0)
+
+
+def test_si_h2_squared_lets_programming_errors_through(monkeypatch):
+    import locrel.spatial as spatial
+
+    def broken(entry):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(spatial, "scalar_h2_squared", broken)
+    with pytest.raises(TypeError):
+        si_h2_squared(ring_consensus_kernel(5))
+
+
+def test_si_closed_loops_pole_clash_names_frequency():
+    # taps (s/4) (-1)^m give the symbol s at frequency 2 and 0 elsewhere
+    taps = {(m,): RationalEntry([0.0, 0.25 * (-1.0) ** m]) for m in range(4)}
+    with pytest.raises(SymbolPoleClash, match=r"frequency \(2,\)"):
+        si_closed_loops(ConvKernelArray(1, 4, taps))
+
+
+def nearest_neighbour_consensus(d, n):
+    """Static taps: -2d at the origin and 1 at each nearest neighbour."""
+    k = ConvKernelArray(d, n, {(0,) * d: -2.0 * d})
+    for axis in range(d):
+        for step in (1, -1):
+            k.set_tap(tuple(step if a == axis else 0 for a in range(d)), 1.0)
+    return k
+
+
+def consensus_variance(d, n):
+    """Per-site variance (1/n^d) sum over f != 0 of 1/(2 lambda_f)."""
+    grid = np.meshgrid(*([np.arange(n)] * d), indexing="ij")
+    lam = sum(2.0 * (1.0 - np.cos(2.0 * np.pi * f / n)) for f in grid)
+    return float(np.sum(1.0 / (2.0 * lam.reshape(-1)[1:]))) / n**d
+
+
+def test_torus_consensus_variance_scaling():
+    # Bamieh, Jovanovic, Mitra & Patterson 2012: the per-site variance of
+    # torus consensus grows like n in d = 1, like log n in d = 2, and stays
+    # bounded in d = 3.  The smallest symbol, about (2 pi / n)^2, carries the
+    # FFT's absolute rounding, hence the tolerance at n = 1025.
+    values = {}
+    for d, sizes in ((1, (5, 17, 65, 1025)), (2, (8, 16, 32, 64)), (3, (9, 17, 33))):
+        for n in sizes:
+            loops = si_closed_loops(nearest_neighbour_consensus(d, n))
+            values[d, n] = loops.h2_squared(0.0)
+            assert values[d, n] == pytest.approx(consensus_variance(d, n), rel=1e-10)
+    for n in (5, 17, 65, 1025):
+        # sum over f of csc^2(pi f / n) is (n^2 - 1)/3
+        assert values[1, n] == pytest.approx((n * n - 1) / (24.0 * n), rel=1e-10)
+    # each doubling of n adds log(2) / (4 pi) in d = 2
+    for n in (8, 16, 32):
+        step = values[2, 2 * n] - values[2, n]
+        assert step == pytest.approx(np.log(2.0) / (4.0 * np.pi), rel=0.01)
+    # Watson's integral for the simple cubic lattice bounds d = 3 from above
+    watson = (
+        np.sqrt(6.0)
+        / (32.0 * np.pi**3)
+        * np.prod([math.gamma(k / 24.0) for k in (1, 5, 7, 11)])
+    )
+    limit = watson / 12.0
+    assert values[3, 9] < values[3, 17] < values[3, 33] < limit
+    assert values[3, 33] > 0.95 * limit

@@ -1,5 +1,6 @@
 """State-space realizations, interconnections and H2 norms."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +15,7 @@ from locrel.graphs import Partition
 from locrel.rational import RationalEntry, RationalMatrix, pmul
 from locrel.statespace import (
     StateSpace,
+    batch_h2_squared,
     feedback,
     h2_norm,
     h2_norm_squared,
@@ -159,15 +161,15 @@ def quadrature_h2_squared(sys, w_max=1e4, n_points=200001):
 
     For strictly proper G the integrand decays like K/w^2 with
     K = trace((C B)' (C B)), so the tail beyond w_max contributes about
-    K/(pi w_max).
+    K/(pi w_max).  G(i w) = C (i w I - A)^-1 B comes from one batched
+    solve over all frequencies.
     """
     w = np.linspace(0.0, w_max, n_points)
     # nonuniform refinement near zero where the integrand varies fastest
     w = np.concatenate((np.linspace(0.0, 10.0, 20001), w[w > 10.0]))
-    vals = np.empty(w.size)
-    for k, wk in enumerate(w):
-        G = sys.evaluate(1j * wk)
-        vals[k] = np.real(np.trace(G.conj().T @ G))
+    resolvent = 1j * w[:, None, None] * np.eye(sys.n_states) - sys.A
+    G = sys.C @ np.linalg.solve(resolvent, sys.B.astype(complex)) + sys.D
+    vals = np.sum(np.abs(G) ** 2, axis=(1, 2))
     integral = np.trapezoid(vals, w) / np.pi
     CB = sys.C @ sys.B
     tail = float(np.trace(CB.T @ CB)) / (np.pi * w_max)
@@ -200,6 +202,79 @@ def test_scalar_h2_matches_state_space():
         scalar_h2_squared(RationalEntry([1.0], [-1.0, 1.0]))
     with pytest.raises(NonzeroFeedthrough):
         scalar_h2_squared(RationalEntry([1.0, 1.0], [2.0, 1.0]))
+
+
+def residue_h2_squared(num, den):
+    """Squared H2 norm of num/den as an exact residue sum in mpmath.
+
+    On the imaginary axis |H(s)|^2 = H(s) conj(H(-conj s)).  Closing the
+    contour to the left encloses only the poles p of H, each simple here,
+    so the norm is the sum of num(p) / den'(p) * conj(H(-conj p)).
+    """
+    with mpmath.workdps(40):
+        num = [mpmath.mpc(complex(c)) for c in num]
+        den = [mpmath.mpc(complex(c)) for c in den]
+        slope = [j * den[j] for j in range(1, len(den))]
+
+        def value(c, s):
+            return mpmath.polyval(c[::-1], s)
+
+        total = mpmath.mpc(0)
+        for p in mpmath.polyroots(den[::-1], maxsteps=100, extraprec=100):
+            q = -mpmath.conj(p)
+            mirror = mpmath.conj(value(num, q) / value(den, q))
+            total += value(num, p) / value(slope, p) * mirror
+        return float(mpmath.re(total))
+
+
+def random_stable_entries(rng, degree, count):
+    """Complex entries of one degree, poles at real parts -3 to -0.1."""
+    dens, nums = [], []
+    for _ in range(count):
+        poles = -rng.uniform(0.1, 3.0, degree) + 2j * rng.standard_normal(degree)
+        dens.append(np.poly(poles)[::-1])
+        nums.append(rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
+    return np.array(nums), np.array(dens)
+
+
+def test_batch_h2_matches_exact_residue_sum():
+    rng = np.random.default_rng(21)
+    for degree in range(1, 9):
+        nums, dens = random_stable_entries(rng, degree, 10)
+        got = batch_h2_squared(nums, dens)
+        for value, num, den in zip(got, nums, dens):
+            want = residue_h2_squared(num, den)
+            assert abs(value - want) <= 1e-12 * want
+
+
+def test_batch_h2_shared_denominator_sums_rows():
+    rng = np.random.default_rng(22)
+    nums, dens = random_stable_entries(rng, 3, 6)
+    other = rng.standard_normal(nums.shape) + 1j * rng.standard_normal(nums.shape)
+    stacked = batch_h2_squared(np.stack((nums, other), axis=1), dens)
+    apart = batch_h2_squared(nums, dens) + batch_h2_squared(other, dens)
+    assert np.allclose(stacked, apart, rtol=1e-13, atol=0.0)
+    # a zero numerator costs nothing, whatever its denominator
+    unstable = np.array([[-1.0, 1.0]])
+    assert batch_h2_squared(np.zeros((1, 1)), unstable)[0] == 0.0
+
+
+def test_batch_h2_first_failing_entry_decides():
+    # (s + 1)/(s + 2) is not strictly proper; 1/(s - 1) is not stable
+    improper = ([1.0, 1.0], [2.0, 1.0])
+    unstable = ([1.0, 0.0], [-1.0, 1.0])
+    stable = ([1.0, 0.0], [2.0, 1.0])
+    for order, error in (
+        ((stable, improper, unstable), NonzeroFeedthrough),
+        ((stable, unstable, improper), NotHurwitz),
+    ):
+        nums = np.array([num for num, _ in order])
+        dens = np.array([den for _, den in order])
+        with pytest.raises(error):
+            batch_h2_squared(nums, dens)
+        with pytest.raises(error):
+            for num, den in order:
+                scalar_h2_squared(RationalEntry(num, den))
 
 
 def test_realize_rational_round_trip_rows_and_columns():
