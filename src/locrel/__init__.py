@@ -8,6 +8,7 @@ design on rings, and the spatially invariant picture on discrete tori.
 """
 
 from .errors import (
+    CommonDenominatorTruncated,
     ConsistencyCheckFailed,
     ConstraintViolated,
     DegreeCapExceeded,

@@ -38,11 +38,15 @@ def _check_circulant(C, tol=1e-9):
     n = C.shape[0]
     if C.shape != (n, n):
         raise NotCirculant("matrix is not square")
-    first = C[0]
-    scale = max(np.max(np.abs(C)), 1.0)
-    for i in range(1, n):
-        if np.max(np.abs(C[i] - np.roll(first, i))) > tol * scale:
-            raise NotCirculant(f"row {i} is not a cyclic shift of row 0")
+    # row i of a circulant is row 0 shifted right by i, which is the window
+    # starting at n - i of row 0 written twice
+    shifts = np.lib.stride_tricks.sliding_window_view(np.tile(C[0], 2), n)[n:0:-1]
+    gap = C - shifts
+    np.abs(gap, out=gap)
+    scale = max(C.max(), -C.min(), 1.0)
+    bad = np.flatnonzero(gap.max(axis=1) > tol * scale)
+    if bad.size:
+        raise NotCirculant(f"row {bad[0]} is not a cyclic shift of row 0")
     return C
 
 
@@ -73,7 +77,9 @@ def consensus_measures(n, kinds=None):
             first[-1] = -1.0
             out["le"] = scipy.linalg.circulant(first).T
         elif kind == "ave":
-            out["ave"] = np.eye(n) - np.ones((n, n)) / n
+            ave = np.full((n, n), -1.0 / n)
+            ave[np.diag_indices(n)] += 1.0
+            out["ave"] = ave
         elif kind == "lr":
             if n % 2 != 0:
                 raise OddNForLongRange(
@@ -164,9 +170,13 @@ class FeasibilityCertificate:
         return data
 
 
-def _ring_column_support(n, b, col):
-    """Indices within ring distance b of a column, in cyclic order."""
-    return [(col + off) % n for off in range(-b, b + 1)]
+def _banded_circulant(n, taps):
+    """Circulant W with W[(i + off) % n, i] = taps[off + b] for |off| <= b."""
+    b = (len(taps) - 1) // 2
+    W = np.zeros((n, n))
+    cols = np.arange(n)
+    W[(cols + np.arange(-b, b + 1)[:, None]) % n, cols] = taps[:, None]
+    return W
 
 
 def sls_relative_feasibility(prob):
@@ -179,22 +189,33 @@ def sls_relative_feasibility(prob):
     contradicts the zero row sums: the design is infeasible.  Otherwise
     the joint linear system is solved; solvability keeps the design
     potentially feasible (the test is only necessary).
+
+    The constraints are invariant under a cyclic shift of the agents, so
+    the minimum-norm least-squares solution is a banded circulant W and
+    only its 2b + 1 taps w_off are unknown.  In frequency, C (W - I) has
+    symbol c_k (W_k - 1) with W_k = sum_off w_off exp(-2 pi i k off / n),
+    and its Frobenius norm is the 2-norm of that symbol; the n equal row
+    sums of W add the equation sqrt(n) W_0 = 0.  One real least-squares
+    solve of 2n + 1 equations in 2b + 1 taps replaces the dense system, so
+    the work beyond building the n x n witness is O(n b).
     """
     n, b = prob.n, prob.b
     C = prob.c
     r = circulant_rank(C)
     threshold = 2 * b + 1
+    offsets = np.arange(-b, b + 1)
+    c = np.fft.fft(C[:, 0])
+    freq = c[:, None] * np.exp(-2j * np.pi * (np.outer(np.arange(n), offsets) % n) / n)
+    rows, rhs = [freq.real, freq.imag], [c.real, c.imag]
+    if r <= threshold:
+        rows.append(np.full((1, threshold), np.sqrt(n)))
+        rhs.append([0.0])
+    taps, _, rank, _ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
     if r > threshold:
-        witness = np.zeros((n, n))
-        for col in range(n):
-            support = _ring_column_support(n, b, col)
-            Ct = C[:, support]
-            sol, _, rank_t, _ = np.linalg.lstsq(Ct, C[:, col], rcond=None)
-            if rank_t < threshold:
-                raise ConsistencyCheckFailed(
-                    "banded columns unexpectedly rank deficient despite rank(C) > 2b+1"
-                )
-            witness[support, col] = sol
+        if rank < threshold:
+            raise ConsistencyCheckFailed(
+                "banded columns unexpectedly rank deficient despite rank(C) > 2b+1"
+            )
         note = (
             f"rank(C) = {r} exceeds the {threshold} banded degrees of freedom per "
             "column, so the static constraint C(I - phi_u(0)) = 0 pins phi_u(0) to "
@@ -205,39 +226,15 @@ def sls_relative_feasibility(prob):
             verdict="Infeasible",
             threshold=threshold,
             rank=r,
-            witness=witness,
+            witness=_banded_circulant(n, taps),
             proof_note=note,
         )
-    # Joint static system: banded support, C phi = C, zero row sums.
-    cols_unknowns = [(j, i) for i in range(n) for j in _ring_column_support(n, b, i)]
-    index = {pair: k for k, pair in enumerate(cols_unknowns)}
-    n_unknown = len(cols_unknowns)
-    rows = []
-    rhs = []
-    for i in range(n):
-        support = _ring_column_support(n, b, i)
-        for row in range(n):
-            coeffs = np.zeros(n_unknown)
-            for j in support:
-                coeffs[index[(j, i)]] = C[row, j]
-            rows.append(coeffs)
-            rhs.append(C[row, i])
-    for row in range(n):
-        coeffs = np.zeros(n_unknown)
-        for (j, i), k in index.items():
-            if j == row:
-                coeffs[k] = 1.0
-        rows.append(coeffs)
-        rhs.append(0.0)
-    A_glob = np.array(rows)
-    b_glob = np.array(rhs)
-    sol, _, _, _ = np.linalg.lstsq(A_glob, b_glob, rcond=None)
-    residual = float(np.max(np.abs(A_glob @ sol - b_glob)))
+    # every entry of the circulant C (W - I) appears in its first column
+    residual = max(
+        float(np.max(np.abs(C[:, offsets % n] @ taps - C[:, 0]))), abs(float(taps.sum()))
+    )
     scale = max(np.max(np.abs(C)), 1.0)
     if residual <= 1e-8 * scale:
-        witness = np.zeros((n, n))
-        for (j, i), k in index.items():
-            witness[j, i] = sol[k]
         note = (
             f"rank(C) = {r} fits within the banded degrees of freedom; the static "
             "constraints admit a solution, so this necessary test cannot rule the "
@@ -247,7 +244,7 @@ def sls_relative_feasibility(prob):
             verdict="PotentiallyFeasible",
             threshold=threshold,
             rank=r,
-            witness=witness,
+            witness=_banded_circulant(n, taps),
             proof_note=note,
         )
     note = (
@@ -337,9 +334,8 @@ def h2_deflated(prob, K):
     unforced by the controller (relative feedback), and is dropped.  All
     remaining modes must be Hurwitz.
     """
-    n, gamma = prob.n, prob.gamma
-    C = prob.c
-    c_sym = _symbols_of_circulant(C)
+    gamma = prob.gamma
+    c_sym = _symbols_of_circulant(prob.c)
     scale_c = max(np.max(np.abs(c_sym)), 1.0)
     if abs(c_sym[0]) > 1e-9 * scale_c:
         raise ModeZeroDetectable("consensus measure sees the average mode")
@@ -376,14 +372,13 @@ def h2_deflated(prob, K):
     k_scale = max(np.max(np.abs(lam)), 1.0)
     if abs(lam[0]) > 1e-9 * k_scale:
         raise ModeZeroDetectable("static controller is not relative")
-    total = 0.0
-    for k in range(1, n):
-        if lam[k].real >= -1e-9:
-            raise UnstableNonzeroMode(f"closed-loop mode {k} is not Hurwitz")
-        total += (abs(c_sym[k]) ** 2 + gamma**2 * abs(lam[k]) ** 2) / (
-            2.0 * abs(lam[k].real)
-        )
-    return total
+    lam, c = lam[1:], c_sym[1:]
+    unstable = lam.real >= -1e-9
+    if np.any(unstable):
+        mode = 1 + int(np.argmax(unstable))
+        raise UnstableNonzeroMode(f"closed-loop mode {mode} is not Hurwitz")
+    cost = (np.abs(c) ** 2 + gamma**2 * np.abs(lam) ** 2) / (2.0 * np.abs(lam.real))
+    return float(np.sum(cost))
 
 
 @dataclass

@@ -93,6 +93,10 @@ class UnstableKernelEntry(LocrelError):
     """A convolution-kernel entry is unstable or not strictly proper."""
 
 
+class CommonDenominatorTruncated(LocrelError):
+    """A product of denominators spans too many magnitudes to keep its leading terms."""
+
+
 class SymbolPoleClash(LocrelError):
     """A frequency symbol degenerates and the closed loop is undefined there."""
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CommonDenominatorTruncated,
     ConsistencyCheckFailed,
     ConstraintViolated,
     FeasibilityPreconditionError,
@@ -174,7 +175,13 @@ def _common_denominator_taps(kernel):
     common = np.array([1.0])
     for d in dens:
         common = np.convolve(common, d)
-    common = ptrim(common)
+    if ptrim(common).size < common.size:
+        raise CommonDenominatorTruncated(
+            f"the product of {len(dens)} distinct tap denominators has degree "
+            f"{common.size - 1} and a largest coefficient of "
+            f"{np.max(np.abs(common)):.2e}; trimming at {ZERO_REL_TOL:g} of it "
+            "would drop its leading 1"
+        )
     numerators = {}
     for offset, entry in taps:
         q = try_exact_divide(common, entry.den)
@@ -214,11 +221,9 @@ def _symbol_coeffs(kernel):
     for offset, num in numerators.items():
         idx = tuple(o % kernel.n for o in offset)
         coeff_grid[idx][: len(num)] = num
-    # ptrim can drop the leading 1 of a product of high degree
-    lead = common[-1]
-    coeffs, _ = _trim(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))) / lead)
+    coeffs, _ = _trim(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))))
     coeffs[np.max(np.abs(coeffs), axis=-1) <= ZERO_REL_TOL] = 0.0
-    return coeffs, common / lead
+    return coeffs, common
 
 
 def dft_symbol(kernel):

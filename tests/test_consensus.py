@@ -1,8 +1,12 @@
 """Ring consensus: measures, feasibility certificates, deflated H2."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locrel.consensus import (
     ConsensusProblem,
@@ -18,6 +22,7 @@ from locrel.consensus import (
     static_gain_realization,
 )
 from locrel.errors import (
+    ConsistencyCheckFailed,
     ModeZeroDetectable,
     NonNegativeA,
     NotCirculant,
@@ -114,6 +119,12 @@ def test_circulant_rank_of_measures():
 def test_circulant_rank_rejects_noncirculant():
     with pytest.raises(NotCirculant):
         circulant_rank(np.diag([1.0, 2.0, 3.0]))
+    # two rows off the cyclic pattern: the first is named
+    C = scipy.linalg.circulant([2.0, -1.0, 0.0, 0.0, -1.0]).T
+    C[2, 0] += 0.5
+    C[4, 3] -= 0.5
+    with pytest.raises(NotCirculant, match="^row 2 is not"):
+        circulant_rank(C)
 
 
 def test_problem_validation():
@@ -243,6 +254,25 @@ def test_h2_static_matches_dense_lyapunov():
             got = h2_deflated(prob, static_consensus_gain(n))
             want = dense_deflated_h2_static(prob, static_consensus_gain(n))
             assert got == pytest.approx(want, abs=1e-8)
+
+
+def per_mode_static_h2(prob, K):
+    """Deflated H2 of a static circulant gain, summed one mode at a time."""
+    c, lam = np.fft.fft(prob.c[0]), np.fft.fft(K[0])
+    total = 0.0
+    for k in range(1, prob.n):
+        total += (abs(c[k]) ** 2 + prob.gamma**2 * abs(lam[k]) ** 2) / (2.0 * abs(lam[k].real))
+    return total
+
+
+def test_h2_static_matches_per_mode_sum():
+    # the array sum adds in another order than the loop: allow n rounding steps
+    for n in (5, 8, 33, 200):
+        K = static_consensus_gain(n) - 0.3 * np.eye(n) + 0.3 * np.ones((n, n)) / n
+        for C in consensus_measures(n, kinds=("le", "ave")).values():
+            prob = ConsensusProblem(n=n, b=1, gamma=1.7, c=C)
+            want = per_mode_static_h2(prob, K)
+            assert h2_deflated(prob, K) == pytest.approx(want, rel=n * np.finfo(float).eps)
 
 
 def test_h2_static_local_error_measure():
@@ -390,11 +420,159 @@ def test_h2_dynamic_with_feedthrough_matches_per_mode_lyapunov():
 
 
 def test_h2_unstable_mode_is_named():
-    # feedthrough symbol -1 on every mode but 2 and 4, where it is +1
+    # feedthrough (or static gain) symbol -1 on every mode but 2 and 4,
+    # where it is +1
     n = 6
     d = -np.ones(n)
     d[0] = 0.0
     d[2] = d[4] = 1.0
     K = StateSpace(-np.eye(n), np.zeros((n, n)), np.zeros((n, n)), circulant_from_symbol(d))
-    with pytest.raises(UnstableNonzeroMode, match="mode 2 "):
-        h2_deflated(ave_problem(n, 1, 1.0), K)
+    for gain in (K, circulant_from_symbol(d)):
+        with pytest.raises(UnstableNonzeroMode, match="mode 2 "):
+            h2_deflated(ave_problem(n, 1, 1.0), gain)
+
+
+def ring_column_support(n, b, col):
+    """Indices within ring distance b of a column, in cyclic order."""
+    return [(col + off) % n for off in range(-b, b + 1)]
+
+
+def dense_feasibility(prob):
+    """Reference certificate from dense systems over every banded entry.
+
+    Above the rank threshold each column is solved on its own; otherwise
+    one joint least-squares system holds C phi = C for every column and a
+    zero sum for every row, in n (2b + 1) unknowns.
+    """
+    n, b = prob.n, prob.b
+    C = prob.c
+    r = circulant_rank(C)
+    threshold = 2 * b + 1
+    if r > threshold:
+        witness = np.zeros((n, n))
+        for col in range(n):
+            support = ring_column_support(n, b, col)
+            sol, _, rank_t, _ = np.linalg.lstsq(C[:, support], C[:, col], rcond=None)
+            if rank_t < threshold:
+                raise ConsistencyCheckFailed("banded columns rank deficient")
+            witness[support, col] = sol
+        note = (
+            f"rank(C) = {r} exceeds the {threshold} banded degrees of freedom per "
+            "column, so the static constraint C(I - phi_u(0)) = 0 pins phi_u(0) to "
+            "the identity; its unit row sums contradict the zero row sums required "
+            "of a relative controller."
+        )
+        return FeasibilityCertificate("Infeasible", threshold, r, witness, note)
+    unknowns = [(j, i) for i in range(n) for j in ring_column_support(n, b, i)]
+    index = {pair: k for k, pair in enumerate(unknowns)}
+    rows, rhs = [], []
+    for i in range(n):
+        for row in range(n):
+            coeffs = np.zeros(len(unknowns))
+            for j in ring_column_support(n, b, i):
+                coeffs[index[(j, i)]] = C[row, j]
+            rows.append(coeffs)
+            rhs.append(C[row, i])
+    for row in range(n):
+        coeffs = np.zeros(len(unknowns))
+        for (j, i), k in index.items():
+            if j == row:
+                coeffs[k] = 1.0
+        rows.append(coeffs)
+        rhs.append(0.0)
+    A, y = np.array(rows), np.array(rhs)
+    sol = np.linalg.lstsq(A, y, rcond=None)[0]
+    residual = float(np.max(np.abs(A @ sol - y)))
+    if residual <= 1e-8 * max(np.max(np.abs(C)), 1.0):
+        witness = np.zeros((n, n))
+        for (j, i), k in index.items():
+            witness[j, i] = sol[k]
+        note = (
+            f"rank(C) = {r} fits within the banded degrees of freedom; the static "
+            "constraints admit a solution, so this necessary test cannot rule the "
+            "design out."
+        )
+        return FeasibilityCertificate("PotentiallyFeasible", threshold, r, witness, note)
+    note = (
+        "the static system combining the banded support, zero row sums and "
+        f"C(I - phi_u(0)) = 0 is unsolvable (best residual {residual:.2e})."
+    )
+    return FeasibilityCertificate("Infeasible", threshold, r, None, note)
+
+
+def assert_valid_witness(C, W, b, row_sum):
+    n = C.shape[0]
+    idx = np.arange(n)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    assert np.max(np.abs(W[np.minimum(dist, n - dist) > b]), initial=0.0) <= 1e-8
+    assert np.max(np.abs(C @ (np.eye(n) - W))) <= 1e-8
+    assert np.max(np.abs(W.sum(axis=1) - row_sum)) <= 1e-8
+
+
+def assert_same_certificate(prob):
+    got, want = sls_relative_feasibility(prob), dense_feasibility(prob)
+    assert (got.verdict, got.rank, got.threshold, got.proof_note) == (
+        want.verdict,
+        want.rank,
+        want.threshold,
+        want.proof_note,
+    )
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        scale = max(np.max(np.abs(want.witness)), 1.0)
+        assert np.max(np.abs(got.witness - want.witness)) <= 1e-9 * scale
+        row_sum = 1.0 if want.rank > want.threshold else 0.0
+        for W in (got.witness, want.witness):
+            assert_valid_witness(prob.c, W, prob.b, row_sum)
+
+
+def test_feasibility_matches_dense_reference_on_measures():
+    for n in range(3, 17):
+        for b in range(1, (n + 1) // 2):
+            for C in consensus_measures(n).values():
+                assert_same_certificate(ConsensusProblem(n=n, b=b, gamma=1.0, c=C))
+
+
+@st.composite
+def banded_problems(draw):
+    """Circulant measures whose symbol is supported on at most b + 1 frequency pairs."""
+    n = draw(st.integers(3, 24))
+    b = draw(st.integers(1, (n - 1) // 2))
+    freqs = draw(
+        st.lists(st.integers(1, n // 2), min_size=1, max_size=min(b + 1, n // 2), unique=True)
+    )
+    sym = np.zeros(n, dtype=complex)
+    for k in freqs:
+        mag = draw(st.floats(0.1, 2.0))
+        phase = 0.0 if 2 * k == n else draw(st.floats(0.0, 2.0 * np.pi))
+        sym[k] = mag * np.exp(1j * phase)
+        sym[n - k] = np.conj(sym[k])
+    C = scipy.linalg.circulant(np.fft.ifft(sym).real)
+    return ConsensusProblem(n=n, b=b, gamma=1.0, c=C)
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_problems())
+def test_feasibility_matches_dense_reference(prob):
+    assert_same_certificate(prob)
+
+
+@pytest.mark.parametrize("kind", ["rank2", "ave"])
+def test_feasibility_memory_is_bounded_at_4096_agents(kind):
+    # the dense joint system for the rank-2 measure would need about 1.6 TB
+    n = 4096
+    if kind == "rank2":
+        col = 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) / n  # symbol 1 at +-1
+        C, want = scipy.linalg.circulant(col), "PotentiallyFeasible"
+    else:
+        C, want = consensus_measures(n, kinds=("ave",))["ave"], "Infeasible"
+    prob = ConsensusProblem(n=n, b=1, gamma=1.0, c=C)
+    tracemalloc.start()
+    try:
+        cert = sls_relative_feasibility(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == want
+    assert peak <= 3 * 8 * n**2
+    assert cert.witness.shape == (n, n)

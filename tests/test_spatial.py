@@ -9,6 +9,7 @@ import pytest
 
 from locrel.consensus import ConsensusProblem, consensus_measures, sls_relative_feasibility
 from locrel.errors import (
+    CommonDenominatorTruncated,
     FeasibilityPreconditionError,
     NonzeroFeedthrough,
     NotHurwitz,
@@ -462,6 +463,21 @@ def test_kernel_h2_errors():
     assert loops.phi_x_symbols[1].equals(RationalEntry([1.0], [1.0, 1.0]))
     with pytest.raises(NonzeroFeedthrough):
         loops.h2_squared(0.0)
+
+
+def test_common_denominator_too_wide_to_trim_is_an_error():
+    # 22 distinct stable quadratic denominators: their product has degree 44
+    # and a largest coefficient near 4e30, so trimming would drop its leading 1
+    # and the Parseval route would judge a different, unstable polynomial
+    rng = np.random.default_rng(3)
+    taps = {}
+    for offset in list(itertools.product(range(-1, 2), repeat=3))[:22]:
+        p1, p2 = rng.uniform(1.0, 8.0, size=2)
+        taps[offset] = RationalEntry([rng.uniform(0.5, 1.5)], [p1 * p2, p1 + p2, 1.0])
+    kernel = ConvKernelArray(3, 4, taps)
+    assert si_h2_squared(kernel) == pytest.approx(0.15413223736726106, rel=1e-12)
+    with pytest.raises(CommonDenominatorTruncated, match="degree 44"):
+        si_h2_squared_parseval(kernel)
 
 
 def test_si_h2_squared_lets_programming_errors_through(monkeypatch):
