@@ -50,12 +50,15 @@ def _check_circulant(C, tol=1e-9):
     return C
 
 
-def circulant_rank(C):
-    """Rank of a circulant matrix counted through its DFT symbol."""
-    C = _check_circulant(C)
-    symbol = np.fft.fft(C[0])
+def _symbol_rank(symbol):
+    """Number of DFT symbol values above the relative rank tolerance."""
     mags = np.abs(symbol)
     return int(np.count_nonzero(mags > RANK_TOL_REL * max(mags.max(), 1.0)))
+
+
+def circulant_rank(C):
+    """Rank of a circulant matrix counted through its DFT symbol."""
+    return _symbol_rank(np.fft.fft(_check_circulant(C)[0]))
 
 
 def consensus_measures(n, kinds=None):
@@ -201,7 +204,8 @@ def sls_relative_feasibility(prob):
     """
     n, b = prob.n, prob.b
     C = prob.c
-    r = circulant_rank(C)
+    # ConsensusProblem has checked that C is circulant
+    r = _symbol_rank(np.fft.fft(C[0]))
     threshold = 2 * b + 1
     offsets = np.arange(-b, b + 1)
     c = np.fft.fft(C[:, 0])
@@ -233,7 +237,7 @@ def sls_relative_feasibility(prob):
     residual = max(
         float(np.max(np.abs(C[:, offsets % n] @ taps - C[:, 0]))), abs(float(taps.sum()))
     )
-    scale = max(np.max(np.abs(C)), 1.0)
+    scale = max(np.max(np.abs(C[0])), 1.0)
     if residual <= 1e-8 * scale:
         note = (
             f"rank(C) = {r} fits within the banded degrees of freedom; the static "
@@ -335,7 +339,8 @@ def h2_deflated(prob, K):
     remaining modes must be Hurwitz.
     """
     gamma = prob.gamma
-    c_sym = _symbols_of_circulant(prob.c)
+    # ConsensusProblem has checked that C is circulant
+    c_sym = np.fft.fft(prob.c[0])
     scale_c = max(np.max(np.abs(c_sym)), 1.0)
     if abs(c_sym[0]) > 1e-9 * scale_c:
         raise ModeZeroDetectable("consensus measure sees the average mode")

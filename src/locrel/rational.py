@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegreeCapExceeded, ImproperEntry, SingularAtS
+from .errors import (
+    CommonDenominatorTruncated,
+    DegreeCapExceeded,
+    ImproperEntry,
+    SingularAtS,
+)
 from .graphs import Partition
 
 DEGREE_CAP = 128
@@ -187,6 +192,58 @@ def cancel_common_factors(num, den):
     return ptrim(num), ptrim(den)
 
 
+def distinct_denominators(entries):
+    """Denominators of the entries, each kept once, in order of appearance.
+
+    Two denominators are the same when their sizes are equal and their
+    coefficients agree to a relative 1e-9 (absolute 1e-12).
+    """
+    distinct = []
+    for e in entries:
+        d = e.den
+        if not any(
+            d.size == f.size and np.allclose(d, f, rtol=1e-9, atol=1e-12)
+            for f in distinct
+        ):
+            distinct.append(d)
+    return distinct
+
+
+def common_denominator(entries):
+    """Return (q, nums): one monic polynomial q with entries[i] = nums[i] / q.
+
+    The distinct denominators are taken highest degree first, and each is
+    multiplied into q unless it already divides q, so entries sharing (or
+    dividing) a common characteristic polynomial do not inflate q.  The
+    numerators come from polynomial division of q by each denominator.
+    Raises ``CommonDenominatorTruncated`` when q spans so many magnitudes
+    that trimming would drop its leading terms.
+    """
+    entries = list(entries)
+    q = np.ones(1)
+    for f in sorted(distinct_denominators(entries), key=pdeg, reverse=True):
+        if try_exact_divide(q, f, rel_tol=1e-9) is None:
+            q = np.convolve(q, f)
+            if q.size - 1 > DEGREE_CAP:
+                raise DegreeCapExceeded(
+                    f"common denominator degree exceeds the cap {DEGREE_CAP}"
+                )
+    if ptrim(q).size < q.size:
+        raise CommonDenominatorTruncated(
+            f"the common denominator has degree {q.size - 1} and a largest "
+            f"coefficient of {np.max(np.abs(q)):.2e}; trimming at "
+            f"{ZERO_REL_TOL:g} of it would drop its leading 1"
+        )
+    nums = []
+    for e in entries:
+        factor = try_exact_divide(q, e.den, rel_tol=1e-9)
+        if factor is None:
+            # den not an exact factor of q (close duplicates); fall back
+            factor, _ = pdiv(q, e.den)
+        nums.append(np.zeros(1) if e.is_zero() else pmul(e.num, factor))
+    return q, nums
+
+
 class RationalEntry:
     """Scalar proper rational function num(s) / den(s).
 
@@ -256,9 +313,6 @@ class RationalEntry:
         if abs(dval) <= 1e-12 * scale:
             raise SingularAtS(f"rational entry has a pole at s = {s}")
         return pval(self.num, s) / dval
-
-    def simplified(self):
-        return RationalEntry(self.num, self.den, simplify=True)
 
     def __add__(self, other):
         other = _coerce_entry(other)
@@ -393,7 +447,7 @@ class RationalMatrix:
     def __sub__(self, other):
         return self + (-other)
 
-    def matmul(self, other, simplify=True):
+    def matmul(self, other):
         if self.shape[1] != other.shape[0]:
             raise ValueError("inner dimension mismatch in rational matmul")
         p, k = self.shape
@@ -409,62 +463,25 @@ class RationalMatrix:
                     if a.is_zero() or b.is_zero():
                         continue
                     acc = acc + a * b
-                    # keep accumulated degrees in check on long sums
-                    if simplify and pdeg(acc.den) > 24:
-                        acc = acc.simplified()
-                row.append(acc.simplified() if simplify else acc)
+                row.append(acc)
             grid.append(row)
         return RationalMatrix(grid, self.row_partition, other.col_partition)
 
     def times_s(self):
         return self.map(lambda e: e.times_s())
 
-    def common_denominator(self):
-        """Return (q, N) with q a single polynomial and N a polynomial grid.
-
-        q divides out denominators that are exact factors of the running
-        product before multiplying new ones in, so entries sharing (or
-        dividing) a common characteristic polynomial do not inflate q.
-        Every entry equals N[i][j] / q with N obtained by polynomial
-        division.
-        """
-        distinct = []
-        for row in self.entries:
-            for e in row:
-                d = e.den
-                if not any(
-                    d.size == f.size and np.allclose(d, f, rtol=1e-9, atol=1e-12)
-                    for f in distinct
-                ):
-                    distinct.append(d)
-        distinct.sort(key=pdeg, reverse=True)
-        q = np.ones(1)
-        for f in distinct:
-            if try_exact_divide(q, f, rel_tol=1e-9) is None:
-                q = pmul(q, f)
-        grid = []
-        for row in self.entries:
-            grid_row = []
-            for e in row:
-                factor = try_exact_divide(q, e.den, rel_tol=1e-9)
-                if factor is None:
-                    # den not an exact factor of q (close duplicates); fall back
-                    factor, _ = pdiv(q, e.den)
-                grid_row.append(pmul(e.num, factor) if not e.is_zero() else np.zeros(1))
-            grid.append(grid_row)
-        return q, grid
-
-    def inverse(self, simplify=True):
+    def inverse(self):
         """Exact rational inverse via adjugate over determinant.
 
-        With ``simplify=False`` entries keep the raw adjugate-over-
-        determinant form, which callers can reduce exactly by known
-        factors instead of relying on root matching.
+        Entries keep the raw adjugate-over-determinant form, which callers
+        can reduce exactly by known factors instead of relying on root
+        matching.
         """
         p, m = self.shape
         if p != m:
             raise ValueError("only square rational matrices can be inverted")
-        q, n_grid = self.common_denominator()
+        q, nums = common_denominator(e for row in self.entries for e in row)
+        n_grid = [nums[i * m : (i + 1) * m] for i in range(m)]
         det = _poly_det(n_grid)
         if pis_zero(det):
             raise ZeroDivisionError("rational matrix is identically singular")
@@ -474,7 +491,7 @@ class RationalMatrix:
             row = []
             for j in range(m):
                 num = pmul(adj[i][j], q)
-                row.append(RationalEntry(num, det, simplify=simplify))
+                row.append(RationalEntry(num, det))
             entries.append(row)
         return RationalMatrix(entries, self.col_partition, self.row_partition)
 

@@ -19,8 +19,8 @@ from .graphs import Graph, laplacian, require_connected
 from .rational import (
     RationalEntry,
     RationalMatrix,
+    common_denominator,
     pis_zero,
-    pmul,
     ptrim,
 )
 from .statespace import StateSpace
@@ -29,33 +29,13 @@ from .structure import transfer_support
 PINV_CUTOFF_REL = 1e-10
 
 
-def _row_over_common_denominator(K, r):
-    """Common denominator and adjusted numerators for row r of K."""
-    m = K.shape[1]
-    dens = [K[r, j].den for j in range(m)]
-    distinct = []
-    common = np.ones(1)
-    for d in dens:
-        if not any(
-            d.size == f.size and np.allclose(d, f, rtol=1e-9, atol=1e-12)
-            for f in distinct
-        ):
-            distinct.append(d)
-            common = pmul(common, d)
-    nums = []
-    for j in range(m):
-        if K[r, j].is_zero():
-            nums.append(np.zeros(1))
-            continue
-        extra = np.ones(1)
-        for f in distinct:
-            if not (
-                f.size == dens[j].size
-                and np.allclose(f, dens[j], rtol=1e-9, atol=1e-12)
-            ):
-                extra = pmul(extra, f)
-        nums.append(pmul(K[r, j].num, extra))
-    return common, nums
+def _row_coefficients(row):
+    """Common denominator of a rational row and its numerators, one per array row."""
+    common, nums = common_denominator(row)
+    coeffs = np.zeros((len(nums), max(num.size for num in nums)), dtype=complex)
+    for j, num in enumerate(nums):
+        coeffs[j, : num.size] = num
+    return common, coeffs
 
 
 def _row_sums(M, tol):
@@ -79,17 +59,10 @@ def is_relative(K, tol=1e-10):
         summed = StateSpace(K.A, _row_sums(K.B, tol), K.C, _row_sums(K.D, tol))
         return not transfer_support(summed).any()
     if isinstance(K, RationalMatrix):
-        p, _ = K.shape
-        for r in range(p):
-            _, nums = _row_over_common_denominator(K, r)
-            deg = max(n.size for n in nums)
-            total = np.zeros(deg, dtype=complex)
-            term_scale = 0.0
-            for n_ in nums:
-                total[: n_.size] += n_
-                if n_.size:
-                    term_scale = max(term_scale, float(np.max(np.abs(n_))))
-            if np.max(np.abs(total)) > tol * max(term_scale, 1.0):
+        for row in K.entries:
+            _, coeffs = _row_coefficients(row)
+            scale = max(np.max(np.abs(coeffs)), 1.0)
+            if np.max(np.abs(coeffs.sum(axis=0))) > tol * scale:
                 return False
         return True
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -229,28 +202,22 @@ def relative_decompose_rational(K, graph):
     and the coefficients are reassembled into edge kernels.
     """
     require_connected(graph)
-    p, m = K.shape
+    m = K.shape[1]
     if m != graph.n:
         raise ValueError("gain column count must match the node count")
     if not is_relative(K):
         raise NotRelative("rational gain rows must sum to the zero function")
     Lp = _laplacian_pinv(graph)
     kernels = []
-    for r in range(p):
-        common, nums = _row_over_common_denominator(K, r)
-        deg = max(n.size for n in nums)
-        coeff_rows = np.zeros((deg, m))
-        for j, n_ in enumerate(nums):
-            coeff_rows[: n_.size, j] = np.real(n_)
+    for row in K.entries:
+        common, nums = _row_coefficients(row)
+        deg = nums.shape[1]
         grid = [[RationalEntry.zero() for _ in range(m)] for _ in range(m)]
         num_grid = np.zeros((m, m, deg))
         for pwr in range(deg):
-            c = coeff_rows[pwr]
-            if np.max(np.abs(c)) == 0.0:
-                continue
-            w = 2.0 * (Lp @ c)
-            M = edge_sum_adjoint(graph, w)
-            num_grid[:, :, pwr] = M
+            c = nums[:, pwr].real
+            if np.any(c):
+                num_grid[:, :, pwr] = edge_sum_adjoint(graph, 2.0 * (Lp @ c))
         for i in range(m):
             for j in range(m):
                 coeffs = ptrim(num_grid[i, j])

@@ -25,7 +25,12 @@ from .errors import (
     SingularPhiXX,
 )
 from .graphs import Partition, StructurePattern
-from .rational import RationalEntry, RationalMatrix, try_exact_divide
+from .rational import (
+    RationalEntry,
+    RationalMatrix,
+    distinct_denominators,
+    try_exact_divide,
+)
 from .statespace import (
     FrequencyResponse,
     StateSpace,
@@ -238,17 +243,8 @@ def _reduce_entry(entry, factors):
 
 def _denominator_pool(mats):
     """Distinct nontrivial denominators appearing across rational matrices."""
-    factors = []
-    for mat in mats:
-        for row in mat.entries:
-            for e in row:
-                if e.den.size > 1 and not any(
-                    e.den.size == f.size
-                    and np.allclose(e.den, f, rtol=1e-9, atol=1e-12)
-                    for f in factors
-                ):
-                    factors.append(e.den)
-    return factors
+    dens = distinct_denominators(e for mat in mats for row in mat.entries for e in row)
+    return [d for d in dens if d.size > 1]
 
 
 def _resolvent_drift(obj):
@@ -336,7 +332,7 @@ def recover_controller_sf(cl):
                     for k in range(n)
                 ]
             )
-            K = ru.matmul(aff, simplify=False)
+            K = ru.matmul(aff)
             factors = _denominator_pool((ru,))
             return K.map(lambda e: _reduce_entry(e, factors))
     convertible = (RationalMatrix, StateSpace)
@@ -349,10 +345,10 @@ def recover_controller_sf(cl):
     rx = to_rational(phi_x)
     ru = to_rational(phi_u)
     try:
-        inv = rx.inverse(simplify=False)
+        inv = rx.inverse()
     except ZeroDivisionError as exc:
         raise SingularPhiX("state closed loop is identically singular") from exc
-    K = ru.matmul(inv, simplify=False)
+    K = ru.matmul(inv)
     return K.map(lambda e: _reduce_entry(e, _denominator_pool((rx, ru, inv))))
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CommonDenominatorTruncated,
     ConsistencyCheckFailed,
     ConstraintViolated,
     FeasibilityPreconditionError,
@@ -31,7 +30,8 @@ from .errors import (
     UnstableKernelEntry,
 )
 from .consensus import FeasibilityCertificate
-from .rational import ZERO_REL_TOL, RationalEntry, ptrim, try_exact_divide
+from .rational import ZERO_REL_TOL, RationalEntry, RationalMatrix, common_denominator
+from .relative import is_relative
 from .statespace import batch_h2_squared, scalar_h2_squared
 
 __all__ = [
@@ -165,35 +165,6 @@ def convolve(kernel, signal, s):
     return out
 
 
-def _common_denominator_taps(kernel):
-    """Shared monic denominator and per-tap numerators for all taps."""
-    taps = kernel.taps()
-    dens = []
-    for _, entry in taps:
-        if not any(np.allclose(entry.den, d, rtol=1e-9, atol=0.0) for d in dens):
-            dens.append(entry.den)
-    common = np.array([1.0])
-    for d in dens:
-        common = np.convolve(common, d)
-    if ptrim(common).size < common.size:
-        raise CommonDenominatorTruncated(
-            f"the product of {len(dens)} distinct tap denominators has degree "
-            f"{common.size - 1} and a largest coefficient of "
-            f"{np.max(np.abs(common)):.2e}; trimming at {ZERO_REL_TOL:g} of it "
-            "would drop its leading 1"
-        )
-    numerators = {}
-    for offset, entry in taps:
-        q = try_exact_divide(common, entry.den)
-        if q is None:
-            q = np.array([1.0])
-            for d in dens:
-                if not np.allclose(d, entry.den, rtol=1e-9, atol=0.0):
-                    q = np.convolve(q, d)
-        numerators[offset] = ptrim(np.convolve(entry.num, q))
-    return common, numerators
-
-
 def _trim(coeffs):
     """Rows of coefficients as ptrim leaves them, with their degrees.
 
@@ -215,10 +186,11 @@ def _symbol_coeffs(kernel):
     over the monic polynomial ``common``, trimmed as ``RationalEntry``
     stores it (a vanishing symbol is exactly zero).
     """
-    common, numerators = _common_denominator_taps(kernel)
-    deg = max([len(num) for num in numerators.values()], default=1)
+    taps = kernel.taps()
+    common, numerators = common_denominator(entry for _, entry in taps)
+    deg = max([len(num) for num in numerators], default=1)
     coeff_grid = np.zeros((kernel.n,) * kernel.d + (deg,), dtype=complex)
-    for offset, num in numerators.items():
+    for (offset, _), num in zip(taps, numerators):
         idx = tuple(o % kernel.n for o in offset)
         coeff_grid[idx][: len(num)] = num
     coeffs, _ = _trim(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))))
@@ -267,16 +239,8 @@ def si_h2_squared_parseval(kernel):
 
 def is_relative_si(kernel, tol=1e-10):
     """True when the taps sum to the zero transfer function."""
-    common, numerators = _common_denominator_taps(kernel)
-    if not numerators:
-        return True
-    deg = max(len(num) for num in numerators.values())
-    acc = np.zeros(deg)
-    scale = 0.0
-    for num in numerators.values():
-        acc[: len(num)] += np.real(num)
-        scale = max(scale, float(np.max(np.abs(num))))
-    return bool(np.max(np.abs(acc)) <= tol * max(scale, 1.0))
+    taps = [entry for _, entry in kernel.taps()]
+    return not taps or is_relative(RationalMatrix([taps]), tol)
 
 
 def is_cl_tf_structured_si(kernel, b):

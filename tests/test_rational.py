@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from locrel.errors import DegreeCapExceeded
+from locrel.errors import CommonDenominatorTruncated, DegreeCapExceeded
 from locrel.rational import (
     DEGREE_CAP,
     RationalEntry,
     RationalMatrix,
     cancel_common_factors,
+    common_denominator,
+    distinct_denominators,
     padd,
     pdeg,
     pdiv,
@@ -18,6 +23,7 @@ from locrel.rational import (
     pval,
     try_exact_divide,
 )
+from locrel.relative import is_relative
 
 
 def random_entry(rng, max_deg=2, stable=False):
@@ -188,11 +194,10 @@ def test_common_denominator_absorbs_divisible_factors():
     # when one denominator divides another, only the larger one is kept
     e1 = RationalEntry([1.0], pmul([0.0, 1.0], [1.0, 1.0]))  # 1/(s(s+1))
     e2 = RationalEntry([1.0], pmul(pmul([0.0, 1.0], [1.0, 1.0]), [2.0, 1.0]))
-    M = RationalMatrix([[e1, e2]])
-    q, nums = M.common_denominator()
+    q, nums = common_denominator([e1, e2])
     assert pdeg(q) == 3
     for j, e in enumerate((e1, e2)):
-        rebuilt = RationalEntry(nums[0][j], q)
+        rebuilt = RationalEntry(nums[j], q)
         assert entries_match(rebuilt, e)
 
 
@@ -200,12 +205,61 @@ def test_common_denominator_rebuilds_distinct_factors():
     e1 = RationalEntry([1.0], [1.0, 1.0])
     e2 = RationalEntry([2.0], [3.0, 1.0])
     e3 = RationalEntry.constant(5.0)
-    M = RationalMatrix([[e1, e2, e3]])
-    q, nums = M.common_denominator()
+    q, nums = common_denominator([e1, e2, e3])
     assert pdeg(q) == 2
     for j, e in enumerate((e1, e2, e3)):
-        rebuilt = RationalEntry(nums[0][j], q)
+        rebuilt = RationalEntry(nums[j], q)
         assert entries_match(rebuilt, e)
+
+
+def test_common_denominator_too_wide_to_trim_is_an_error():
+    # nine distinct quadratics with poles between 1 and 8: the product's
+    # coefficients span more than 1e10, so trimming would drop its leading 1
+    rng = np.random.default_rng(3)
+    row = [RationalEntry([1.0], [a * b, a + b, 1.0]) for a, b in rng.uniform(1, 8, (9, 2))]
+    with pytest.raises(CommonDenominatorTruncated, match="degree 18"):
+        common_denominator(row)
+    with pytest.raises(CommonDenominatorTruncated):
+        is_relative(RationalMatrix([row]))
+
+
+_S = sympy.symbols("s")
+
+
+def _exact(coeffs):
+    """Ascending float coefficients as an exact sympy polynomial in s."""
+    return sympy.Poly([sympy.Rational(float(c)) for c in coeffs[::-1]], _S)
+
+
+@st.composite
+def factored_entries(draw):
+    """Integer numerators over products of (s + k), k in 1..5.
+
+    Small pools make some denominators repeat and some divide others.
+    """
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        roots = draw(st.lists(st.integers(1, 5), max_size=3))
+        num = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=len(roots) + 1))
+        den = np.ones(1)
+        for k in roots:
+            den = np.convolve(den, [float(k), 1.0])
+        entries.append(RationalEntry(np.array(num, dtype=float), den))
+    return entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(factored_entries())
+def test_common_denominator_is_exact(entries):
+    q, nums = common_denominator(entries)
+    q_exact = _exact(q)
+    assert q_exact.LC() == 1
+    for e, num in zip(entries, nums):
+        den = _exact(e.den)
+        assert q_exact.rem(den).is_zero
+        # num / q - e.num / den cancels to zero
+        assert (_exact(num) * den - _exact(e.num) * q_exact).is_zero
+    assert pdeg(q) <= sum(pdeg(d) for d in distinct_denominators(entries))
 
 
 def test_zero_denominator_rejected():

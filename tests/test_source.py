@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "locrel"
@@ -19,3 +20,25 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert) or raises_assertion:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert or AssertionError in the package: {found}"
+
+
+def test_traced_benchmark_names_resolve():
+    # the benchmark's traced run wraps these functions by name, so renaming
+    # or removing one breaks it; read the list without running the script
+    run = SRC.parents[1] / "perfbench" / "run.py"
+    tree = ast.parse(run.read_text(), filename=str(run))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    missing = []
+    for name in traced:
+        module, _, attr = name.partition(".")
+        owner = importlib.import_module(f"locrel.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(name)
+    assert traced and not missing, f"traced names missing from locrel: {missing}"

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from locrel.cli import main
 from locrel.consensus import ConsensusProblem, consensus_measures, sls_relative_feasibility
 from locrel.errors import (
     CommonDenominatorTruncated,
@@ -541,3 +542,42 @@ def test_torus_consensus_variance_scaling():
     limit = watson / 12.0
     assert values[3, 9] < values[3, 17] < values[3, 33] < limit
     assert values[3, 33] > 0.95 * limit
+
+
+def mixed_degree_kernels():
+    """Kernels whose taps have denominators of degree 1 and 2."""
+    first = RationalEntry([1.0], [1.0, 1.0])
+    second = RationalEntry([1.0], [2.0, 3.0, 1.0])  # 1/((s + 1)(s + 2))
+    ring = ConvKernelArray(1, 8, {(0,): first, (1,): second})
+    torus = ConvKernelArray(
+        2,
+        5,
+        {
+            (0, 0): first,
+            (1, 0): 0.5 * second,
+            (0, 1): RationalEntry([-0.3], [3.0, 1.0]),
+            (-1, -1): RationalEntry([0.5, 1.0], [5.0, 2.0, 1.0]),
+        },
+    )
+    return ring, torus
+
+
+def test_mixed_degree_taps_work_in_every_spatial_routine(tmp_path, capsys):
+    ring, torus = mixed_degree_kernels()
+    assert si_h2_squared(ring) == pytest.approx(0.5 + 1.0 / 12.0, rel=1e-12)
+    s0 = 0.4 + 1.3j
+    # (s + 1) divides (s + 1)(s + 2), so it adds no degree to the denominator
+    for kernel, degree in ((ring, 2), (torus, 5)):
+        symbols = dft_symbol(kernel)
+        assert symbols[(0,) * kernel.d].den.size - 1 == degree
+        got = np.vectorize(lambda e: e.evaluate(s0), otypes=[complex])(symbols)
+        assert np.allclose(got, np.fft.fftn(kernel.evaluate_grid(s0)), rtol=1e-12, atol=1e-12)
+        assert si_h2_squared_parseval(kernel) == pytest.approx(si_h2_squared(kernel), rel=1e-12)
+        loops = si_closed_loops(kernel)
+        assert loops.phi_x_num.shape[:-1] == (kernel.n,) * kernel.d
+        assert not is_relative_si(kernel)
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"kernel": ring.to_json()}))
+    assert main(["spatial", "h2", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parsevalH2Squared"] == pytest.approx(doc["h2Squared"], rel=1e-12)
