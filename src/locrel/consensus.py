@@ -26,11 +26,14 @@ from .errors import (
     UnstableNonzeroMode,
 )
 from .graphs import Partition, StructurePattern, b_hops, laplacian, ring_graph
-from .rational import RationalEntry, RationalMatrix
+from .rational import RationalMatrix, entry_array
 from .statespace import StateSpace, batch_h2_squared, feedback
 from .structure import check_realization_structure, is_tf_structured
 
 RANK_TOL_REL = 1e-10
+# above this many agents a banded circulant witness is written to JSON as
+# its 2b + 1 taps (``witnessTaps``) instead of n x n entries (``witness``)
+DENSE_WITNESS_MAX_N = 64
 
 
 def _check_circulant(C, tol=1e-9):
@@ -139,7 +142,9 @@ class FeasibilityCertificate:
     """Outcome of a locality feasibility test.
 
     ``witness`` holds the static control closed-loop value forced (or
-    allowed) by the constraints at s = 0 when available.
+    allowed) by the constraints at s = 0 when available.  When it is a
+    banded circulant, ``witness_taps`` holds its taps w_-b ... w_b, with
+    witness[(i + k) % n, i] = w_k.
     """
 
     verdict: str
@@ -149,6 +154,7 @@ class FeasibilityCertificate:
     proof_note: str = ""
     excluded_offsets: Optional[list] = None
     divergent_term: Optional[str] = None
+    witness_taps: Optional[np.ndarray] = None
 
     @property
     def infeasible(self):
@@ -164,7 +170,10 @@ class FeasibilityCertificate:
             data["rank"] = self.rank
         if self.witness is not None:
             data["witnessRowSums"] = [float(v) for v in self.witness.sum(axis=1)]
-            data["witness"] = [[float(v) for v in row] for row in self.witness]
+            if self.witness_taps is not None and len(self.witness) > DENSE_WITNESS_MAX_N:
+                data["witnessTaps"] = [float(v) for v in self.witness_taps]
+            else:
+                data["witness"] = [[float(v) for v in row] for row in self.witness]
         if self.excluded_offsets is not None:
             data["excludedOffsets"] = [list(map(int, o)) for o in self.excluded_offsets]
             data["excludedCount"] = len(self.excluded_offsets)
@@ -231,6 +240,7 @@ def sls_relative_feasibility(prob):
             threshold=threshold,
             rank=r,
             witness=_banded_circulant(n, taps),
+            witness_taps=taps,
             proof_note=note,
         )
     # every entry of the circulant C (W - I) appears in its first column
@@ -249,6 +259,7 @@ def sls_relative_feasibility(prob):
             threshold=threshold,
             rank=r,
             witness=_banded_circulant(n, taps),
+            witness_taps=taps,
             proof_note=note,
         )
     note = (
@@ -316,11 +327,7 @@ def approximation_transfer(n, a):
     if a >= 0:
         raise NonNegativeA("the approximation pole must be strictly negative")
     Ks = static_consensus_gain(n)
-    den = np.array([-float(a), 1.0])
-    grid = [
-        [RationalEntry(np.array([-float(a) * Ks[i, j]]), den) for j in range(n)]
-        for i in range(n)
-    ]
+    grid = entry_array(-float(a) * Ks[..., None], np.array([-float(a), 1.0]))
     part = Partition.scalar(n)
     return RationalMatrix(grid, part, part)
 

@@ -24,13 +24,17 @@ ZERO_REL_TOL = 1e-10
 ROOT_MATCH_TOL = 1e-8
 
 
+def _as_rows(c):
+    """A new float array of the coefficients, complex for complex input."""
+    arr = np.asarray(c)
+    return arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
+
+
 def _as_coeffs(c):
     arr = np.atleast_1d(np.asarray(c))
     if arr.ndim != 1:
         raise ValueError("polynomial coefficients must be one-dimensional")
-    if np.iscomplexobj(arr):
-        return arr.astype(complex)
-    return arr.astype(float)
+    return _as_rows(arr)
 
 
 def ptrim(c, rel_tol=ZERO_REL_TOL):
@@ -49,6 +53,31 @@ def pis_zero(c, rel_tol=ZERO_REL_TOL):
     c = _as_coeffs(c)
     scale = np.max(np.abs(c))
     return bool(scale == 0.0 or np.all(np.abs(c) <= rel_tol * max(scale, 1.0)))
+
+
+def trim_rows(coeffs):
+    """Rows along the last axis as ptrim leaves them, with their degrees.
+
+    The rule of ptrim for every row at once: a leading coefficient is
+    dropped while its magnitude is at most ZERO_REL_TOL of the row's
+    largest, down to one coefficient.  Coefficients above each row's
+    degree become zero.
+    """
+    magnitude = np.abs(coeffs)
+    scale = np.max(magnitude, axis=-1, keepdims=True)
+    kept = ~(magnitude <= ZERO_REL_TOL * scale)
+    kept[..., 0] = True
+    degree = coeffs.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
+    above = np.arange(coeffs.shape[-1]) > degree[..., None]
+    return np.where(above, 0.0, coeffs), degree
+
+
+def _rows_zero(coeffs):
+    """pis_zero of every row along the last axis."""
+    magnitude = np.abs(coeffs)
+    scale = np.max(magnitude, axis=-1)
+    floor = ZERO_REL_TOL * np.maximum(scale, 1.0)
+    return (scale == 0.0) | np.all(magnitude <= floor[..., None], axis=-1)
 
 
 def padd(a, b):
@@ -363,6 +392,53 @@ class RationalEntry:
         return f"RationalEntry(num={list(self.num)}, den={list(self.den)})"
 
 
+def entry_array(nums, dens):
+    """Object array of RationalEntry(nums[idx], dens[idx]), built in one pass.
+
+    ``nums`` holds ascending numerators along its last axis; the array
+    returned has shape ``nums.shape[:-1]``, and ``dens`` broadcasts
+    against it.  The rules of ``RationalEntry.__init__`` (trim, zero
+    test, normalization, degree cap) are applied to all rows with array
+    operations, so every entry is bitwise the one the constructor would
+    build, and owns its coefficient arrays.  On failure the error is the
+    one the first failing row, in C order, would raise there.
+    """
+    nums, dens = _as_rows(nums), _as_rows(dens)
+    shape = nums.shape[:-1]
+    dens = np.broadcast_to(dens, shape + dens.shape[-1:])
+    num, num_deg = trim_rows(nums)
+    den, den_deg = trim_rows(dens)
+    num_zero = _rows_zero(nums)
+    den_zero = _rows_zero(dens)
+    over_cap = ~num_zero & ((num_deg > DEGREE_CAP) | (den_deg > DEGREE_CAP))
+    failing = (den_zero | over_cap).reshape(-1)
+    if np.any(failing):
+        if den_zero.reshape(-1)[np.argmax(failing)]:
+            raise ZeroDivisionError("denominator polynomial is zero")
+        raise DegreeCapExceeded("rational entry exceeds the degree cap")
+    lead = np.take_along_axis(den, den_deg[..., None], axis=-1)
+    num = (num / lead).reshape(-1, num.shape[-1])
+    den = (den / lead).reshape(-1, den.shape[-1])
+    entries = []
+    new = RationalEntry.__new__
+    for row, (zero, k, m) in enumerate(
+        zip(
+            num_zero.reshape(-1).tolist(),
+            (num_deg + 1).reshape(-1).tolist(),
+            (den_deg + 1).reshape(-1).tolist(),
+        )
+    ):
+        entry = new(RationalEntry)
+        if zero:
+            entry.num, entry.den = np.zeros(1), np.ones(1)
+        else:
+            entry.num, entry.den = num[row, :k].copy(), den[row, :m].copy()
+        entries.append(entry)
+    out = np.empty(len(entries), dtype=object)
+    out[:] = entries
+    return out.reshape(shape)
+
+
 def _coerce_entry(value):
     if isinstance(value, RationalEntry):
         return value
@@ -396,16 +472,12 @@ class RationalMatrix:
     @staticmethod
     def from_real(matrix, row_partition=None, col_partition=None):
         matrix = np.asarray(matrix, dtype=float)
-        grid = [[RationalEntry.constant(v) for v in row] for row in matrix]
+        grid = entry_array(matrix[..., None], np.ones(1))
         return RationalMatrix(grid, row_partition, col_partition)
 
     @staticmethod
     def identity(n, partition=None):
-        grid = [
-            [RationalEntry.one() if i == j else RationalEntry.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        return RationalMatrix(grid, partition, partition)
+        return RationalMatrix.from_real(np.eye(n), partition, partition)
 
     def __getitem__(self, key):
         i, j = key

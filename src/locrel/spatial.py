@@ -10,7 +10,8 @@ over the taps' common denominator, and closed loops and per-frequency
 H2 norms are batched array operations on it.  Objects of
 ``RationalEntry`` are built only where a caller asks for them:
 ``dft_symbol`` and the ``phi_x_symbols`` and ``phi_u_symbols`` of a
-closed loop, built on first access.
+closed loop, built on first access.  Each such object array comes from
+one batch pass of ``rational.entry_array`` over the coefficient array.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from .errors import (
     UnstableKernelEntry,
 )
 from .consensus import FeasibilityCertificate
-from .rational import ZERO_REL_TOL, RationalEntry, RationalMatrix, common_denominator
+from .rational import (
+    ZERO_REL_TOL,
+    RationalEntry,
+    RationalMatrix,
+    common_denominator,
+    entry_array,
+    trim_rows,
+)
 from .relative import is_relative
 from .statespace import batch_h2_squared, scalar_h2_squared
 
@@ -165,19 +173,6 @@ def convolve(kernel, signal, s):
     return out
 
 
-def _trim(coeffs):
-    """Rows of coefficients as ptrim leaves them, with their degrees.
-
-    Works along the last axis for every row at once: leading coefficients
-    at most ZERO_REL_TOL of their row's largest become zero.
-    """
-    magnitude = np.abs(coeffs)
-    kept = magnitude > ZERO_REL_TOL * np.max(magnitude, axis=-1, keepdims=True)
-    degree = coeffs.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
-    above = np.arange(coeffs.shape[-1]) > degree[..., None]
-    return np.where(above, 0.0, coeffs), degree
-
-
 def _symbol_coeffs(kernel):
     """Symbol numerators on the frequency grid, over the taps' common denominator.
 
@@ -193,7 +188,7 @@ def _symbol_coeffs(kernel):
     for (offset, _), num in zip(taps, numerators):
         idx = tuple(o % kernel.n for o in offset)
         coeff_grid[idx][: len(num)] = num
-    coeffs, _ = _trim(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))))
+    coeffs, _ = trim_rows(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))))
     coeffs[np.max(np.abs(coeffs), axis=-1) <= ZERO_REL_TOL] = 0.0
     return coeffs, common
 
@@ -206,10 +201,7 @@ def dft_symbol(kernel):
     taps' common denominator (coefficients are complex in general).
     """
     coeffs, common = _symbol_coeffs(kernel)
-    symbols = np.empty(coeffs.shape[:-1], dtype=object)
-    for idx in np.ndindex(symbols.shape):
-        symbols[idx] = RationalEntry(coeffs[idx], common, simplify=False)
-    return symbols
+    return entry_array(coeffs, common)
 
 
 def si_h2_squared(kernel):
@@ -270,11 +262,8 @@ def spatial_feasibility(d, n, b):
             f"locality ball of radius {b} already covers the torus of size {n}: "
             "no offsets are excluded and the obstruction is void"
         )
-    excluded = [
-        off
-        for off in canonical_offsets(n, d)
-        if circular_sup_distance(off, n) > b
-    ]
+    # canonical offsets need no second reduction modulo n
+    excluded = [off for off in canonical_offsets(n, d) if max(map(abs, off)) > b]
     count = n**d - (2 * b + 1) ** d
     if len(excluded) != count:
         raise ConsistencyCheckFailed(
@@ -323,11 +312,7 @@ class SIClosedLoops:
 
     def _objects(self, name):
         if name not in self._symbols:
-            num = getattr(self, name)
-            out = np.empty(num.shape[:-1], dtype=object)
-            for idx in np.ndindex(out.shape):
-                out[idx] = RationalEntry(num[idx], self.cl_den[idx], simplify=False)
-            self._symbols[name] = out
+            self._symbols[name] = entry_array(getattr(self, name), self.cl_den)
         return self._symbols[name]
 
     @property
@@ -404,7 +389,7 @@ def si_closed_loops(controller_kernel):
         raise SymbolPoleClash(
             f"closed-loop denominator vanishes identically at frequency {idx}"
         )
-    cl_den, degree = _trim(cl_den)
+    cl_den, degree = trim_rows(cl_den)
     lead = np.take_along_axis(cl_den, degree[..., None], axis=-1)
     loops = SIClosedLoops(
         d=d,

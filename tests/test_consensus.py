@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locrel.consensus import (
+    DENSE_WITNESS_MAX_N,
     ConsensusProblem,
     FeasibilityCertificate,
     approximation_transfer,
@@ -385,6 +386,41 @@ def test_certificate_json_round_values():
     assert doc["rank"] == 7
     assert doc["threshold"] == 3
     assert np.allclose(doc["witnessRowSums"], 1.0)
+
+
+def test_certificate_json_writes_taps_for_large_rings():
+    # up to DENSE_WITNESS_MAX_N agents the witness is written densely
+    doc = sls_relative_feasibility(ave_problem(DENSE_WITNESS_MAX_N, 1, 1.0)).to_json()
+    assert "witnessTaps" not in doc and len(doc["witness"]) == DENSE_WITNESS_MAX_N
+    n, b = 1024, 1
+    for cert in (
+        sls_relative_feasibility(ave_problem(n, b, 1.0)),
+        sls_relative_feasibility(
+            ConsensusProblem(n=n, b=b, gamma=1.0, c=consensus_measures(n, kinds=("le",))["le"])
+        ),
+    ):
+        doc = cert.to_json()
+        assert "witness" not in doc
+        taps = doc["witnessTaps"]
+        assert len(taps) == 2 * b + 1
+        # W[(i + k) % n, i] = w_k for k = -b ... b
+        W = np.zeros((n, n))
+        for k, w in zip(range(-b, b + 1), taps):
+            W += w * np.roll(np.eye(n), k, axis=0)
+        assert np.array_equal(W, cert.witness)
+        assert doc["witnessRowSums"] == [float(v) for v in cert.witness.sum(axis=1)]
+
+
+def test_approximation_transfer_entries_share_no_arrays():
+    H = approximation_transfer(5, -10.0)
+    Ks = static_consensus_gain(5)
+    for i, j in np.ndindex(5, 5):
+        e = H[i, j]
+        if Ks[i, j] == 0.0:
+            assert e.num.tolist() == [0.0] and e.den.tolist() == [1.0]
+        else:
+            assert e.num.tolist() == [10.0 * Ks[i, j]] and e.den.tolist() == [10.0, 1.0]
+        assert e.num.flags.owndata and e.den.flags.owndata
 
 
 def per_mode_lyapunov_h2(prob, K):

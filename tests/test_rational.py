@@ -12,8 +12,10 @@ from locrel.rational import (
     RationalEntry,
     RationalMatrix,
     cancel_common_factors,
+    ZERO_REL_TOL,
     common_denominator,
     distinct_denominators,
+    entry_array,
     padd,
     pdeg,
     pdiv,
@@ -21,6 +23,7 @@ from locrel.rational import (
     pmul,
     ptrim,
     pval,
+    trim_rows,
     try_exact_divide,
 )
 from locrel.relative import is_relative
@@ -265,3 +268,133 @@ def test_common_denominator_is_exact(entries):
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalEntry([1.0], [0.0])
+
+
+# -- batch construction --------------------------------------------------------
+
+
+@st.composite
+def coefficient_rows(draw, width, is_complex):
+    """Rows whose leading coefficients sit at and around the trimming rules."""
+    part = st.one_of(
+        st.floats(-4.0, 4.0, allow_nan=False),
+        st.sampled_from([0.0, 1.0, -3.0, 1e-11, -5e-11, ZERO_REL_TOL]),
+    )
+    row = np.array(draw(st.lists(part, min_size=width, max_size=width)), dtype=float)
+    if is_complex:
+        row = row + 1j * np.array(draw(st.lists(part, min_size=width, max_size=width)))
+    scale = float(np.max(np.abs(row)))
+    edge = ZERO_REL_TOL * scale
+    lead = draw(
+        st.sampled_from(
+            [
+                None,
+                edge,
+                np.nextafter(edge, np.inf),
+                np.nextafter(edge, 0.0),
+                -edge,
+                0.5 * ZERO_REL_TOL,
+                0.0,
+            ]
+        )
+    )
+    if lead is not None and width > 1:
+        # magnitude exactly at, just above or just below ZERO_REL_TOL of the row
+        row[-1] = lead
+        if draw(st.booleans()):
+            row[-2] = lead
+    return row
+
+
+@st.composite
+def row_batches(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    is_complex = draw(st.booleans())
+    num_width = draw(st.integers(1, 4))
+    den_width = draw(st.integers(1, 3))
+    count = int(np.prod(shape))
+    nums = np.array([draw(coefficient_rows(num_width, is_complex)) for _ in range(count)])
+    shared = draw(st.booleans())
+    den_rows = 1 if shared else count
+    dens = np.array([draw(coefficient_rows(den_width, draw(st.booleans()))) for _ in range(den_rows)])
+    if draw(st.booleans()):
+        # over the degree cap, somewhere in the batch
+        wide = np.zeros(dens.shape[:-1] + (DEGREE_CAP + 2,), dtype=dens.dtype)
+        wide[..., :den_width] = dens
+        wide[draw(st.integers(0, den_rows - 1)), -1] = draw(st.sampled_from([1.0, 1e-12]))
+        dens = wide
+    nums = nums.reshape(shape + nums.shape[-1:])
+    dens = dens.reshape((dens.shape[-1],) if shared else shape + dens.shape[-1:])
+    return nums, dens
+
+
+def _bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_batches())
+def test_entry_array_matches_the_constructor_bit_for_bit(batch):
+    nums, dens = batch
+    dens_b = np.broadcast_to(dens, nums.shape[:-1] + dens.shape[-1:])
+    want, error = [], None
+    for idx in np.ndindex(nums.shape[:-1]):
+        try:
+            want.append(RationalEntry(nums[idx], dens_b[idx]))
+        except (ZeroDivisionError, DegreeCapExceeded) as exc:
+            error = type(exc)
+            break
+    if error is not None:
+        with pytest.raises(error) as info:
+            entry_array(nums, dens)
+        assert type(info.value) is error
+        return
+    got = entry_array(nums, dens)
+    assert got.shape == nums.shape[:-1]
+    for g, w in zip(got.reshape(-1), want):
+        assert type(g) is RationalEntry
+        assert _bits(g.num) == _bits(w.num)
+        assert _bits(g.den) == _bits(w.den)
+        assert g.num.flags.owndata and g.den.flags.owndata
+
+
+def test_entry_array_errors_follow_the_first_failing_row():
+    nums = np.ones((3, 2))
+    wide = np.ones(DEGREE_CAP + 2)
+    dens = np.array([[1.0] + [0.0] * (DEGREE_CAP + 1), wide, np.zeros(DEGREE_CAP + 2)])
+    with pytest.raises(DegreeCapExceeded):
+        entry_array(nums, dens)
+    with pytest.raises(ZeroDivisionError):
+        entry_array(nums, dens[[0, 2, 1]])
+    # a zero numerator is 0 / 1 whatever its denominator's degree
+    nums[1] = 1e-11
+    assert entry_array(nums[:2], dens[:2])[1].den.tolist() == [1.0]
+
+
+def test_trim_rows_follows_ptrim():
+    rows = np.array(
+        [[1.0, 2.0, 1e-11], [0.0, 0.0, 0.0], [1e-12, 0.0, 0.0], [3.0, 0.0, 3e-10], [np.inf, 1.0, 2.0]]
+    )
+    trimmed, degree = trim_rows(rows)
+    for row, got, k in zip(rows, trimmed, degree):
+        want = ptrim(row)
+        assert k == want.size - 1
+        assert np.array_equal(got[: k + 1], want)
+        assert not np.any(got[k + 1 :])
+
+
+def test_matrix_builders_are_bitwise_per_entry():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((4, 3))
+    M[1, 2] = 0.0
+    M[2, 0] = 1e-12
+    built = RationalMatrix.from_real(M)
+    for i, j in np.ndindex(M.shape):
+        want = RationalEntry.constant(M[i, j])
+        assert _bits(built[i, j].num) == _bits(want.num)
+        assert _bits(built[i, j].den) == _bits(want.den)
+    eye = RationalMatrix.identity(3)
+    for i, j in np.ndindex(3, 3):
+        want = RationalEntry.one() if i == j else RationalEntry.zero()
+        assert _bits(eye[i, j].num) == _bits(want.num)
+        assert _bits(eye[i, j].den) == _bits(want.den)

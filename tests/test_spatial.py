@@ -21,6 +21,7 @@ from locrel.rational import RationalEntry
 from locrel.relative import is_relative
 from locrel.spatial import (
     ConvKernelArray,
+    _symbol_coeffs,
     canonical_offset,
     canonical_offsets,
     circular_sup_distance,
@@ -309,6 +310,16 @@ def test_spatial_feasibility_examples():
     assert len(cert.excluded_offsets) == 64 - 27
 
 
+def test_spatial_feasibility_offsets_are_canonical_int_tuples():
+    for d, n, b in ((1, 8, 1), (2, 7, 2), (3, 6, 1), (3, 17, 1)):
+        want = [
+            off for off in canonical_offsets(n, d) if circular_sup_distance(off, n) > b
+        ]
+        got = spatial_feasibility(d, n, b).excluded_offsets
+        assert got == want
+        assert all(type(c) is int for off in got for c in off)
+
+
 def test_spatial_feasibility_json():
     doc = spatial_feasibility(1, 8, 1).to_json()
     assert doc["verdict"] == "Infeasible"
@@ -581,3 +592,80 @@ def test_mixed_degree_taps_work_in_every_spatial_routine(tmp_path, capsys):
     assert main(["spatial", "h2", "--input", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["parsevalH2Squared"] == pytest.approx(doc["h2Squared"], rel=1e-12)
+
+
+def improper_mixed_degree_controller():
+    """Taps of numerator degree above their denominator's, and a constant tap."""
+    return ConvKernelArray(
+        2,
+        6,
+        {
+            (0, 0): RationalEntry([0.3, 0.0, 0.2], [1.0, 1.0]),
+            (1, 0): RationalEntry([1.0, -0.5], [2.0, 3.0, 1.0]),
+            (0, -1): 0.7,
+        },
+    )
+
+
+def diffusive_torus_kernel(d, n):
+    """Relative kernel with taps p w / (s + p) at +-e_axis, the negated sum at 0."""
+    pole, weights = 1.7, np.linspace(0.6, 1.4, d)
+    taps = {(0,) * d: RationalEntry([-2.0 * weights.sum() * pole], [pole, 1.0])}
+    for axis in range(d):
+        for step in (1, -1):
+            offset = tuple(step if a == axis else 0 for a in range(d))
+            taps[offset] = RationalEntry([weights[axis] * pole], [pole, 1.0])
+    return ConvKernelArray(d, n, taps)
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    for g, w in zip(got.reshape(-1), want.reshape(-1)):
+        for a, b in ((g.num, w.num), (g.den, w.den)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def _per_entry(nums, dens):
+    out = np.empty(nums.shape[:-1], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = RationalEntry(nums[idx], dens[idx] if dens.ndim > 1 else dens)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        *mixed_degree_kernels(),
+        centering_kernel(2, 4),
+        improper_mixed_degree_controller(),
+        diffusive_torus_kernel(3, 17),
+    ],
+    ids=["mixed-ring", "mixed-torus", "centering", "improper", "torus-d3-n17"],
+)
+def test_symbol_arrays_match_per_entry_construction(kernel):
+    symbols = dft_symbol(kernel)
+    _same_bits(symbols, _per_entry(*_symbol_coeffs(kernel)))
+    loops = si_closed_loops(kernel)
+    _same_bits(loops.phi_x_symbols, _per_entry(loops.phi_x_num, loops.cl_den))
+    _same_bits(loops.phi_u_symbols, _per_entry(loops.phi_u_num, loops.cl_den))
+    if kernel.d == 2 and kernel.n == 4:
+        # the centering kernel's average symbol vanishes: 0 / 1
+        assert symbols[0, 0].num.tolist() == [0.0] and symbols[0, 0].den.tolist() == [1.0]
+
+
+def test_dft_symbol_builds_no_entry_through_the_constructor(monkeypatch):
+    kernel = diffusive_torus_kernel(3, 17)
+    calls = []
+    original = RationalEntry.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalEntry, "__init__", counting)
+    symbols = dft_symbol(kernel)
+    assert symbols.shape == (17, 17, 17)
+    assert calls == []
+    loops = si_closed_loops(kernel)
+    assert loops.phi_x_symbols.shape == loops.phi_u_symbols.shape == (17, 17, 17)
+    assert calls == []
