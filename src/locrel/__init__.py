@@ -19,6 +19,7 @@ from .errors import (
     ImproperEntry,
     LocrelError,
     ModeZeroDetectable,
+    NoRealization,
     NoSamplesEvaluated,
     NonNegativeA,
     NonzeroFeedthrough,
@@ -54,6 +55,7 @@ from .statespace import (
     feedback,
     h2_norm,
     h2_norm_squared,
+    minimal_realization,
     parallel,
     realize_rational,
     scalar_h2_squared,

@@ -148,17 +148,7 @@ def cmd_sls(args):
     cl = _cl_from_json(doc["closedLoops"])
     if args.action == "recover":
         K = sls.recover_controller_sf(cl)
-        if isinstance(K, RationalMatrix):
-            return {"controller": {"matrix": K.to_json()}}, 0
-        points = sls.sample_points(args.samples, args.seed)
-        samples = [
-            {
-                "s": [s.real, s.imag],
-                "value": [[[v.real, v.imag] for v in row] for row in K.evaluate(s)],
-            }
-            for s in points
-        ]
-        return {"controller": {"samples": samples}}, 0
+        return {"controller": {"matrix": tf_of(K).to_json()}}, 0
     pattern = _pattern_from_json(doc["pattern"]) if "pattern" in doc else None
     impl, witness = sls.implementation_realization_sf(cl, pattern)
     out = {"system": impl.to_json()}

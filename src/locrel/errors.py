@@ -53,6 +53,10 @@ class SingularPhiXX(LocrelError):
     """The state-on-state closed-loop block is singular at the requested point."""
 
 
+class NoRealization(LocrelError):
+    """A closed-loop map is known only by its values, so it has no realization."""
+
+
 class ConstraintViolated(LocrelError):
     """Closed-loop maps do not satisfy the affine achievability constraint."""
 

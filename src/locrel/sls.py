@@ -13,11 +13,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConsistencyCheckFailed,
     ConstraintViolated,
     HypothesisViolated,
+    IllPosedFeedback,
+    NoRealization,
     NoSamplesEvaluated,
     NotTFStructured,
     SingularAtS,
@@ -25,26 +28,26 @@ from .errors import (
     SingularPhiXX,
 )
 from .graphs import Partition, StructurePattern
-from .rational import (
-    RationalEntry,
-    RationalMatrix,
-    distinct_denominators,
-    try_exact_divide,
-)
+from .rational import RationalMatrix
 from .statespace import (
     FrequencyResponse,
     StateSpace,
-    feedback,
+    _invariant_subspace,
     interleave_node_states,
     inverse,
+    minimal_realization,
     parallel,
     realize_rational,
     series,
     tf_of,
 )
-from .structure import check_realization_structure, is_tf_structured
-
-RATIONAL_RECOVERY_LIMIT = 6
+from .structure import (
+    INPUT_ZERO_TOL,
+    _transfer_partitions,
+    check_realization_structure,
+    is_tf_structured,
+    transfer_support,
+)
 
 
 @dataclass
@@ -221,155 +224,108 @@ def check_affine_constraint(cl, plant, n_samples=7, seed=0):
     return worst
 
 
-def _reduce_entry(entry, factors):
-    """Cancel known polynomial factors shared by numerator and denominator."""
-    num, den = entry.num, entry.den
-    progress = True
-    while progress:
-        progress = False
-        for f in factors:
-            if f.size <= 1:
-                continue
-            qn = try_exact_divide(num, f)
-            if qn is None:
-                continue
-            qd = try_exact_divide(den, f)
-            if qd is None:
-                continue
-            num, den = qn, qd
-            progress = True
-    return RationalEntry(num, den, simplify=True)
+def _realizable(H, name):
+    """Reject a closed-loop map known only by its values: it has no realization."""
+    if not isinstance(H, (RationalMatrix, StateSpace)):
+        raise NoRealization(
+            f"{name} is given only by its frequency response and has no realization"
+        )
 
 
-def _denominator_pool(mats):
-    """Distinct nontrivial denominators appearing across rational matrices."""
-    dens = distinct_denominators(e for mat in mats for row in mat.entries for e in row)
-    return [d for d in dens if d.size > 1]
+def _strictly_proper_realization(H, name):
+    """Realization of a strictly proper closed-loop map; rational maps by rows."""
+    _realizable(H, name)
+    if isinstance(H, RationalMatrix):
+        if not H.is_strictly_proper():
+            raise ConstraintViolated("closed loops must be strictly proper")
+        return realize_rational(H, "rows")
+    if np.max(np.abs(H.D), initial=0.0) > INPUT_ZERO_TOL:
+        raise ConstraintViolated("closed loops must be strictly proper")
+    return H
 
 
-def _resolvent_drift(obj):
-    """Closed-loop drift A when obj is a resolvent (sI - A)^-1 in state space."""
-    if not isinstance(obj, StateSpace):
-        return None
-    n = obj.n_outputs
-    if n == 0 or obj.n_states != n or obj.n_inputs != n:
-        return None
-    eye = np.eye(n)
-    if (
-        np.allclose(obj.B, eye, rtol=0.0, atol=1e-13)
-        and np.allclose(obj.C, eye, rtol=0.0, atol=1e-13)
-        and np.max(np.abs(obj.D)) < 1e-13
-    ):
-        return obj.A
-    return None
+def _row_realization(H, name):
+    """Strictly proper realization of a closed-loop map, states grouped by row.
+
+    A and C are block diagonal over the output rows, and B is zero on
+    every entry that ``transfer_support`` calls zero, so the realization
+    is structured wherever the map is.  A rational map is realized entry
+    by entry.  A state-space map is restricted, row by row, to the
+    observable subspace of that row and then to the reachable subspace
+    of the inputs the row responds to.
+    """
+    R = _strictly_proper_realization(H, name)
+    if isinstance(H, RationalMatrix):
+        return R
+    row_part, col_part = _transfer_partitions(H)
+    support = transfer_support(H)
+    blocks = []
+    for i in range(H.n_outputs):
+        Q = _invariant_subspace(H.A.T, H.C[i : i + 1].T)
+        A, B, c = Q.T @ H.A @ Q, Q.T @ H.B, H.C[i : i + 1] @ Q
+        B[:, ~support[i]] = 0.0
+        Q = _invariant_subspace(A, B)
+        blocks.append((Q.T @ A @ Q, Q.T @ B, c @ Q))
+    sizes = np.array([A.shape[0] for A, _, _ in blocks], dtype=int)
+    offsets = row_part.offsets()
+    return StateSpace(
+        scipy.linalg.block_diag(*(A for A, _, _ in blocks)),
+        np.vstack([B for _, B, _ in blocks]),
+        scipy.linalg.block_diag(*(c for _, _, c in blocks)),
+        np.zeros(H.shape),
+        state_partition=Partition(
+            tuple(int(sizes[lo:hi].sum()) for lo, hi in zip(offsets, offsets[1:]))
+        ),
+        in_partition=col_part,
+        out_partition=row_part,
+    )
+
+
+def _derivative(R):
+    """Proper realization of s * H from a strictly proper realization of H."""
+    return StateSpace(
+        R.A,
+        R.B,
+        R.C @ R.A,
+        R.C @ R.B,
+        state_partition=R.state_partition,
+        in_partition=R.in_partition,
+        out_partition=R.out_partition,
+    )
 
 
 def recover_controller_sf(cl):
-    """Controller achieving a state-feedback closed-loop pair.
+    """Controller K = phi_u phi_x^-1 achieving a state-feedback closed-loop pair.
 
-    Returns the rational gain phi_u phi_x^-1 when phi_x is rational (or a
-    state-space system) of size at most six; otherwise returns a
-    frequency-response controller evaluated pointwise.  When phi_x is a
-    plain resolvent its inverse sI - A is formed directly, which avoids
-    the ill-conditioned rational adjugate.
+    Both maps are strictly proper, so K = (s phi_u)(s phi_x)^-1, where s
+    phi_x has the proper realization (A, B, C A, C B) and the feedthrough
+    C B is the identity on an achievable pair.  The cascade of the
+    inverse and s phi_u is compressed to a minimal realization, which is
+    returned; rational maps are realized first.
     """
-    phi_x, phi_u = cl.phi_x, cl.phi_u
-
-    def freq_form():
-        def fn(s):
-            px = phi_x.evaluate(s)
-            pu = phi_u.evaluate(s)
-            if np.linalg.cond(px) > 1e12:
-                raise SingularPhiX(f"state closed loop singular at s = {s}")
-            return pu @ np.linalg.inv(px)
-
-        shape = (
-            phi_u.shape[0] if hasattr(phi_u, "shape") else None,
-            phi_x.shape[0] if hasattr(phi_x, "shape") else None,
-        )
-        return FrequencyResponse(shape, fn, "recovered state-feedback controller")
-
-    def to_rational(obj):
-        if isinstance(obj, RationalMatrix):
-            return obj
-        if isinstance(obj, StateSpace):
-            return tf_of(obj)
-        return None
-
-    if (
-        isinstance(phi_x, StateSpace)
-        and isinstance(phi_u, StateSpace)
-        and phi_x.n_states
-        and _resolvent_drift(phi_x) is None
-        and phi_x.shape[0] <= RATIONAL_RECOVERY_LIMIT
-    ):
-        # K = (s phi_u)(s phi_x)^-1; both factors are proper state-space
-        # systems and s phi_x has unit feedthrough on valid pairs, so the
-        # whole product stays in well-conditioned state-space algebra
-        n = phi_x.shape[0]
-        D_sx = phi_x.C @ phi_x.B
-        if (
-            np.max(np.abs(phi_x.D)) < 1e-12
-            and np.max(np.abs(phi_u.D)) < 1e-12
-            and np.max(np.abs(D_sx - np.eye(n))) < 1e-7
-        ):
-            s_phi_x = StateSpace(phi_x.A, phi_x.B, phi_x.C @ phi_x.A, D_sx)
-            s_phi_u = StateSpace(phi_u.A, phi_u.B, phi_u.C @ phi_u.A, phi_u.C @ phi_u.B)
-            return tf_of(series(inverse(s_phi_x), s_phi_u))
-    drift = _resolvent_drift(phi_x)
-    if drift is not None and drift.shape[0] <= RATIONAL_RECOVERY_LIMIT:
-        ru = to_rational(phi_u)
-        if ru is not None:
-            n = drift.shape[0]
-            aff = RationalMatrix(
-                [
-                    [
-                        RationalEntry([-drift[k, j], 1.0])
-                        if k == j
-                        else RationalEntry([-drift[k, j]])
-                        for j in range(n)
-                    ]
-                    for k in range(n)
-                ]
-            )
-            K = ru.matmul(aff)
-            factors = _denominator_pool((ru,))
-            return K.map(lambda e: _reduce_entry(e, factors))
-    convertible = (RationalMatrix, StateSpace)
-    if (
-        not isinstance(phi_x, convertible)
-        or not isinstance(phi_u, convertible)
-        or phi_x.shape[0] > RATIONAL_RECOVERY_LIMIT
-    ):
-        return freq_form()
-    rx = to_rational(phi_x)
-    ru = to_rational(phi_u)
+    s_phi_x = _derivative(_strictly_proper_realization(cl.phi_x, "phi_x"))
+    s_phi_u = _derivative(_strictly_proper_realization(cl.phi_u, "phi_u"))
     try:
-        inv = rx.inverse()
-    except ZeroDivisionError as exc:
-        raise SingularPhiX("state closed loop is identically singular") from exc
-    K = ru.matmul(inv)
-    return K.map(lambda e: _reduce_entry(e, _denominator_pool((rx, ru, inv))))
+        inv = inverse(s_phi_x)
+    except IllPosedFeedback as exc:
+        raise SingularPhiX("s * phi_x tends to a singular matrix") from exc
+    return minimal_realization(series(inv, s_phi_u))
 
 
 def implementation_realization_sf(cl, pattern=None):
     """Internal realization of the controller acting on the closed loops.
 
     Implements the update v = x + (I - s phi_x) v, u = s phi_u v as one
-    state-space system from per-entry realizations, preserving transfer
-    sparsity: when the closed loops conform to ``pattern`` the returned
-    realization is structured node by node.
+    state-space system from row-grouped realizations of both maps,
+    preserving transfer sparsity: when the closed loops conform to
+    ``pattern`` the returned realization is structured node by node.
 
     Returns (system, witness) where witness is the structure check result
     against ``pattern`` (None when no pattern is given).
     """
-    phi_x = cl.phi_x if isinstance(cl.phi_x, RationalMatrix) else tf_of(cl.phi_x)
-    phi_u = cl.phi_u if isinstance(cl.phi_u, RationalMatrix) else tf_of(cl.phi_u)
-    if not phi_x.is_strictly_proper() or not phi_u.is_strictly_proper():
-        raise ConstraintViolated("closed loops must be strictly proper")
-    Rx = realize_rational(phi_x, "rows")
-    Ru = realize_rational(phi_u, "rows")
-    n = phi_x.shape[0]
+    Rx = _row_realization(cl.phi_x, "phi_x")
+    Ru = _row_realization(cl.phi_u, "phi_u")
+    n = Rx.n_outputs
     CxBx = Rx.C @ Rx.B
     if np.max(np.abs(CxBx - np.eye(n))) > 1e-7:
         raise ConstraintViolated(
@@ -393,8 +349,8 @@ def implementation_realization_sf(cl, pattern=None):
         B,
         C,
         D,
-        in_partition=phi_x.row_partition,
-        out_partition=phi_u.row_partition,
+        in_partition=Rx.out_partition,
+        out_partition=Ru.out_partition,
     )
     impl = interleave_node_states(impl, [Rx.state_partition, Ru.state_partition])
     witness = None
@@ -506,6 +462,7 @@ def of_structured_implementation(cl4, pattern):
     maps = {}
     for name in ("phi_xx", "phi_xy", "phi_ux", "phi_uy"):
         val = getattr(cl4, name)
+        _realizable(val, name)
         maps[name] = val if isinstance(val, RationalMatrix) else tf_of(val)
     for name in ("phi_xx", "phi_xy", "phi_ux"):
         if not maps[name].is_strictly_proper():
@@ -545,20 +502,8 @@ def of_structured_implementation(cl4, pattern):
     )
     L = interleave_node_states(L, [Rxx.state_partition, x_part])
 
-    def derivative_form(R):
-        """Realization of s * H from a strictly proper realization of H."""
-        return StateSpace(
-            R.A,
-            R.B,
-            R.C @ R.A,
-            R.C @ R.B,
-            state_partition=R.state_partition,
-            in_partition=R.in_partition,
-            out_partition=R.out_partition,
-        )
-
-    s_phi_xy = derivative_form(Rxy)
-    s_phi_ux = derivative_form(Rux)
+    s_phi_xy = _derivative(Rxy)
+    s_phi_ux = _derivative(Rux)
     T = series(series(s_phi_xy, L), s_phi_ux)
     T_neg = StateSpace(
         T.A,

@@ -4,7 +4,8 @@ Systems are kept alongside block partitions of their state, input and
 output dimensions so that sparsity checks can be made per node.
 Interconnections never reduce their realizations: non-minimal modes are
 harmless for the evaluation-based checks used throughout and keeping
-them makes the realizations predictable.  Reachable (Krylov) subspaces
+them makes the realizations predictable; ``minimal_realization`` reduces
+one on request.  Reachable (Krylov) subspaces
 from ``_invariant_subspace`` decide which transfer entries vanish
 (``structure.transfer_support``), so structure and relativity verdicts on
 a realization never convert it to rational form.  Rational conversion
@@ -316,6 +317,31 @@ def _residual(R, x, rhs):
     return acc + err
 
 
+def _root_abscissa(den):
+    """Largest real part of the roots of each monic row of ``den``.
+
+    Degrees one and two use closed-form roots: the quadratic's root
+    without cancellation, -(d1 + r) / 2 with r = sqrt(d1^2 - 4 d0) signed
+    so that it adds to d1, and its partner d0 over that root.  Higher
+    degrees take the eigenvalues of the companion matrix.
+    """
+    k = den.shape[1] - 1
+    if k == 1:
+        return -den[:, 0].real
+    if k == 2:
+        d0, d1 = den[:, 0], den[:, 1]
+        r = np.sqrt(d1 * d1 - 4.0 * d0 + 0j)
+        r = np.where((np.conj(d1) * r).real < 0.0, -r, r)
+        big = -(d1 + r) / 2.0
+        # big = 0 only when d1 = d0 = 0, where both roots are zero
+        small = np.divide(d0, big, out=np.zeros_like(big), where=big != 0.0)
+        return np.maximum(big.real, small.real)
+    A = np.zeros((den.shape[0], k, k), dtype=np.result_type(den, float))
+    A[:, :-1, 1:] = np.eye(k - 1)
+    A[:, -1, :] = -den[:, :k]
+    return np.max(np.linalg.eigvals(A).real, axis=1)
+
+
 def batch_h2_squared(num, den):
     """Squared H2 norms of a stack of scalar entries num[i] / den[i].
 
@@ -356,10 +382,7 @@ def batch_h2_squared(num, den):
     block = max(1, H2_BLOCK_ELEMENTS // max(2 * k - 1, 1) ** 2)
     for lo in range(0, live.size if k else 0, block):
         rows = live[lo : lo + block]
-        A = np.zeros((rows.size, k, k), dtype=np.result_type(den, float))
-        A[:, :-1, 1:] = np.eye(k - 1)
-        A[:, -1, :] = -den[rows, :k]
-        unstable[rows] = np.max(np.linalg.eigvals(A).real, axis=1) >= -1e-9
+        unstable[rows] = _root_abscissa(den[rows]) >= -1e-9
     # the first failing entry decides, as in a loop of one-entry calls
     failing = improper | unstable
     if np.any(failing):
@@ -421,20 +444,29 @@ def char_poly(A):
     return q, mats
 
 
-def _invariant_subspace(A, V, rtol=1e-10):
+def _invariant_subspace(A, V, rtol=1e-10, norms=None):
     """Orthonormal basis of the smallest A-invariant subspace holding range(V).
 
-    Grows the basis one Krylov block at a time; directions whose residual
-    after reorthogonalization falls below rtol of the block norm are
-    treated as already captured.  Once the blocks are images A @ Q, a
-    residual at most rtol times the norm of A is captured too: an image
-    that vanishes in exact arithmetic leaves rounding of the size of A,
-    not a new direction.
+    Grows the basis one Krylov block at a time.  Each block is projected
+    off the basis, and its rank is the number of singular values above
+    rtol of the block norm; the left singular vectors behind them join
+    the basis.  (Unpivoted QR is not rank revealing: a small leading
+    column hides the later ones.)  Once the blocks are images A @ Q, a
+    singular value at most rtol times the norm of A is captured too: an
+    image that vanishes in exact arithmetic leaves rounding of the size
+    of A, not a new direction.
+
+    When A and V are projections of larger maps, ``norms`` gives the
+    norms of those maps: the rounding a projection leaves is of their
+    size, so directions are judged against them rather than against
+    what the projection left (which is itself rounding on a part that
+    vanishes).
     """
     n = A.shape[0]
     Q = np.zeros((n, 0))
     W = np.atleast_2d(V)
-    floor, image_floor = 0.0, rtol * np.linalg.norm(A)
+    a_norm, v_norm = norms if norms is not None else (np.linalg.norm(A), 0.0)
+    floor, image_floor = rtol * v_norm, rtol * a_norm
     while W.shape[1] and Q.shape[1] < n:
         # threshold against the block before orthogonalization, so that a
         # block already inside span(Q) up to rounding terminates the loop
@@ -443,25 +475,37 @@ def _invariant_subspace(A, V, rtol=1e-10):
             break
         W = W - Q @ (Q.T @ W)
         W = W - Q @ (Q.T @ W)
-        qw, rw = np.linalg.qr(W)
-        keep = np.abs(np.diag(rw)) > max(rtol * scale, floor)
-        if not np.any(keep):
+        U, sv, _ = np.linalg.svd(W, full_matrices=False)
+        fresh = U[:, sv > max(rtol * scale, floor)]
+        if not fresh.shape[1]:
             break
-        fresh = qw[:, keep]
         Q = np.hstack([Q, fresh])
         W = A @ fresh
         floor = image_floor
     return Q
 
 
-def _reachable_siso(A, b, c, rtol=1e-10):
-    """Restriction of (A, b, c) to its controllable-and-observable part."""
-    Qc = _invariant_subspace(A, b.reshape(-1, 1), rtol)
-    A1 = Qc.T @ A @ Qc
-    b1 = Qc.T @ b.reshape(-1)
-    c1 = c.reshape(-1) @ Qc
-    Qo = _invariant_subspace(A1.T, c1.reshape(-1, 1), rtol)
-    return Qo.T @ A1 @ Qo, Qo.T @ b1, c1 @ Qo
+def _minimal(A, B, C):
+    """Restriction of (A, B, C) to its reachable, then observable, part."""
+    Q = _invariant_subspace(A, B)
+    norms = np.linalg.norm(A), np.linalg.norm(C)
+    A, B, C = Q.T @ A @ Q, Q.T @ B, C @ Q
+    Q = _invariant_subspace(A.T, C.T, norms=norms)
+    return Q.T @ A @ Q, Q.T @ B, C @ Q
+
+
+def minimal_realization(sys):
+    """Minimal realization of a system: its reachable and observable part.
+
+    Orthogonal restrictions to the reachable subspace of (A, B) and then
+    to the observable subspace of what remains (the staircase reduction
+    of Van Dooren, IEEE TAC 26(1), 1981).  The transfer matrix and the
+    input and output partitions are kept; the state partition is not.
+    """
+    A, B, C = _minimal(sys.A, sys.B, sys.C)
+    return StateSpace(
+        A, B, C, sys.D, in_partition=sys.in_partition, out_partition=sys.out_partition
+    )
 
 
 def _siso_entry(A, b, c, d):
@@ -518,8 +562,8 @@ def tf_of(sys):
     for i in range(p):
         row = []
         for j in range(m):
-            Ar, br, cr = _reachable_siso(sys.A, sys.B[:, j], sys.C[i, :])
-            row.append(_siso_entry(Ar, br, cr, sys.D[i, j]))
+            Ar, br, cr = _minimal(sys.A, sys.B[:, j : j + 1], sys.C[i : i + 1])
+            row.append(_siso_entry(Ar, br[:, 0], cr[0], sys.D[i, j]))
         entries.append(row)
     result = RationalMatrix(entries, sys.out_partition, sys.in_partition)
     for s in _TF_CHECK_POINTS:

@@ -13,26 +13,32 @@ from conftest import (
 from locrel.errors import (
     ConstraintViolated,
     HypothesisViolated,
+    NoRealization,
     NoSamplesEvaluated,
     SingularAtS,
     SingularPhiX,
 )
-from locrel.graphs import Graph, StructurePattern
+from locrel.consensus import proper_approximation, static_consensus_gain
+from locrel.graphs import Graph, StructurePattern, path_graph, ring_graph
 from locrel.rational import RationalEntry, RationalMatrix
 from locrel.sls import (
     ClosedLoopPair,
     OutputFeedbackClosedLoops,
     Plant,
+    _row_realization,
     check_affine_constraint,
     check_of_constraints,
     check_relative_equivalence,
     closed_loops_of,
     implementation_realization_sf,
+    of_structured_implementation,
     output_feedback_closed_loops,
     recover_controller_of,
     recover_controller_sf,
     sample_points,
 )
+from locrel.statespace import StateSpace, tf_of
+from locrel.structure import transfer_support
 
 
 def chain_plant():
@@ -102,7 +108,7 @@ def test_affine_constraint_flags_improper_pair():
 
 def test_recovered_chain_controller_matches_closed_form():
     K = recover_controller_sf(chain_pair())
-    assert isinstance(K, RationalMatrix)
+    assert isinstance(K, StateSpace)
     assert np.max(np.abs(23.0 * K.evaluate(1.0) - CHAIN_K1_TIMES_23)) < 1e-8
     ref = chain3_controller()
     for s in (1.0, 2.0 + 1.0j, 0.3 - 0.4j):
@@ -120,7 +126,7 @@ def test_recovery_round_trip_static(rng):
         K0 = rng.standard_normal((n, n))
         cl = closed_loops_of(plant, K0)
         K = recover_controller_sf(cl)
-        assert isinstance(K, RationalMatrix)
+        assert isinstance(K, StateSpace)
         for s in sample_points(4, 11):
             assert np.max(np.abs(K.evaluate(s) - K0)) < 1e-8
 
@@ -140,7 +146,7 @@ def test_recovery_round_trip_dynamic(rng):
         K0 = RationalMatrix(grid)
         cl = closed_loops_of(plant, K0)
         K = recover_controller_sf(cl)
-        assert isinstance(K, RationalMatrix)
+        assert isinstance(K, StateSpace)
         for s in sample_points(4, 5):
             ref = K0.evaluate(s)
             assert np.max(np.abs(K.evaluate(s) - ref)) < 1e-8 * (
@@ -148,13 +154,13 @@ def test_recovery_round_trip_dynamic(rng):
             )
 
 
-def test_recovery_large_pair_uses_frequency_form():
+def test_recovery_large_static_pair_is_a_static_realization():
     n = 8
     plant = Plant(A=-np.eye(n), B1=np.eye(n), B2=np.eye(n))
     K0 = np.diag(np.arange(1.0, n + 1.0))
     cl = closed_loops_of(plant, K0)
     K = recover_controller_sf(cl)
-    assert not isinstance(K, RationalMatrix)
+    assert isinstance(K, StateSpace) and K.n_states == 0
     assert np.max(np.abs(K.evaluate(1.3 + 0.2j) - K0)) < 1e-8
 
 
@@ -190,6 +196,112 @@ def test_implementation_rejects_improper_loops():
     phi_u = chain3_phi_u().map(lambda e: e + RationalEntry.one())
     with pytest.raises(ConstraintViolated):
         implementation_realization_sf(ClosedLoopPair(chain3_phi_x(), phi_u))
+
+
+RING_POLE = -10.0
+PROBES = (1.0, 0.5 + 2.0j, 3.0 - 1.0j, 0.2 - 0.7j, 2.5 + 0.3j)
+
+
+def ring_case(n):
+    """Ring integrators under the proper approximation K = -a/(s - a) Ks."""
+    plant = Plant(A=np.zeros((n, n)), B1=np.eye(n), B2=np.eye(n))
+    Ks = static_consensus_gain(n)
+    cl = closed_loops_of(plant, proper_approximation(n, RING_POLE))
+    return plant, cl, lambda s: -RING_POLE / (s - RING_POLE) * Ks
+
+
+def weighted_path_laplacian(weights):
+    n = len(weights) + 1
+    L = np.zeros((n, n))
+    for i, w in enumerate(weights):
+        L[[i, i + 1], [i, i + 1]] += w
+        L[[i, i + 1], [i + 1, i]] -= w
+    return L
+
+
+def chain_case(n, rng):
+    """Stable weighted chain under a static relative chain gain."""
+    A = -weighted_path_laplacian(rng.uniform(0.5, 2.0, n - 1)) - np.diag(rng.uniform(0.2, 1.0, n))
+    K = -weighted_path_laplacian(rng.uniform(0.5, 2.0, n - 1))
+    plant = Plant(A=A, B1=np.eye(n), B2=np.eye(n))
+    return plant, closed_loops_of(plant, K), lambda s: K
+
+
+def state_space_cases(rng):
+    for n in range(4, 17):
+        yield n, StructurePattern.scalar(ring_graph(n)), ring_case(n)
+    for n in range(3, 7):
+        yield n, StructurePattern.scalar(path_graph(n)), chain_case(n, rng)
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+def test_implementation_of_state_space_loops(rng):
+    for n, pattern, (_, cl, K) in state_space_cases(rng):
+        impl, witness = implementation_realization_sf(cl, pattern)
+        for s in PROBES:
+            assert relative_error(impl.evaluate(s), K(s)) < 1e-9
+        for R in (_row_realization(cl.phi_x, "phi_x"), _row_realization(cl.phi_u, "phi_u")):
+            assert max(R.state_partition.block_sizes) <= cl.phi_x.n_states
+        if n <= 6:
+            rational = ClosedLoopPair(tf_of(cl.phi_x), tf_of(cl.phi_u))
+            _, want = implementation_realization_sf(rational, pattern)
+            assert witness == want
+
+
+def test_implementation_of_chain_design_from_state_space_loops():
+    cl = closed_loops_of(chain_plant(), chain3_controller())
+    impl, witness = implementation_realization_sf(cl, chain_pattern(3))
+    assert witness.structured
+    # a row's states are driven only by the inputs that row responds to
+    for H in (cl.phi_x, cl.phi_u):
+        R = _row_realization(H, "loop")
+        rows = np.repeat(np.arange(3), R.state_partition.block_sizes)
+        assert not np.any(R.B[~transfer_support(H)[rows]])
+    for s in PROBES:
+        want = chain3_controller().evaluate(s)
+        assert relative_error(impl.evaluate(s), want) < 1e-9
+
+
+def test_implementation_rejects_state_space_feedthrough():
+    cl = closed_loops_of(chain_plant(), chain3_controller())
+    phi_u = cl.phi_u
+    bumped = StateSpace(phi_u.A, phi_u.B, phi_u.C, phi_u.D + 0.1)
+    for pair in (ClosedLoopPair(cl.phi_x, bumped), ClosedLoopPair(bumped, cl.phi_u)):
+        with pytest.raises(ConstraintViolated):
+            implementation_realization_sf(pair)
+        with pytest.raises(ConstraintViolated):
+            recover_controller_sf(pair)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_ring_recovery_is_minimal_and_reproduces_loops(n):
+    plant, cl, K_of = ring_case(n)
+    K = recover_controller_sf(cl)
+    # the Laplacian's ones mode never reaches the controller's output
+    assert isinstance(K, StateSpace) and K.n_states == n - 1
+    again = closed_loops_of(plant, K)
+    for s in PROBES:
+        assert relative_error(K.evaluate(s), K_of(s)) < 1e-9
+        for got, want in zip(again.evaluate(s), cl.evaluate(s)):
+            assert relative_error(got, want) < 1e-9
+
+
+def test_frequency_form_loops_have_no_realization():
+    plant = Plant(
+        A=-np.eye(2), B1=np.eye(2), B2=np.eye(2), C2=np.eye(2)
+    )
+    cl4 = output_feedback_closed_loops(plant, -np.eye(2))
+    pattern = StructurePattern.scalar(Graph(np.ones((2, 2), dtype=bool)))
+    with pytest.raises(NoRealization):
+        of_structured_implementation(cl4, pattern)
+    pair = ClosedLoopPair(cl4.phi_xx, cl4.phi_ux)
+    with pytest.raises(NoRealization):
+        implementation_realization_sf(pair, pattern)
+    with pytest.raises(NoRealization):
+        recover_controller_sf(pair)
 
 
 def scalar_of_tuple():
@@ -259,8 +371,6 @@ def test_output_feedback_recovery_scalar():
 
 
 def test_of_implementation_scalar():
-    from locrel.sls import of_structured_implementation
-
     pattern = StructurePattern.scalar(Graph(np.ones((1, 1), dtype=bool)))
     impl, witness = of_structured_implementation(scalar_of_tuple(), pattern)
     assert witness.structured
@@ -270,8 +380,6 @@ def test_of_implementation_scalar():
 
 
 def test_of_implementation_decoupled_pair():
-    from locrel.sls import of_structured_implementation
-
     # two independent loops: dx_i = -x_i + u_i, u_i = k_i y_i
     ks = (-1.0, -2.0)
     blocks = []

@@ -15,6 +15,7 @@ from locrel.graphs import Partition
 from locrel.rational import RationalEntry, RationalMatrix, pmul
 from locrel.statespace import (
     StateSpace,
+    _root_abscissa,
     batch_h2_squared,
     feedback,
     h2_norm,
@@ -275,6 +276,36 @@ def test_batch_h2_first_failing_entry_decides():
         with pytest.raises(error):
             for num, den in order:
                 scalar_h2_squared(RationalEntry(num, den))
+
+
+def test_closed_form_root_abscissa_matches_eigenvalues():
+    rng = np.random.default_rng(23)
+    for degree in (1, 2):
+        dens = []
+        for _ in range(200):
+            # real parts at least 1e-3 from the imaginary axis, on both sides
+            re = rng.choice((-1.0, 1.0), degree) * 10.0 ** rng.uniform(-3, 1, degree)
+            roots = re + 1j * rng.standard_normal(degree)
+            if rng.random() < 0.5:  # real coefficients: real roots or a conjugate pair
+                roots = re if degree == 1 or rng.random() < 0.5 else re[0] + np.array([1j, -1j])
+            dens.append(np.poly(roots)[::-1])
+        dens = np.array(dens)
+        want = np.array([np.max(np.roots(d[::-1]).real) for d in dens])
+        got = _root_abscissa(dens)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+        nums = np.ones((dens.shape[0], 1))
+        for num, den, abscissa in zip(nums, dens, want):
+            if abscissa >= -1e-9:
+                with pytest.raises(NotHurwitz):
+                    batch_h2_squared(num[None], den[None])
+            else:
+                assert batch_h2_squared(num[None], den[None])[0] > 0.0
+    # d0 = 0 puts a root at zero; d1 = 0 gives roots +-sqrt(-d0)
+    exact = np.array([[0.0, 3.0, 1.0], [0.0, -2.0 + 1j, 1.0], [4.0, 0.0, 1.0], [-9.0, 0.0, 1.0], [2j, 0.0, 1.0]])
+    assert list(_root_abscissa(exact)) == [0.0, 2.0, 0.0, 3.0, 1.0]
+    for den in exact:
+        with pytest.raises(NotHurwitz):
+            batch_h2_squared(np.ones((1, 1)), den[None])
 
 
 def test_realize_rational_round_trip_rows_and_columns():

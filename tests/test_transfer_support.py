@@ -86,6 +86,56 @@ def test_support_matches_exact_transfer(realization):
     assert is_tf_structured(sys, pattern) == (not np.any(want & ~allowed))
 
 
+@st.composite
+def krylov_starts(draw):
+    """A with a known invariant subspace, and start blocks V inside it.
+
+    A = T [[A1, X], [0, A2]] T' for an orthogonal T, so the first r columns
+    of T span an A-invariant subspace that holds V.  V has 1 to 4 columns,
+    some of them combinations of earlier ones, with scales four orders of
+    magnitude apart.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    m = draw(st.integers(1, 4))
+    dependent = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    scales = draw(
+        st.lists(st.sampled_from([1e-2, 1e-1, 1.0, 1e1, 1e2]), min_size=m, max_size=m)
+    )
+    rng = np.random.default_rng(seed)
+    T = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    M = rng.standard_normal((n, n))
+    M[r:, :r] = 0.0
+    V1 = rng.standard_normal((r, m))
+    for j in range(1, m):
+        if dependent[j]:
+            V1[:, j] = V1[:, :j] @ rng.standard_normal(j)
+    return T @ M @ T.T, T[:, :r] @ V1 * np.array(scales)
+
+
+def _krylov_rank(A, V):
+    """Numerical rank of [V, A V, ..., A^(n-1) V] with A and V scaled to norm one."""
+    A = A / np.linalg.norm(A, 2)
+    blocks = [V / np.linalg.norm(V, 2)]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return int(np.sum(sv > 1e-8 * sv[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(krylov_starts())
+def test_invariant_subspace_of_a_start_block(case):
+    A, V = case
+    Q = _invariant_subspace(A, V)
+    k = Q.shape[1]
+    assert np.max(np.abs(Q.T @ Q - np.eye(k))) < 1e-12
+    assert np.linalg.norm(V - Q @ (Q.T @ V)) < 1e-8 * np.linalg.norm(V)
+    assert np.linalg.norm(A @ Q - Q @ (Q.T @ A @ Q)) < 1e-8 * np.linalg.norm(A)
+    assert k == _krylov_rank(A, V)
+
+
 def _hidden_mode_system():
     """Dense realization with one entry cancelled by a hidden mode.
 
