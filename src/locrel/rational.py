@@ -4,7 +4,8 @@ Polynomials are stored as coefficient arrays in ascending powers of s.
 Denominators are normalized to a leading coefficient of one.  Arithmetic
 is plain coefficient convolution with a hard degree cap; common factors
 are only cancelled by stripping shared powers of s exactly and by a
-conservative root-matching pass.
+conservative root-matching test, which batch builders run only on the
+entries that ``_cancellable_rows`` flags.
 """
 
 from __future__ import annotations
@@ -221,6 +222,22 @@ def cancel_common_factors(num, den):
     return ptrim(num), ptrim(den)
 
 
+def _cancellable_rows(nums, den):
+    """Rows of nums (last axis) that cancel_common_factors(row, den) may change.
+
+    Only those with a root-matching hit at a root of den (taken with a 10x
+    margin for the batch's rounding), or all when den(0) = 0.
+    """
+    if abs(den[0]) <= 1e-12 * np.max(np.abs(den)):
+        return np.ones(nums.shape[:-1], dtype=bool)
+    nums, deg = trim_rows(nums)
+    roots = np.roots(ptrim(den)[::-1])
+    values = np.polynomial.polynomial.polyval(roots, np.moveaxis(nums, -1, 0))
+    scale = np.maximum(np.max(np.abs(nums), axis=-1, keepdims=True), 1e-300)
+    tol = 10 * ROOT_MATCH_TOL * np.maximum(1.0, np.abs(roots)) ** deg[..., None]
+    return ~np.all(np.abs(values) > tol * scale, axis=-1)
+
+
 def distinct_denominators(entries):
     """Denominators of the entries, each kept once, in order of appearance.
 
@@ -244,13 +261,15 @@ def common_denominator(entries):
     The distinct denominators are taken highest degree first, and each is
     multiplied into q unless it already divides q, so entries sharing (or
     dividing) a common characteristic polynomial do not inflate q.  The
-    numerators come from polynomial division of q by each denominator.
+    numerators come from one division of q per bitwise-distinct denominator.
     Raises ``CommonDenominatorTruncated`` when q spans so many magnitudes
     that trimming would drop its leading terms.
     """
     entries = list(entries)
+    keys = [e.den.tobytes() for e in entries]
+    unique = dict(zip(keys, entries))  # one entry per bitwise-distinct den
     q = np.ones(1)
-    for f in sorted(distinct_denominators(entries), key=pdeg, reverse=True):
+    for f in sorted(distinct_denominators(unique.values()), key=pdeg, reverse=True):
         if try_exact_divide(q, f, rel_tol=1e-9) is None:
             q = np.convolve(q, f)
             if q.size - 1 > DEGREE_CAP:
@@ -263,13 +282,19 @@ def common_denominator(entries):
             f"coefficient of {np.max(np.abs(q)):.2e}; trimming at "
             f"{ZERO_REL_TOL:g} of it would drop its leading 1"
         )
-    nums = []
-    for e in entries:
+    factors = {}
+    for key, e in unique.items():
         factor = try_exact_divide(q, e.den, rel_tol=1e-9)
         if factor is None:
             # den not an exact factor of q (close duplicates); fall back
             factor, _ = pdiv(q, e.den)
-        nums.append(np.zeros(1) if e.is_zero() else pmul(e.num, factor))
+        factors[key] = factor
+    nums = []
+    for key, e in zip(keys, entries):
+        factor = factors[key]
+        # a real factor 1 leaves num as the product would, zeros unsigned
+        unit = factor.dtype == float and factor.tolist() == [1.0]
+        nums.append(np.zeros(1) if e.is_zero() else e.num + 0.0 if unit else pmul(e.num, factor))
     return q, nums
 
 

@@ -19,9 +19,10 @@ from .graphs import Graph, laplacian, require_connected
 from .rational import (
     RationalEntry,
     RationalMatrix,
+    _cancellable_rows,
+    _rows_zero,
     common_denominator,
-    pis_zero,
-    ptrim,
+    entry_array,
 )
 from .statespace import StateSpace
 from .structure import transfer_support
@@ -29,13 +30,18 @@ from .structure import transfer_support
 PINV_CUTOFF_REL = 1e-10
 
 
-def _row_coefficients(row):
-    """Common denominator of a rational row and its numerators, one per array row."""
-    common, nums = common_denominator(row)
-    coeffs = np.zeros((len(nums), max(num.size for num in nums)), dtype=complex)
-    for j, num in enumerate(nums):
-        coeffs[j, : num.size] = num
-    return common, coeffs
+def _row_coefficients(K, tol):
+    """Each row's common denominator and numerators (one per array row), in turn;
+    NotRelative at the first row whose numerators sum above tol of their scale."""
+    for row in K.entries:
+        common, nums = common_denominator(row)
+        coeffs = np.zeros((len(nums), max(num.size for num in nums)), dtype=complex)
+        for j, num in enumerate(nums):
+            coeffs[j, : num.size] = num
+        scale = max(np.max(np.abs(coeffs)), 1.0)
+        if np.max(np.abs(coeffs.sum(axis=0))) > tol * scale:
+            raise NotRelative("rational gain rows must sum to the zero function")
+        yield common, coeffs
 
 
 def _row_sums(M, tol):
@@ -59,11 +65,11 @@ def is_relative(K, tol=1e-10):
         summed = StateSpace(K.A, _row_sums(K.B, tol), K.C, _row_sums(K.D, tol))
         return not transfer_support(summed).any()
     if isinstance(K, RationalMatrix):
-        for row in K.entries:
-            _, coeffs = _row_coefficients(row)
-            scale = max(np.max(np.abs(coeffs)), 1.0)
-            if np.max(np.abs(coeffs.sum(axis=0))) > tol * scale:
-                return False
+        try:
+            for _ in _row_coefficients(K, tol):
+                pass
+        except NotRelative:
+            return False
         return True
     K = np.atleast_2d(np.asarray(K, dtype=float))
     scale = max(np.max(np.abs(K)), 1.0)
@@ -197,32 +203,28 @@ class PairwiseDifferenceForm:
 def relative_decompose_rational(K, graph):
     """Pairwise-difference form of a relative rational gain matrix.
 
-    Each row is brought over a common denominator; every numerator
-    coefficient vector is decomposed through the static minimum-norm map
-    and the coefficients are reassembled into edge kernels.
+    Each row is brought over a common denominator; its numerator
+    coefficients are decomposed through the static minimum-norm map by
+    Laplacian-pseudoinverse products, and all its edge kernels are built in
+    one batch.  Cancellation runs only where a kernel's numerator may share
+    a root with the row's common denominator.
     """
     require_connected(graph)
     m = K.shape[1]
     if m != graph.n:
         raise ValueError("gain column count must match the node count")
-    if not is_relative(K):
-        raise NotRelative("rational gain rows must sum to the zero function")
+    rows = list(_row_coefficients(K, 1e-10))
     Lp = _laplacian_pinv(graph)
+    off = graph.adjacency & ~np.eye(m, dtype=bool)
     kernels = []
-    for row in K.entries:
-        common, nums = _row_coefficients(row)
-        deg = nums.shape[1]
-        grid = [[RationalEntry.zero() for _ in range(m)] for _ in range(m)]
-        num_grid = np.zeros((m, m, deg))
-        for pwr in range(deg):
-            c = nums[:, pwr].real
-            if np.any(c):
-                num_grid[:, :, pwr] = edge_sum_adjoint(graph, 2.0 * (Lp @ c))
-        for i in range(m):
-            for j in range(m):
-                coeffs = ptrim(num_grid[i, j])
-                if pis_zero(coeffs):
-                    continue
-                grid[i][j] = RationalEntry(coeffs, common, simplify=True)
-        kernels.append(grid)
+    for common, coeffs in rows:
+        # one matrix-vector product per power: a single matrix-matrix
+        # product sums in another order and changes the last bits
+        V = 2.0 * np.stack([Lp @ c for c in coeffs.real.T], axis=-1)
+        num_grid = 0.5 * off[:, :, None] * (V[:, None] - V[None, :])
+        grid = entry_array(num_grid, common)
+        live = _cancellable_rows(num_grid, common) & ~_rows_zero(num_grid)
+        for i, j in zip(*np.nonzero(live)):
+            grid[i, j] = RationalEntry(num_grid[i, j], common, simplify=True)
+        kernels.append(grid.tolist())
     return PairwiseDifferenceForm(graph, kernels)

@@ -128,13 +128,16 @@ def sample_points(n_samples=7, seed=0):
     return [complex(a, b) for a, b in zip(re, im)]
 
 
-def _controller_to_ss(K):
+def _controller_to_ss(K, part=None):
+    """K as a StateSpace; a square static gain over part gets part on both sides."""
     if isinstance(K, StateSpace):
         return K
     if isinstance(K, RationalMatrix):
         return realize_rational(K, "rows")
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    return StateSpace.static(K)
+    if part is None or K.shape != (part.total, part.total):
+        return StateSpace.static(K)
+    return StateSpace.static(K, part, part)
 
 
 def _controller_evaluator(K):
@@ -153,7 +156,7 @@ def closed_loops_of(plant, K):
     """
     n = plant.n
     part = plant.node_partition
-    K_ss = _controller_to_ss(K)
+    K_ss = _controller_to_ss(K, part if plant.n_inputs == n else None)
     if K_ss.shape != (plant.n_inputs, n):
         raise ValueError(
             f"controller maps {K_ss.shape[1]} states to {K_ss.shape[0]} inputs; "

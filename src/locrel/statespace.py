@@ -684,11 +684,11 @@ def realize_rational(H, orientation="rows"):
 def permute_states(sys, perm):
     """Reorder states by the given index permutation."""
     perm = np.asarray(perm, dtype=int)
-    P = np.eye(sys.n_states)[perm]
+    # + 0.0 leaves zeros unsigned, as products with a permutation matrix do
     return StateSpace(
-        P @ sys.A @ P.T,
-        P @ sys.B,
-        sys.C @ P.T,
+        sys.A[np.ix_(perm, perm)] + 0.0,
+        sys.B[perm] + 0.0,
+        sys.C[:, perm] + 0.0,
         sys.D,
         state_partition=sys.state_partition,
         in_partition=sys.in_partition,

@@ -1,0 +1,385 @@
+"""Batched rational rows against the per-entry routes they replaced.
+
+``common_denominator`` divides once per bitwise-distinct denominator and
+``relative_decompose_rational`` builds each row's kernels in one batch.
+The per-entry routes are kept here as oracles: every answer must match
+them bit for bit, and so must the error raised.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import locrel.rational as rational
+from locrel.errors import CommonDenominatorTruncated, DegreeCapExceeded, NotRelative
+from locrel.graphs import Graph, laplacian, path_graph, require_connected, ring_graph
+from locrel.rational import (
+    DEGREE_CAP,
+    RationalEntry,
+    RationalMatrix,
+    common_denominator,
+    distinct_denominators,
+    pdeg,
+    pdiv,
+    pis_zero,
+    pmul,
+    ptrim,
+    try_exact_divide,
+)
+from locrel.relative import (
+    _laplacian_pinv,
+    edge_sum_adjoint,
+    is_relative,
+    relative_decompose_rational,
+)
+
+
+# -- per-entry oracles -----------------------------------------------------------
+
+
+def per_entry_common_denominator(entries):
+    """One division of q by every entry's denominator, entry by entry."""
+    entries = list(entries)
+    q = np.ones(1)
+    for f in sorted(distinct_denominators(entries), key=pdeg, reverse=True):
+        if try_exact_divide(q, f, rel_tol=1e-9) is None:
+            q = np.convolve(q, f)
+            if q.size - 1 > DEGREE_CAP:
+                raise DegreeCapExceeded("common denominator degree exceeds the cap")
+    if ptrim(q).size < q.size:
+        raise CommonDenominatorTruncated("trimming would drop the leading 1")
+    nums = []
+    for e in entries:
+        factor = try_exact_divide(q, e.den, rel_tol=1e-9)
+        if factor is None:
+            factor, _ = pdiv(q, e.den)
+        nums.append(np.zeros(1) if e.is_zero() else pmul(e.num, factor))
+    return q, nums
+
+
+def per_entry_row_coefficients(row):
+    common, nums = per_entry_common_denominator(row)
+    coeffs = np.zeros((len(nums), max(num.size for num in nums)), dtype=complex)
+    for j, num in enumerate(nums):
+        coeffs[j, : num.size] = num
+    return common, coeffs
+
+
+def per_entry_is_relative(K, tol=1e-10):
+    for row in K.entries:
+        _, coeffs = per_entry_row_coefficients(row)
+        scale = max(np.max(np.abs(coeffs)), 1.0)
+        if np.max(np.abs(coeffs.sum(axis=0))) > tol * scale:
+            return False
+    return True
+
+
+def per_entry_decompose(K, graph):
+    """Edge kernels entry by entry, each through cancellation."""
+    require_connected(graph)
+    m = K.shape[1]
+    if m != graph.n:
+        raise ValueError("gain column count must match the node count")
+    if not per_entry_is_relative(K):
+        raise NotRelative("rational gain rows must sum to the zero function")
+    Lp = _laplacian_pinv(graph)
+    kernels = []
+    for row in K.entries:
+        common, nums = per_entry_row_coefficients(row)
+        deg = nums.shape[1]
+        grid = [[RationalEntry.zero() for _ in range(m)] for _ in range(m)]
+        num_grid = np.zeros((m, m, deg))
+        for pwr in range(deg):
+            c = nums[:, pwr].real
+            if np.any(c):
+                num_grid[:, :, pwr] = edge_sum_adjoint(graph, 2.0 * (Lp @ c))
+        for i in range(m):
+            for j in range(m):
+                coeffs = ptrim(num_grid[i, j])
+                if pis_zero(coeffs):
+                    continue
+                grid[i][j] = RationalEntry(coeffs, common, simplify=True)
+        kernels.append(grid)
+    return kernels
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is part of the answer
+        return type(exc)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- common denominators ---------------------------------------------------------
+
+# monic factors: real and complex-conjugate poles, a pole at 0, small and
+# large poles; two poles near -1e5 make q too wide to trim
+FACTORS = [
+    np.array([1.0, 1.0]),
+    np.array([2.0, 1.0]),
+    np.array([0.5, 1.0]),
+    np.array([0.0, 1.0]),
+    np.array([5.0, 2.0, 1.0]),
+    np.array([3.0, 1.0]),
+    np.array([40.0, 1.0]),
+    np.array([1e-3, 1.0]),
+]
+WIDE = [np.array([2e5, 1.0]), np.array([3e5, 1.0])]
+
+
+@st.composite
+def denominator_pools(draw, is_complex, factors=FACTORS + WIDE):
+    """Products of subsets of a few factors, so some divide others, and
+    near duplicates of them: within 1e-9, but not bitwise equal."""
+    chosen = draw(st.lists(st.integers(0, len(factors) - 1), min_size=1, max_size=4))
+    pool = []
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3, 4]))):
+        den = np.ones(1)
+        for k in chosen:
+            if draw(st.booleans()):
+                den = np.convolve(den, factors[k])
+        if is_complex and draw(st.booleans()):
+            den = den.astype(complex)
+            den[0] += 1j * draw(st.sampled_from([0.0, -0.0, 0.5]))
+        pool.append(den)
+    for den in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)):
+        if den.size > 1:
+            near = den.copy()
+            k = int(np.argmax(np.abs(den[:-1])))
+            # "edge" sits at the edge of allclose, where q / near leaves a remainder
+            shift = draw(st.sampled_from([1e-14, 4e-10, "edge", "edge"]))
+            if shift == "edge":
+                near[k] += 1e-9 * abs(den[k]) + 0.9e-12
+            else:
+                near[k] *= 1.0 + shift
+            pool.append(near)
+    return pool
+
+
+@st.composite
+def rational_rows(draw, size=None):
+    is_complex = draw(st.booleans())
+    pool = draw(denominator_pools(is_complex))
+    width = size or draw(st.integers(1, 8))
+    row = []
+    for _ in range(width):
+        den = pool[draw(st.integers(0, len(pool) - 1))]
+        if draw(st.integers(0, 4)) == 0:
+            row.append(RationalEntry([draw(st.sampled_from([0.0, -0.0]))], den))
+            continue
+        coeffs = draw(
+            st.lists(
+                st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-5.0, 5.0, allow_nan=False)),
+                min_size=1,
+                max_size=den.size,
+            )
+        )
+        num = np.array(coeffs, dtype=complex if is_complex else float)
+        if is_complex and draw(st.booleans()):
+            num = num + 1j * draw(st.sampled_from([-0.0, 0.25]))
+        row.append(RationalEntry(num, den))
+    return row
+
+
+def assert_same_common_denominator(row):
+    want = outcome(per_entry_common_denominator, row)
+    got = outcome(common_denominator, row)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    assert same_bits(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert same_bits(a, b)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_rows())
+def test_common_denominator_matches_per_entry_route(row):
+    assert_same_common_denominator(row)
+
+
+def test_common_denominator_parity_in_fixed_cases():
+    # a close duplicate that is not an exact factor of q takes the pdiv fallback
+    base = np.convolve([1.0, 1.0], [2.0, 1.0])
+    near = np.array([1.0 + 1.0009e-9, 1.0])
+    row = [RationalEntry([1.0, -0.0], [1.0, 1.0]), RationalEntry([-0.0, 2.0], near)]
+    assert len(distinct_denominators(row)) == 1
+    assert try_exact_divide(np.array([1.0, 1.0]), near, rel_tol=1e-9) is None
+    assert_same_common_denominator(row)
+    # a factor of 1 leaves the numerator's zeros unsigned, as the product does
+    q, nums = common_denominator([RationalEntry([-0.0, -2.0], base)])
+    assert np.signbit(nums[0]).tolist() == [False, True]
+    # a complex q over a real denominator: the factor 1 is complex, and so
+    # is the numerator
+    row = [RationalEntry([1.0], np.array([1.0, 1.0], dtype=complex)), RationalEntry([2.0], [1.0, 1.0])]
+    assert np.iscomplexobj(common_denominator(row)[1][1])
+    assert_same_common_denominator(row)
+    # divisible denominators and zero entries
+    assert_same_common_denominator(
+        [RationalEntry([1.0], [1.0, 1.0]), RationalEntry([3.0], base), RationalEntry.zero()]
+    )
+    # nine distinct quadratics: too wide to trim on both routes
+    rng = np.random.default_rng(3)
+    row = [RationalEntry([1.0], [a * b, a + b, 1.0]) for a, b in rng.uniform(1, 8, (9, 2))]
+    assert outcome(common_denominator, row) is CommonDenominatorTruncated
+    assert_same_common_denominator(row)
+
+
+def test_common_denominator_divides_once_per_denominator(monkeypatch):
+    den = np.convolve([1.0, 1.0], [5.0, 2.0, 1.0])
+    row = [RationalEntry([float(k), 1.0], den) for k in range(64)]
+    calls = []
+    original = rational.try_exact_divide
+
+    def counting(num, factor, rel_tol=1e-8):
+        calls.append(np.array(num))
+        return original(num, factor, rel_tol)
+
+    monkeypatch.setattr(rational, "try_exact_divide", counting)
+    q, nums = common_denominator(row)
+    # one call while q is built (from 1), one for the factor q / den
+    assert sum(same_bits(num, q) for num in calls) == 1
+    assert len(calls) == 2
+    assert all(same_bits(num, e.num) for num, e in zip(nums, row))
+
+
+# -- pairwise-difference decompositions ----------------------------------------------
+
+
+def tree_graph(parents):
+    n = len(parents) + 1
+    adj = np.eye(n, dtype=bool)
+    for child, parent in enumerate(parents, start=1):
+        adj[child, parent] = adj[parent, child] = True
+    return Graph(adj)
+
+
+@st.composite
+def graphs(draw):
+    kind = draw(st.sampled_from(["ring", "path", "tree"]))
+    n = draw(st.integers(3 if kind == "ring" else 2, 7))
+    if kind == "ring":
+        return ring_graph(n)
+    if kind == "path":
+        return path_graph(n)
+    return tree_graph([draw(st.integers(0, child - 1)) for child in range(1, n)])
+
+
+@st.composite
+def relative_gains(draw, graph):
+    """Rows built from edge flows f (e_i - e_j), so every row sums to zero.
+
+    On trees the minimum-norm kernels are the flows themselves, which
+    often share a factor with the row's common denominator.
+    """
+    n = graph.n
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if graph.adjacency[i, j]]
+    is_complex = draw(st.booleans())
+    pool = draw(denominator_pools(is_complex, FACTORS))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = [RationalEntry.zero() for _ in range(n)]
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = edges[draw(st.integers(0, len(edges) - 1))]
+            den = pool[draw(st.integers(0, len(pool) - 1))]
+            num = np.array(
+                draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), min_size=1, max_size=den.size))
+            )
+            if is_complex:
+                num = num + 0.5j
+            flow = RationalEntry(num, den)
+            row[i] = row[i] + flow
+            row[j] = row[j] - flow
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
+def assert_same_decomposition(K, graph):
+    want = outcome(per_entry_decompose, K, graph)
+    got = outcome(relative_decompose_rational, K, graph)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    assert len(got.kernels) == len(want)
+    for grid_got, grid_want in zip(got.kernels, want):
+        for row_got, row_want in zip(grid_got, grid_want):
+            for a, b in zip(row_got, row_want):
+                assert same_bits(a.num, b.num) and same_bits(a.den, b.den)
+    assert is_relative(K) == per_entry_is_relative(K)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_decomposition_matches_per_entry_route(data):
+    graph = data.draw(graphs())
+    assert_same_decomposition(data.draw(relative_gains(graph)), graph)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_is_relative_matches_per_entry_route(data):
+    row = data.draw(rational_rows(size=data.draw(st.integers(2, 5))))
+    K = RationalMatrix([row])
+    assert outcome(is_relative, K) == outcome(per_entry_is_relative, K)
+
+
+def benchmark_ring_gain(n, rng):
+    """The relative gain -p/(s + p) L_w of the benchmark's relative instances."""
+    pole = float(rng.uniform(0.5, 3.0))
+    weights = rng.uniform(0.5, 2.0, n)
+    L = np.zeros((n, n))
+    for i, w in enumerate(weights):
+        j = (i + 1) % n
+        L[[i, j], [i, j]] += w
+        L[[i, j], [j, i]] -= w
+    den = np.array([pole, 1.0])
+    return RationalMatrix([[RationalEntry([-pole * L[i, j]], den) for j in range(n)] for i in range(n)])
+
+
+def test_decomposition_parity_where_kernels_cancel():
+    # on the 3-node path the 0-1 kernel is the flow 1/(s+1): the row's
+    # common denominator (s+1)(s+2) cancels down to it
+    lag1, lag2 = RationalEntry([1.0], [1.0, 1.0]), RationalEntry([1.0], [2.0, 1.0])
+    row = [lag1, lag2 - lag1, -lag2]
+    K = RationalMatrix([row, [-e for e in row], [RationalEntry.zero()] * 3])
+    assert_same_decomposition(K, path_graph(3))
+    kernel = relative_decompose_rational(K, path_graph(3)).kernels[0][0][1]
+    assert kernel.den.tolist() == [1.0, 1.0]
+    # numerators s L: the constant column of every row is zero
+    L = laplacian(ring_graph(5))
+    K = RationalMatrix([[RationalEntry([0.0, -L[i, j]], [1.0, 1.0]) for j in range(5)] for i in range(5)])
+    assert_same_decomposition(K, ring_graph(5))
+    rng = np.random.default_rng(1)
+    for n in (4, 6, 8):
+        assert_same_decomposition(benchmark_ring_gain(n, rng), ring_graph(n))
+
+
+def test_decomposition_of_benchmark_ring_builds_no_entry_one_by_one(monkeypatch):
+    K = benchmark_ring_gain(8, np.random.default_rng(8))
+    calls = []
+    original = RationalEntry.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalEntry, "__init__", counting)
+    form = relative_decompose_rational(K, ring_graph(8))
+    assert calls == []
+    assert len(form.kernels) == 8
+
+
+def test_decomposition_rejects_nonrelative_like_per_entry_route():
+    K = RationalMatrix([[RationalEntry([1.0], [1.0, 1.0]), RationalEntry.zero()]] * 2)
+    with pytest.raises(NotRelative):
+        relative_decompose_rational(K, path_graph(2))
+    assert_same_decomposition(K, path_graph(2))

@@ -19,7 +19,7 @@ from locrel.errors import (
     SingularPhiX,
 )
 from locrel.consensus import proper_approximation, static_consensus_gain
-from locrel.graphs import Graph, StructurePattern, path_graph, ring_graph
+from locrel.graphs import Graph, Partition, StructurePattern, laplacian, path_graph, ring_graph
 from locrel.rational import RationalEntry, RationalMatrix
 from locrel.sls import (
     ClosedLoopPair,
@@ -435,3 +435,23 @@ def test_relative_equivalence_requires_full_rank_actuation():
     )
     with pytest.raises(HypothesisViolated):
         check_relative_equivalence(plant, np.zeros((1, 2)))
+
+
+def test_static_gain_on_two_state_nodes_gets_the_node_partition():
+    # a 4-node ring whose nodes carry 2 states each, under a static gain
+    # given as a plain array: phi_u is grouped by node like phi_x
+    L = laplacian(ring_graph(4))
+    oscillator = np.array([[0.0, 1.0], [-1.0, -0.5]])
+    A = np.kron(-L, np.eye(2)) + np.kron(np.eye(4), oscillator)
+    part = Partition((2, 2, 2, 2))
+    plant = Plant(A=A, B1=np.eye(8), B2=np.eye(8), node_partition=part)
+    K = -np.kron(L, np.array([[1.0, 0.2], [0.0, 1.0]]))
+    cl = closed_loops_of(plant, K)
+    assert cl.phi_u.out_partition == part
+    impl, _ = implementation_realization_sf(cl)
+    assert impl.state_partition.n_blocks == 4
+    for s in PROBES:
+        assert relative_error(impl.evaluate(s), K) < 1e-9
+    # a gain of the wrong shape keeps its error
+    with pytest.raises(ValueError, match="controller maps"):
+        closed_loops_of(plant, np.zeros((8, 6)))

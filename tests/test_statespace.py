@@ -23,6 +23,7 @@ from locrel.statespace import (
     interleave_node_states,
     is_hurwitz,
     parallel,
+    permute_states,
     realize_rational,
     scalar_h2_squared,
     series,
@@ -349,6 +350,24 @@ def test_interleave_node_states():
     assert np.allclose(merged.A, sys.A[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])])
     for s in (0.8, 1.2 + 0.5j):
         assert np.allclose(merged.evaluate(s), sys.evaluate(s), atol=1e-12)
+
+
+def test_permute_states_matches_dense_permutation_products():
+    # indexing gives bitwise what P A P', P B and C P' gave, signed zeros
+    # included: the products leave every zero unsigned
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 17):
+        A, B, C = (rng.standard_normal(shape) for shape in ((n, n), (n, 3), (2, n)))
+        for M in (A, B, C):
+            M[rng.random(M.shape) < 0.3] = -0.0
+            M[rng.random(M.shape) < 0.1] = 0.0
+        sys = StateSpace(A, B, C, np.zeros((2, 3)))
+        perm = rng.permutation(n)
+        P = np.eye(n)[perm]
+        got = permute_states(sys, perm)
+        for a, b in ((got.A, P @ A @ P.T), (got.B, P @ B), (got.C, C @ P.T)):
+            assert a.tobytes() == b.tobytes()
+        assert not np.any(np.signbit(got.A[got.A == 0.0]))
 
 
 def test_state_space_json_round_trip():
