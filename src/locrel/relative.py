@@ -218,9 +218,11 @@ def relative_decompose_rational(K, graph):
     off = graph.adjacency & ~np.eye(m, dtype=bool)
     kernels = []
     for common, coeffs in rows:
+        # a complex gain keeps its imaginary parts; a real one is read as real
+        coeffs = coeffs if np.any(coeffs.imag) else coeffs.real
         # one matrix-vector product per power: a single matrix-matrix
         # product sums in another order and changes the last bits
-        V = 2.0 * np.stack([Lp @ c for c in coeffs.real.T], axis=-1)
+        V = 2.0 * np.stack([Lp @ c for c in coeffs.T], axis=-1)
         num_grid = 0.5 * off[:, :, None] * (V[:, None] - V[None, :])
         grid = entry_array(num_grid, common)
         live = _cancellable_rows(num_grid, common) & ~_rows_zero(num_grid)

@@ -32,6 +32,7 @@ from .rational import RationalMatrix
 from .statespace import (
     FrequencyResponse,
     StateSpace,
+    _column_subspaces,
     _invariant_subspace,
     interleave_node_states,
     inverse,
@@ -254,21 +255,23 @@ def _row_realization(H, name):
     every entry that ``transfer_support`` calls zero, so the realization
     is structured wherever the map is.  A rational map is realized entry
     by entry.  A state-space map is restricted, row by row, to the
-    observable subspace of that row and then to the reachable subspace
-    of the inputs the row responds to.
+    observable subspace of that row (grown for all rows in one batched
+    pass) and then to the reachable subspace of the inputs the row
+    responds to.
     """
     R = _strictly_proper_realization(H, name)
     if isinstance(H, RationalMatrix):
         return R
     row_part, col_part = _transfer_partitions(H)
     support = transfer_support(H)
-    blocks = []
-    for i in range(H.n_outputs):
-        Q = _invariant_subspace(H.A.T, H.C[i : i + 1].T)
-        A, B, c = Q.T @ H.A @ Q, Q.T @ H.B, H.C[i : i + 1] @ Q
-        B[:, ~support[i]] = 0.0
-        Q = _invariant_subspace(A, B)
-        blocks.append((Q.T @ A @ Q, Q.T @ B, c @ Q))
+    blocks = [None] * H.n_outputs
+    # the observable subspaces of all rows grow in one batched pass
+    for rows, Q in _column_subspaces(H.A.T, H.C.T):
+        for i, Qi in zip(rows, Q):
+            A, B, c = Qi.T @ H.A @ Qi, Qi.T @ H.B, H.C[i : i + 1] @ Qi
+            B[:, ~support[i]] = 0.0
+            P = _invariant_subspace(A, B)
+            blocks[i] = (P.T @ A @ P, P.T @ B, c @ P)
     sizes = np.array([A.shape[0] for A, _, _ in blocks], dtype=int)
     offsets = row_part.offsets()
     return StateSpace(

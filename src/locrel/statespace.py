@@ -5,13 +5,20 @@ output dimensions so that sparsity checks can be made per node.
 Interconnections never reduce their realizations: non-minimal modes are
 harmless for the evaluation-based checks used throughout and keeping
 them makes the realizations predictable; ``minimal_realization`` reduces
-one on request.  Reachable (Krylov) subspaces
-from ``_invariant_subspace`` decide which transfer entries vanish
-(``structure.transfer_support``), so structure and relativity verdicts on
-a realization never convert it to rational form.  Rational conversion
-itself compresses each entry to the invariant subspace it actually
-reaches, because characteristic polynomials of large composite state
-matrices are numerically useless.
+one on request.  Reachable (Krylov) subspaces decide which transfer
+entries vanish (``structure.transfer_support``), so structure and
+relativity verdicts on a realization never convert it to rational form.
+Rational conversion itself compresses each entry to the invariant
+subspace it actually reaches, because characteristic polynomials of large
+composite state matrices are numerically useless.
+
+Subspaces grown from one vector each, one per column of B or row of C,
+grow together in ``_column_subspaces``: one product with A per Krylov
+step for every column, in batches of bounded memory.  That serves
+``transfer_support``, the per-entry conversion in ``tf_of`` and the
+per-row observable step of ``sls._row_realization``.  Subspaces grown
+from a block of vectors (``minimal_realization`` and the per-row
+reachable step) use ``_invariant_subspace``.
 """
 
 from __future__ import annotations
@@ -485,13 +492,60 @@ def _invariant_subspace(A, V, rtol=1e-10, norms=None):
     return Q
 
 
-def _minimal(A, B, C):
-    """Restriction of (A, B, C) to its reachable, then observable, part."""
-    Q = _invariant_subspace(A, B)
-    norms = np.linalg.norm(A), np.linalg.norm(C)
-    A, B, C = Q.T @ A @ Q, Q.T @ B, C @ Q
-    Q = _invariant_subspace(A.T, C.T, norms=norms)
-    return Q.T @ A @ Q, Q.T @ B, C @ Q
+# Basis elements per batch of Krylov columns: a batch of g columns at step
+# k holds g * n * k of them, so the batch narrows as the subspaces grow and
+# no column ever holds room for all n directions in advance.
+KRYLOV_BLOCK_ELEMENTS = 1 << 18
+
+
+def _column_subspaces(A, V, rtol=1e-10, v_norms=None, a_norm=None):
+    """``_invariant_subspace(A, V[:, [j]])`` for every column j of V at once.
+
+    Yields (cols, Q), in no fixed order: column indices whose subspaces
+    share a dimension k, and their orthonormal bases stacked as a
+    (len(cols), n, k) array.  Each Krylov step is one product with A for
+    every live column.  The rank rule is ``_invariant_subspace``'s, with
+    the SVD of a one-column block read as its norm: a vector joins when
+    its norm after projection is above max(rtol * scale, floor), and its
+    column stops once the scale is at most max(floor, 1e-300).
+    ``v_norms`` (one per column) and ``a_norm`` play the part of
+    ``_invariant_subspace``'s ``norms``.
+    """
+    n, m = A.shape[0], V.shape[1]
+    image_floor = rtol * (np.linalg.norm(A) if a_norm is None else a_norm)
+    v_floor = rtol * (np.zeros(m) if v_norms is None else np.asarray(v_norms, dtype=float))
+    width = max(1, KRYLOV_BLOCK_ELEMENTS // max(n, 1))
+    for lo in range(0, m, width):
+        cols = np.arange(lo, min(lo + width, m))
+        # a batch: its columns, bases, next Krylov vectors (one per row) and floors
+        pending = [(cols, np.zeros((cols.size, n, 0)), V[:, cols].T, v_floor[cols])]
+        while pending:
+            cols, Q, W, floor = pending.pop()
+            while True:
+                k = Q.shape[2]
+                scale = np.sqrt(np.einsum("ij,ij->i", W, W))
+                norm = scale
+                if k:
+                    # projected off the basis twice, as in _invariant_subspace
+                    for _ in range(2):
+                        W = W - np.matmul(Q, np.matmul(W[:, None, :], Q)[:, 0, :, None])[:, :, 0]
+                    norm = np.sqrt(np.einsum("ij,ij->i", W, W))
+                grow = (scale > np.maximum(floor, 1e-300)) & (norm > np.maximum(rtol * scale, floor))
+                if k == n:
+                    grow[:] = False
+                if not grow.all():
+                    yield cols[~grow], Q[~grow]
+                    if not grow.any():
+                        break
+                    cols, Q, W, norm = cols[grow], Q[grow], W[grow], norm[grow]
+                fresh = W / norm[:, None]
+                Q = np.concatenate([Q, fresh[:, :, None]], axis=2)
+                W = fresh @ A.T
+                floor = image_floor
+                keep = max(1, KRYLOV_BLOCK_ELEMENTS // (n * (k + 2)))
+                if cols.size > keep:
+                    pending.append((cols[keep:], Q[keep:], W[keep:], floor))
+                    cols, Q, W = cols[:keep], Q[:keep], W[:keep]
 
 
 def minimal_realization(sys):
@@ -502,9 +556,17 @@ def minimal_realization(sys):
     of Van Dooren, IEEE TAC 26(1), 1981).  The transfer matrix and the
     input and output partitions are kept; the state partition is not.
     """
-    A, B, C = _minimal(sys.A, sys.B, sys.C)
+    Q = _invariant_subspace(sys.A, sys.B)
+    norms = np.linalg.norm(sys.A), np.linalg.norm(sys.C)
+    A, B, C = Q.T @ sys.A @ Q, Q.T @ sys.B, sys.C @ Q
+    Q = _invariant_subspace(A.T, C.T, norms=norms)
     return StateSpace(
-        A, B, C, sys.D, in_partition=sys.in_partition, out_partition=sys.out_partition
+        Q.T @ A @ Q,
+        Q.T @ B,
+        C @ Q,
+        sys.D,
+        in_partition=sys.in_partition,
+        out_partition=sys.out_partition,
     )
 
 
@@ -530,23 +592,44 @@ DIRECT_TF_LIMIT = 12
 _TF_CHECK_POINTS = (0.83 + 1.37j, 2.21 - 0.59j, 1.49 + 2.73j)
 
 
+def _reduced_entries(sys):
+    """Every entry of a system from its reachable, then observable, part.
+
+    The reachable subspaces of all input columns grow in one pass; then,
+    per column, the observable subspaces of all output rows on that
+    column's reduced system grow in one more, judged against the norms
+    of A and of each row of C, as ``minimal_realization`` judges its
+    observable step.
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    a_norm, c_norms = np.linalg.norm(A), np.linalg.norm(C, axis=1)
+    entries = [[None] * sys.n_inputs for _ in range(sys.n_outputs)]
+    for cols, Q in _column_subspaces(A, B):
+        for j, Qj in zip(cols, Q):
+            Aj, bj, Cj = Qj.T @ A @ Qj, Qj.T @ B[:, j], C @ Qj
+            for rows, P in _column_subspaces(Aj.T, Cj.T, v_norms=c_norms, a_norm=a_norm):
+                for i, Pi in zip(rows, P):
+                    entries[i][j] = _siso_entry(Pi.T @ Aj @ Pi, Pi.T @ bj, Cj[i] @ Pi, D[i, j])
+    return entries
+
+
 def tf_of(sys):
     """Rational transfer matrix of a state-space system.
 
     Small systems share the characteristic polynomial denominator with
     common factors cancelled conservatively per entry.  Larger systems
-    are compressed per entry first, and the result is checked against
-    the original frequency response.
+    are compressed per entry first (``_reduced_entries``).  Either way the
+    result is checked against the original frequency response.
     """
     if sys.n_states == 0:
         return RationalMatrix.from_real(sys.D, sys.out_partition, sys.in_partition)
     n = sys.n_states
     p, m = sys.n_outputs, sys.n_inputs
-    entries = []
     if n <= DIRECT_TF_LIMIT:
         q, mats = char_poly(sys.A)
         # numerators: sum_k (C mats[k] B) s^(n-1-k) + D q(s)
         coeff_mats = [sys.C @ Nk @ sys.B for Nk in mats]
+        entries = []
         for i in range(p):
             row = []
             for j in range(m):
@@ -558,13 +641,8 @@ def tf_of(sys):
                     num = padd(num, pscale(q, sys.D[i, j]))
                 row.append(RationalEntry(num, q, simplify=True))
             entries.append(row)
-        return RationalMatrix(entries, sys.out_partition, sys.in_partition)
-    for i in range(p):
-        row = []
-        for j in range(m):
-            Ar, br, cr = _minimal(sys.A, sys.B[:, j : j + 1], sys.C[i : i + 1])
-            row.append(_siso_entry(Ar, br[:, 0], cr[0], sys.D[i, j]))
-        entries.append(row)
+    else:
+        entries = _reduced_entries(sys)
     result = RationalMatrix(entries, sys.out_partition, sys.in_partition)
     for s in _TF_CHECK_POINTS:
         try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotTFStructured
 from .graphs import Partition, StructurePattern, path_graph
-from .statespace import StateSpace, _invariant_subspace, realize_rational
+from .statespace import StateSpace, _column_subspaces, realize_rational
 
 ZERO_BLOCK_TOL = 1e-12
 # Tolerances of transfer_support.  A feedthrough D_ij, or an input column
@@ -81,16 +81,35 @@ def is_block_diagonal(matrix, row_part, col_part, tol=ZERO_BLOCK_TOL):
     return _blocks_conform(matrix, row_part, col_part, allowed, tol)
 
 
-def _column_support(sys, j):
-    """Outputs whose transfer entry from input j is not the zero function."""
-    b = sys.B[:, j : j + 1]
-    out = np.abs(sys.D[:, j]) > INPUT_ZERO_TOL
-    if np.max(np.abs(b), initial=0.0) > INPUT_ZERO_TOL:
-        row_scale = np.maximum(np.max(np.abs(sys.C), axis=1, initial=0.0), 1.0)
-        c_tol = OUTPUT_ZERO_TOL * row_scale
-        Q = _invariant_subspace(sys.A, b)
-        out |= np.max(np.abs(sys.C @ Q), axis=1, initial=0.0) > c_tol
-    return out
+def _largest_magnitude(M, axis):
+    """max |M| along an axis, zero where empty, with no |M| temporary."""
+    return np.maximum(M.max(axis=axis, initial=0.0), -M.min(axis=axis, initial=0.0))
+
+
+def _column_supports(sys, width):
+    """Supports of the input columns, ``width`` at a time, as (width, p) masks.
+
+    Row j of a mask holds the outputs whose transfer entry from input j is
+    not the zero function.  The reachable subspaces of each group of input
+    columns grow together in one ``_column_subspaces`` pass.
+    """
+    A, C = sys.A, sys.C
+    a_norm = np.linalg.norm(A)
+    c_tol = OUTPUT_ZERO_TOL * np.maximum(_largest_magnitude(C, 1), 1.0)
+    n, p = sys.n_states, sys.n_outputs
+    for lo in range(0, sys.n_inputs, width):
+        D, B = sys.D[:, lo : lo + width], sys.B[:, lo : lo + width]
+        out = ((D > INPUT_ZERO_TOL) | (D < -INPUT_ZERO_TOL)).T
+        live = np.flatnonzero(_largest_magnitude(B, 0) > INPUT_ZERO_TOL)
+        if live.size:
+            # no copy of B when every column is live
+            V = B if live.size == B.shape[1] else B[:, live]
+            for group, Q in _column_subspaces(A, V, a_norm=a_norm):
+                # C Q of every column in the group as one product
+                g, k = Q.shape[0], Q.shape[2]
+                CQ = np.abs(C @ Q.transpose(1, 0, 2).reshape(n, g * k)).reshape(p, g, k)
+                out[live[group]] |= (np.max(CQ, axis=2, initial=0.0) > c_tol[:, None]).T
+        yield out
 
 
 def transfer_support(sys):
@@ -100,10 +119,12 @@ def transfer_support(sys):
     function: entry (i, j) vanishes exactly when D_ij = 0 and C_i
     annihilates the reachable (Krylov) subspace of column B_j, as in the
     staircase form of Van Dooren (IEEE TAC 26(1), 1981).  Decided from the
-    realization alone; nothing is converted to rational form.
+    realization alone; nothing is converted to rational form.  The
+    subspaces of all input columns grow in one batched pass
+    (``statespace._column_subspaces``), in blocks of bounded memory.
     """
-    columns = [_column_support(sys, j) for j in range(sys.n_inputs)]
-    return np.array(columns, dtype=bool).reshape(sys.n_inputs, sys.n_outputs).T
+    masks = list(_column_supports(sys, max(sys.n_inputs, 1)))
+    return (masks[0] if masks else np.zeros((0, sys.n_outputs), dtype=bool)).T
 
 
 def _transfer_partitions(H):
@@ -136,7 +157,7 @@ def is_tf_structured(H, pattern):
         allowed = adj[np.ix_(rows, cols)]
         # column by column: the first off-pattern response settles it
         return not any(
-            np.any(_column_support(H, j) & ~allowed[:, j]) for j in range(H.n_inputs)
+            np.any(mask[0] & ~allowed[:, j]) for j, mask in enumerate(_column_supports(H, 1))
         )
     ro = pattern.row_partition.offsets()
     co = pattern.col_partition.offsets()

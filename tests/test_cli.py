@@ -1,5 +1,6 @@
 """End-to-end command-line checks against the bundled example documents."""
 
+import importlib.util
 import io
 import json
 import subprocess
@@ -14,6 +15,7 @@ from locrel.cli import main
 from locrel.rational import RationalMatrix
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -279,3 +281,26 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["h2Squared"] == pytest.approx(4.625, abs=1e-9)
+
+
+def _load_oracles():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", PERFBENCH / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLES = _load_oracles()
+CLI_CORPUS = json.loads((PERFBENCH / "cli_expected.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", CLI_CORPUS, ids=[" ".join(case["argv"][:2]) + f" {i}" for i, case in enumerate(CLI_CORPUS)]
+)
+def test_cli_corpus_matches_recorded_outputs(case, capsys):
+    # the README commands against the outputs recorded with the benchmark,
+    # compared by the benchmark's own rule (floats to 1e-9 relative)
+    argv = [arg.replace("{data}", str(PERFBENCH / "data")) for arg in case["argv"]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == case["exit"], err
+    ORACLES.same_document(json.loads(out), case["stdout"])

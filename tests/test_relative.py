@@ -7,7 +7,7 @@ from conftest import chain3_controller, random_connected_graph
 from locrel.consensus import approximation_transfer, static_consensus_gain
 from locrel.errors import DisconnectedGraph, NotRelative
 from locrel.graphs import Graph, laplacian, path_graph, ring_graph
-from locrel.rational import RationalMatrix
+from locrel.rational import RationalEntry, RationalMatrix
 from locrel.relative import (
     PairwiseDifferenceForm,
     edge_sum_adjoint,
@@ -178,6 +178,18 @@ def test_rational_decompose_kernel_skewness():
                     assert grid[i][j].is_zero()
                 diff = grid[i][j] + grid[j][i]
                 assert diff.is_zero() or abs(diff.evaluate(1.3)) < 1e-10
+
+
+def test_rational_decompose_keeps_complex_gains():
+    # the kernels of a complex relative gain reproduce it, imaginary part included
+    f = RationalEntry([1.0 + 2.0j], [1.0, 1.0])
+    K = RationalMatrix([[f, -f], [-f, f]])
+    form = relative_decompose_rational(K, path_graph(2))
+    s = 0.7 + 0.3j
+    want = K.evaluate(s)
+    assert abs(want[0, 0] - (0.772 + 1.040j)) < 1e-3
+    for r in range(2):
+        np.testing.assert_allclose(form.row_gain(r, s), want[r], rtol=0.0, atol=1e-12)
 
 
 def test_pairwise_form_json_terms():

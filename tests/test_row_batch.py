@@ -84,16 +84,22 @@ def per_entry_decompose(K, graph):
     if not per_entry_is_relative(K):
         raise NotRelative("rational gain rows must sum to the zero function")
     Lp = _laplacian_pinv(graph)
+    off = graph.adjacency & ~np.eye(m, dtype=bool)
     kernels = []
     for row in K.entries:
         common, nums = per_entry_row_coefficients(row)
         deg = nums.shape[1]
         grid = [[RationalEntry.zero() for _ in range(m)] for _ in range(m)]
-        num_grid = np.zeros((m, m, deg))
+        is_complex = np.any(nums.imag)
+        num_grid = np.zeros((m, m, deg), dtype=complex if is_complex else float)
         for pwr in range(deg):
-            c = nums[:, pwr].real
+            c = nums[:, pwr] if is_complex else nums[:, pwr].real
             if np.any(c):
-                num_grid[:, :, pwr] = edge_sum_adjoint(graph, 2.0 * (Lp @ c))
+                w = 2.0 * (Lp @ c)
+                # edge_sum_adjoint reads its vector as real
+                num_grid[:, :, pwr] = (
+                    0.5 * off * np.subtract.outer(w, w) if is_complex else edge_sum_adjoint(graph, w)
+                )
         for i in range(m):
             for j in range(m):
                 coeffs = ptrim(num_grid[i, j])

@@ -9,11 +9,14 @@ from locrel.errors import (
     IllPosedFeedback,
     NonzeroFeedthrough,
     NotHurwitz,
+    RationalConversionFailed,
     SingularAtS,
 )
 from locrel.graphs import Partition
 from locrel.rational import RationalEntry, RationalMatrix, pmul
+import locrel.statespace as statespace
 from locrel.statespace import (
+    DIRECT_TF_LIMIT,
     StateSpace,
     _root_abscissa,
     batch_h2_squared,
@@ -85,6 +88,26 @@ def test_tf_of_matches_resolvent_evaluation():
             ref = sys.evaluate(s)
             got = H.evaluate(s)
             assert np.max(np.abs(got - ref)) < 1e-8 * (1.0 + np.max(np.abs(ref)))
+
+
+def test_direct_conversion_is_verified(monkeypatch):
+    # a wrong characteristic polynomial on the direct (Faddeev-LeVerrier)
+    # path is caught against the frequency response, not returned
+    rng = np.random.default_rng(9)
+    sys = random_stable_system(rng, 5, 2, 3)
+    assert sys.n_states <= DIRECT_TF_LIMIT
+    tf_of(sys)
+    exact = statespace.char_poly
+
+    def perturbed(A):
+        q, mats = exact(A)
+        q = q.copy()
+        q[1] *= 1.0 + 1e-4
+        return q, mats
+
+    monkeypatch.setattr(statespace, "char_poly", perturbed)
+    with pytest.raises(RationalConversionFailed):
+        tf_of(sys)
 
 
 def test_series_of_two_integrators():

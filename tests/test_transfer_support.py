@@ -1,16 +1,23 @@
 """Transfer-entry zero test on realizations, checked against exact arithmetic."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import locrel.sls as sls
+import locrel.statespace as statespace
 from locrel.consensus import proper_approximation
 from locrel.graphs import Graph, Partition, StructurePattern
 from locrel.relative import is_relative
-from locrel.statespace import StateSpace, _invariant_subspace, tf_of
+from locrel.sls import Plant, closed_loops_of, implementation_realization_sf
+from locrel.statespace import StateSpace, _column_subspaces, _invariant_subspace, tf_of
 from locrel.structure import (
+    INPUT_ZERO_TOL,
     check_realization_structure,
     is_tf_structured,
     transfer_support,
@@ -134,6 +141,114 @@ def test_invariant_subspace_of_a_start_block(case):
     assert np.linalg.norm(V - Q @ (Q.T @ V)) < 1e-8 * np.linalg.norm(V)
     assert np.linalg.norm(A @ Q - Q @ (Q.T @ A @ Q)) < 1e-8 * np.linalg.norm(A)
     assert k == _krylov_rank(A, V)
+
+
+@st.composite
+def column_starts(draw):
+    """A state matrix and start columns for the batched Krylov kernel.
+
+    Columns are random, zero, at or below INPUT_ZERO_TOL, or in the null
+    space of A (a Krylov image that vanishes in exact arithmetic); A may
+    have an invariant subspace that holds some columns.  Half the draws
+    pass per-column floors and a norm for A, some large enough to stop a
+    column at once.  The batch budget is drawn too, so batches split.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(1, 6))
+    A = rng.standard_normal((n, n)) * draw(st.sampled_from([1e-2, 1.0, 1e2]))
+    r = draw(st.integers(0, n))
+    A[r:, :r] = 0.0
+    if n and draw(st.booleans()):
+        A[:, 0] = A[:, 1:] @ rng.standard_normal(n - 1) if n > 1 else 0.0
+    null = np.linalg.svd(A)[2][-1] if n else np.zeros(0)
+    kinds = draw(
+        st.lists(st.sampled_from(["random", "inside", "zero", "tiny", "null"]), min_size=m, max_size=m)
+    )
+    V = np.zeros((n, m))
+    for j, kind in enumerate(kinds):
+        if kind == "random":
+            V[:, j] = rng.standard_normal(n) * draw(st.sampled_from([1e-2, 1.0, 1e2]))
+        elif kind == "inside":
+            V[:r, j] = rng.standard_normal(r)
+        elif kind == "tiny":
+            V[:, j] = rng.standard_normal(n) * INPUT_ZERO_TOL * draw(st.sampled_from([1e-3, 0.5, 1.0]))
+        elif kind == "null":
+            V[:, j] = null * draw(st.sampled_from([1.0, 3.0]))
+    norms = None
+    if draw(st.booleans()):
+        v_norms = np.linalg.norm(V, axis=0) * 10.0 ** rng.uniform(-1.0, 11.0, m)
+        norms = v_norms, np.linalg.norm(A) * 10.0 ** rng.uniform(0.0, 10.0)
+    budget = draw(st.sampled_from([1, 16, 64, statespace.KRYLOV_BLOCK_ELEMENTS]))
+    return A, V, norms, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_starts())
+def test_column_subspaces_match_one_column_subspaces(case):
+    A, V, norms, budget = case
+    v_norms, a_norm = (None, None) if norms is None else norms
+    with mock.patch.object(statespace, "KRYLOV_BLOCK_ELEMENTS", budget):
+        found = {}
+        for cols, Q in _column_subspaces(A, V, v_norms=v_norms, a_norm=a_norm):
+            assert Q.shape == (cols.size, A.shape[0], Q.shape[2])
+            found.update(zip(cols.tolist(), Q))
+    assert sorted(found) == list(range(V.shape[1]))
+    for j, Q in found.items():
+        want = _invariant_subspace(
+            A, V[:, [j]], norms=None if norms is None else (a_norm, v_norms[j])
+        )
+        assert Q.shape == want.shape
+        assert np.max(np.abs(Q @ Q.T - want @ want.T), initial=0.0) < 1e-10
+        assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) < 1e-12
+
+
+def test_column_subspaces_of_a_vanishing_krylov_image():
+    # the case below, with a zero column and a column of norm INPUT_ZERO_TOL beside it
+    A = np.array([[3.0, 0.0, -1.0], [2.0, -1.0, 0.0], [0.0, 3.0, -2.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    V = np.column_stack([b, np.zeros(3), b * INPUT_ZERO_TOL / np.linalg.norm(b)])
+    dims = {}
+    for cols, Q in _column_subspaces(A, V):
+        dims.update((j, Q.shape[2]) for j in cols.tolist())
+    assert dims == {0: 1, 1: 0, 2: 1}
+
+
+def _ring_closed_loops(n):
+    plant = Plant(A=np.zeros((n, n)), B1=np.eye(n), B2=np.eye(n))
+    return closed_loops_of(plant, proper_approximation(n, -10.0))
+
+
+def test_ring_loops_grow_no_single_column_subspace(monkeypatch):
+    # every one-vector Krylov start goes through the batched kernel
+    single = []
+
+    def counting(A, V, *args, **kwargs):
+        if np.atleast_2d(V).shape[1] == 1:
+            single.append(V)
+        return _invariant_subspace(A, V, *args, **kwargs)
+
+    monkeypatch.setattr(statespace, "_invariant_subspace", counting)
+    monkeypatch.setattr(sls, "_invariant_subspace", counting)
+    cl = _ring_closed_loops(16)
+    assert transfer_support(cl.phi_x).any() and transfer_support(cl.phi_u).any()
+    implementation_realization_sf(cl)
+    assert not single
+
+
+def test_support_of_a_large_system_stays_in_bounded_memory():
+    # one basis vector per column: a padded n x n basis per column would
+    # take n^3 doubles, 64 GB here
+    n = 2000
+    sys = StateSpace(np.diag(-1.0 - np.arange(n) / n), np.eye(n), np.eye(n), np.zeros((n, n)))
+    tracemalloc.start()
+    try:
+        support = transfer_support(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(support, np.eye(n, dtype=bool))
+    assert peak < 64 * 2**20
 
 
 def _hidden_mode_system():
