@@ -20,7 +20,6 @@ from .errors import (
     LocrelError,
     ModeZeroDetectable,
     NoRealization,
-    NoSamplesEvaluated,
     NonNegativeA,
     NonzeroFeedthrough,
     NotCirculant,
@@ -30,7 +29,6 @@ from .errors import (
     OddNForLongRange,
     SingularAtS,
     SingularPhiX,
-    SingularPhiXX,
     SymbolPoleClash,
     UnstableKernelEntry,
     UnstableNonzeroMode,
@@ -50,7 +48,6 @@ from .graphs import (
 )
 from .rational import RationalEntry, RationalMatrix
 from .statespace import (
-    FrequencyResponse,
     StateSpace,
     feedback,
     h2_norm,
@@ -96,7 +93,6 @@ from .sls import (
     output_feedback_closed_loops,
     recover_controller_of,
     recover_controller_sf,
-    sample_points,
 )
 from .consensus import (
     ConsensusProblem,

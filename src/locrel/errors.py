@@ -49,20 +49,12 @@ class SingularPhiX(LocrelError):
     """The state closed-loop map is singular and cannot be inverted."""
 
 
-class SingularPhiXX(LocrelError):
-    """The state-on-state closed-loop block is singular at the requested point."""
-
-
 class NoRealization(LocrelError):
-    """A closed-loop map is known only by its values, so it has no realization."""
+    """A closed-loop map is neither a rational matrix nor a realization."""
 
 
 class ConstraintViolated(LocrelError):
     """Closed-loop maps do not satisfy the affine achievability constraint."""
-
-
-class NoSamplesEvaluated(LocrelError):
-    """A sampled check found every probe point singular, so it checked nothing."""
 
 
 class ConsistencyCheckFailed(LocrelError):

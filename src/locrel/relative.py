@@ -44,6 +44,14 @@ def _row_coefficients(K, tol):
         yield common, coeffs
 
 
+def _static_gain(k):
+    """A static gain as an array: complex when an entry has an imaginary part, else float."""
+    k = np.asarray(k)
+    if np.iscomplexobj(k):
+        return k if np.any(k.imag) else k.real
+    return np.asarray(k, dtype=float)
+
+
 def _row_sums(M, tol):
     """M @ 1, with sums at most tol of their row's largest term (or 1) set to zero."""
     sums = M.sum(axis=1, keepdims=True)
@@ -55,8 +63,8 @@ def _row_sums(M, tol):
 def is_relative(K, tol=1e-10):
     """True when every row of the gain sums to zero.
 
-    Accepts a real matrix, a RationalMatrix or a StateSpace; for the latter
-    two the row sums must be the zero function.  A realization is relative
+    Accepts a real or complex matrix, a RationalMatrix or a StateSpace; for
+    the latter two the row sums must be the zero function.  A realization is relative
     when D 1 = 0 and C annihilates the reachable subspace of B 1, that is
     when the one-input system (A, B 1, C, D 1) has no ``transfer_support``;
     the sums B 1 and D 1 are zero up to tol of their rows' terms.
@@ -71,7 +79,7 @@ def is_relative(K, tol=1e-10):
         except NotRelative:
             return False
         return True
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    K = np.atleast_2d(_static_gain(K))
     scale = max(np.max(np.abs(K)), 1.0)
     return bool(np.max(np.abs(K.sum(axis=1))) <= tol * scale)
 
@@ -91,13 +99,12 @@ def _laplacian_pinv(graph):
 
 def edge_sum_operator(M):
     """Row sums M @ 1: expresses sum_{i<j} M_ij (y_i - y_j) as a row gain."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return M.sum(axis=1)
+    return np.atleast_2d(_static_gain(M)).sum(axis=1)
 
 
 def edge_sum_adjoint(graph, v):
     """Skew edge matrix (1/2) A o (v 1' - 1 v') supported off the diagonal."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = _static_gain(v).reshape(-1)
     off = graph.adjacency.copy()
     np.fill_diagonal(off, False)
     outer = np.outer(v, np.ones(graph.n)) - np.outer(np.ones(graph.n), v)
@@ -126,7 +133,7 @@ def relative_decompose(k, graph):
     Parameters
     ----------
     k : array_like, shape (n,)
-        A relative row gain (entries summing to zero).
+        A relative row gain (entries summing to zero), real or complex.
     graph : Graph
         Connected interaction graph carrying the allowed edges.
 
@@ -136,7 +143,7 @@ def relative_decompose(k, graph):
         Skew-symmetric, zero outside graph edges, with row sums equal
         to k; the representation u = sum_{i<j} M_ij (y_i - y_j).
     """
-    k = np.asarray(k, dtype=float).reshape(-1)
+    k = _static_gain(k).reshape(-1)
     if k.size != graph.n:
         raise ValueError("gain length must match the node count")
     require_connected(graph)

@@ -5,6 +5,14 @@ phi_x = (sI - A - B2 K)^-1 and phi_u = K phi_x satisfy the affine
 constraint (sI - A) phi_x - B2 phi_u = I together with strict properness,
 and every such pair is achieved by the controller K = phi_u phi_x^-1.
 The output-feedback version uses four maps tied by two affine rows.
+
+Closed-loop maps are realizations: ``closed_loops_of`` and
+``output_feedback_closed_loops`` return views of one realization over
+the plant and controller states, and rational maps are realized by rows.
+Every check is decided exactly on them: an affine row holds when its
+residual system is the zero function, which the reachable (Krylov)
+subspaces of its input columns decide, as in
+``structure.transfer_support``.  No verdict rests on sampled frequencies.
 """
 
 from __future__ import annotations
@@ -21,16 +29,13 @@ from .errors import (
     HypothesisViolated,
     IllPosedFeedback,
     NoRealization,
-    NoSamplesEvaluated,
     NotTFStructured,
-    SingularAtS,
     SingularPhiX,
-    SingularPhiXX,
 )
 from .graphs import Partition, StructurePattern
 from .rational import RationalMatrix
+from .relative import is_relative
 from .statespace import (
-    FrequencyResponse,
     StateSpace,
     _column_subspaces,
     _invariant_subspace,
@@ -40,7 +45,6 @@ from .statespace import (
     parallel,
     realize_rational,
     series,
-    tf_of,
 )
 from .structure import (
     INPUT_ZERO_TOL,
@@ -94,7 +98,7 @@ class Plant:
 
 @dataclass
 class ClosedLoopPair:
-    """State-feedback closed loops: anything with an ``evaluate`` method."""
+    """State-feedback closed loops phi_x, phi_u: RationalMatrix or StateSpace maps."""
 
     phi_x: object
     phi_u: object
@@ -121,14 +125,6 @@ class OutputFeedbackClosedLoops:
         )
 
 
-def sample_points(n_samples=7, seed=0):
-    """Right-half-plane probe frequencies: Re in [0.5, 3], |Im| <= 3."""
-    rng = np.random.default_rng(seed)
-    re = rng.uniform(0.5, 3.0, size=n_samples)
-    im = rng.uniform(-3.0, 3.0, size=n_samples)
-    return [complex(a, b) for a, b in zip(re, im)]
-
-
 def _controller_to_ss(K, part=None):
     """K as a StateSpace; a square static gain over part gets part on both sides."""
     if isinstance(K, StateSpace):
@@ -141,115 +137,139 @@ def _controller_to_ss(K, part=None):
     return StateSpace.static(K, part, part)
 
 
-def _controller_evaluator(K):
-    if isinstance(K, (StateSpace, RationalMatrix, FrequencyResponse)):
-        return K.evaluate
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    return lambda s: K.astype(complex)
+def _loop_views(plant, K, C2, y_part):
+    """phi_xx, phi_xy, phi_ux, phi_uy of u = K y with y = C2 x + dy.
+
+    All four are views of one realization over [x; x_K]:
+    A_cl = [[A + B2 D_K C2, B2 C_K], [B_K C2, A_K]].  The inputs dx and dy
+    enter through [I; 0] and [B2 D_K; B_K], x and u are read through
+    [I 0] and [D_K C2, C_K], and dy reaches u through D_K.  The controller
+    dynamics are never duplicated.
+    """
+    n, n_u, n_y = plant.n, plant.n_inputs, C2.shape[0]
+    K_ss = _controller_to_ss(K, y_part if n_u == n_y else None)
+    if K_ss.shape != (n_u, n_y):
+        raise ValueError(
+            f"controller maps {K_ss.shape[1]} measurements to {K_ss.shape[0]} inputs; "
+            f"plant expects {n_y} -> {n_u}"
+        )
+    nk = K_ss.n_states
+    A_cl = np.zeros((n + nk, n + nk))
+    A_cl[:n, :n] = plant.A + plant.B2 @ K_ss.D @ C2
+    A_cl[:n, n:] = plant.B2 @ K_ss.C
+    A_cl[n:, :n] = K_ss.B @ C2
+    A_cl[n:, n:] = K_ss.A
+    B_x = np.vstack([np.eye(n), np.zeros((nk, n))])
+    B_y = np.vstack([plant.B2 @ K_ss.D, K_ss.B])
+    C_x = np.hstack([np.eye(n), np.zeros((n, nk))])
+    C_u = np.hstack([K_ss.D @ C2, K_ss.C])
+    part, u_part = plant.node_partition, K_ss.out_partition
+    return (
+        StateSpace(A_cl, B_x, C_x, np.zeros((n, n)), in_partition=part, out_partition=part),
+        StateSpace(A_cl, B_y, C_x, np.zeros((n, n_y)), in_partition=y_part, out_partition=part),
+        StateSpace(A_cl, B_x, C_u, np.zeros((n_u, n)), in_partition=part, out_partition=u_part),
+        StateSpace(A_cl, B_y, C_u, K_ss.D, in_partition=y_part, out_partition=u_part),
+    )
 
 
 def closed_loops_of(plant, K):
     """State-feedback closed loops phi_x, phi_u for u = K x.
 
-    K may be a static gain, a RationalMatrix, or a StateSpace.  Both maps
-    are output views of one realization over the plant and controller
-    states, so the controller dynamics are never duplicated.
+    K may be a static gain, a RationalMatrix, or a StateSpace.  The pair
+    is phi_xx, phi_ux of the output-feedback loops with C2 = I: output
+    views of one realization over the plant and controller states.
     """
-    n = plant.n
-    part = plant.node_partition
-    K_ss = _controller_to_ss(K, part if plant.n_inputs == n else None)
-    if K_ss.shape != (plant.n_inputs, n):
-        raise ValueError(
-            f"controller maps {K_ss.shape[1]} states to {K_ss.shape[0]} inputs; "
-            f"plant expects {n} -> {plant.n_inputs}"
-        )
-    nk = K_ss.n_states
-    A_cl = np.zeros((n + nk, n + nk))
-    A_cl[:n, :n] = plant.A + plant.B2 @ K_ss.D
-    A_cl[:n, n:] = plant.B2 @ K_ss.C
-    A_cl[n:, :n] = K_ss.B
-    A_cl[n:, n:] = K_ss.A
-    B_cl = np.vstack([np.eye(n), np.zeros((nk, n))])
-    phi_x = StateSpace(
-        A_cl,
-        B_cl,
-        np.hstack([np.eye(n), np.zeros((n, nk))]),
-        np.zeros((n, n)),
-        in_partition=part,
-        out_partition=part,
-    )
-    phi_u = StateSpace(
-        A_cl,
-        B_cl,
-        np.hstack([K_ss.D, K_ss.C]),
-        np.zeros((plant.n_inputs, n)),
-        in_partition=part,
-        out_partition=K_ss.out_partition,
-    )
+    phi_x, _, phi_u, _ = _loop_views(plant, K, np.eye(plant.n), plant.node_partition)
     return ClosedLoopPair(phi_x, phi_u)
 
 
-def _require_samples(evaluated, attempted):
-    """A residual over zero evaluated samples would read as a pass."""
-    if evaluated == 0:
-        raise NoSamplesEvaluated(
-            f"closed loops are singular at all {attempted} sample points"
-        )
-
-
-def check_affine_constraint(cl, plant, n_samples=7, seed=0):
-    """Max residual of (sI - A) phi_x - B2 phi_u = I over random samples.
-
-    Also probes strict properness along s = 10^k for k = 2..5; a pair
-    that fails to decay there is reported with residual at least one,
-    since no controller can achieve it.
-    """
-    n = plant.n
-    worst = 0.0
-    evaluated = 0
-    for s in sample_points(n_samples, seed):
-        try:
-            px, pu = cl.evaluate(s)
-        except SingularAtS:
-            continue
-        evaluated += 1
-        resid = (s * np.eye(n) - plant.A) @ px - plant.B2 @ pu - np.eye(n)
-        worst = max(worst, float(np.max(np.abs(resid))))
-    _require_samples(evaluated, n_samples)
-    norms = []
-    for k in range(2, 6):
-        px, pu = cl.evaluate(10.0**k)
-        norms.append(max(np.max(np.abs(px)), np.max(np.abs(pu))))
-    decaying = all(
-        norms[i + 1] <= 0.5 * norms[i] + 1e-12 for i in range(len(norms) - 1)
-    )
-    if not decaying:
-        worst = max(worst, 1.0)
-    return worst
+def output_feedback_closed_loops(plant, K):
+    """Closed-loop four-tuple for u = K y, as views of one realization."""
+    if plant.C2 is None:
+        raise ValueError("plant needs a measurement channel C2 for output feedback")
+    return OutputFeedbackClosedLoops(*_loop_views(plant, K, plant.C2, None))
 
 
 def _realizable(H, name):
-    """Reject a closed-loop map known only by its values: it has no realization."""
+    """Reject a closed-loop map that is neither rational nor a realization."""
     if not isinstance(H, (RationalMatrix, StateSpace)):
         raise NoRealization(
-            f"{name} is given only by its frequency response and has no realization"
+            f"{name} is neither a RationalMatrix nor a StateSpace and has no realization"
         )
 
 
-def _strictly_proper_realization(H, name):
-    """Realization of a strictly proper closed-loop map; rational maps by rows."""
+def _realization(H, name, strict=True):
+    """Realization of a closed-loop map; rational maps by rows.
+
+    Raises ConstraintViolated unless the map is strictly proper, or, when
+    not ``strict``, proper.
+    """
     _realizable(H, name)
     if isinstance(H, RationalMatrix):
-        if not H.is_strictly_proper():
-            raise ConstraintViolated("closed loops must be strictly proper")
+        if not (H.is_strictly_proper() if strict else H.is_proper()):
+            raise ConstraintViolated(f"{name} must be {'strictly ' if strict else ''}proper")
         return realize_rational(H, "rows")
-    if np.max(np.abs(H.D), initial=0.0) > INPUT_ZERO_TOL:
-        raise ConstraintViolated("closed loops must be strictly proper")
+    if strict and np.max(np.abs(H.D), initial=0.0) > INPUT_ZERO_TOL:
+        raise ConstraintViolated(f"{name} must be strictly proper")
     return H
 
 
-def _row_realization(H, name):
-    """Strictly proper realization of a closed-loop map, states grouped by row.
+def _transpose(H):
+    """Realization of the transposed transfer matrix."""
+    return StateSpace(H.A.T, H.C.T, H.B.T, H.D.T)
+
+
+def _affine_residual(Hx, Hu, A, B2, rhs):
+    """Size of the residual (sI - A) Hx - B2 Hu - rhs of two realizations.
+
+    Hx is strictly proper.  Both maps are put on one realization
+    (A_c, B_c, C_x, C_u, D_u): their own when they share A and B, as the
+    views of ``closed_loops_of`` do, else the two stacked block
+    diagonally.  Since s Hx = C_x A_c (sI - A_c)^-1 B_c + C_x B_c, the
+    residual is the system
+    (A_c, B_c, C_x A_c - A C_x - B2 C_u, C_x B_c - B2 D_u - rhs), and it is
+    the zero function when its feedthrough D_R vanishes and every row
+    C_R[i] annihilates the reachable subspace Q_j of every column B_j.
+    Returns the larger of max |D_R| and max_j ||B_j|| max_i ||C_R[i] Q_j||.
+    The factor ||B_j|| makes the number at least the first Markov
+    parameter |C_R[i] B_j|, however a realization splits that product
+    between C and B.
+    """
+    if np.array_equal(Hx.A, Hu.A) and np.array_equal(Hx.B, Hu.B):
+        A_c, B_c, C_x, C_u = Hx.A, Hx.B, Hx.C, Hu.C
+    else:
+        A_c = scipy.linalg.block_diag(Hx.A, Hu.A)
+        B_c = np.vstack([Hx.B, Hu.B])
+        C_x = np.hstack([Hx.C, np.zeros((Hx.n_outputs, Hu.n_states))])
+        C_u = np.hstack([np.zeros((Hu.n_outputs, Hx.n_states)), Hu.C])
+    C_R = C_x @ A_c - A @ C_x - B2 @ C_u
+    worst = float(np.max(np.abs(C_x @ B_c - B2 @ Hu.D - rhs), initial=0.0))
+    b_norms = np.linalg.norm(B_c, axis=0)
+    for cols, Q in _column_subspaces(A_c, B_c):
+        # ||C_R[i] Q_j|| for every row i and every column j of the group
+        response = np.linalg.norm(np.matmul(C_R, Q), axis=2)
+        worst = max(worst, float(np.max(b_norms[cols] * np.max(response, axis=1, initial=0.0))))
+    return worst
+
+
+def check_affine_constraint(cl, plant):
+    """Residual of (sI - A) phi_x - B2 phi_u = I, decided on realizations.
+
+    Both maps must be strictly proper (ConstraintViolated otherwise).  The
+    number returned is ``_affine_residual``'s: zero up to rounding exactly
+    when the identity holds.
+    """
+    return _affine_residual(
+        _realization(cl.phi_x, "phi_x"),
+        _realization(cl.phi_u, "phi_u"),
+        plant.A,
+        plant.B2,
+        np.eye(plant.n),
+    )
+
+
+def _row_realization(H, name, strict=True):
+    """Realization of a closed-loop map, states grouped by row.
 
     A and C are block diagonal over the output rows, and B is zero on
     every entry that ``transfer_support`` calls zero, so the realization
@@ -257,9 +277,10 @@ def _row_realization(H, name):
     by entry.  A state-space map is restricted, row by row, to the
     observable subspace of that row (grown for all rows in one batched
     pass) and then to the reachable subspace of the inputs the row
-    responds to.
+    responds to; its feedthrough is kept.  The map must be strictly
+    proper, or, when not ``strict``, proper.
     """
-    R = _strictly_proper_realization(H, name)
+    R = _realization(H, name, strict)
     if isinstance(H, RationalMatrix):
         return R
     row_part, col_part = _transfer_partitions(H)
@@ -278,7 +299,7 @@ def _row_realization(H, name):
         scipy.linalg.block_diag(*(A for A, _, _ in blocks)),
         np.vstack([B for _, B, _ in blocks]),
         scipy.linalg.block_diag(*(c for _, _, c in blocks)),
-        np.zeros(H.shape),
+        H.D,
         state_partition=Partition(
             tuple(int(sizes[lo:hi].sum()) for lo, hi in zip(offsets, offsets[1:]))
         ),
@@ -300,6 +321,14 @@ def _derivative(R):
     )
 
 
+def _require_unit_feedthrough(R, name):
+    """Raise unless s * H tends to the identity: its feedthrough C B, on a strictly proper R."""
+    if np.max(np.abs(R.C @ R.B - np.eye(R.n_outputs))) > 1e-7:
+        raise ConstraintViolated(
+            f"s * {name} does not tend to the identity; the affine constraint fails"
+        )
+
+
 def recover_controller_sf(cl):
     """Controller K = phi_u phi_x^-1 achieving a state-feedback closed-loop pair.
 
@@ -309,8 +338,8 @@ def recover_controller_sf(cl):
     inverse and s phi_u is compressed to a minimal realization, which is
     returned; rational maps are realized first.
     """
-    s_phi_x = _derivative(_strictly_proper_realization(cl.phi_x, "phi_x"))
-    s_phi_u = _derivative(_strictly_proper_realization(cl.phi_u, "phi_u"))
+    s_phi_x = _derivative(_realization(cl.phi_x, "phi_x"))
+    s_phi_u = _derivative(_realization(cl.phi_u, "phi_u"))
     try:
         inv = inverse(s_phi_x)
     except IllPosedFeedback as exc:
@@ -331,12 +360,7 @@ def implementation_realization_sf(cl, pattern=None):
     """
     Rx = _row_realization(cl.phi_x, "phi_x")
     Ru = _row_realization(cl.phi_u, "phi_u")
-    n = Rx.n_outputs
-    CxBx = Rx.C @ Rx.B
-    if np.max(np.abs(CxBx - np.eye(n))) > 1e-7:
-        raise ConstraintViolated(
-            "s * phi_x does not tend to the identity; the affine constraint fails"
-        )
+    _require_unit_feedthrough(Rx, "phi_x")
     CxAx = Rx.C @ Rx.A
     CuAu = Ru.C @ Ru.A
     Du0 = Ru.C @ Ru.B  # feedthrough of s * phi_u
@@ -365,175 +389,93 @@ def implementation_realization_sf(cl, pattern=None):
     return impl, witness
 
 
-def output_feedback_closed_loops(plant, K):
-    """Closed-loop four-tuple for u = K y, evaluated per frequency."""
+_OF_MAPS = ("phi_xx", "phi_xy", "phi_ux", "phi_uy")
+
+
+def _of_realizations(cl4, realize):
+    """The four output-feedback maps through ``realize``; only phi_uy may be proper."""
+    return [realize(getattr(cl4, name), name, name != "phi_uy") for name in _OF_MAPS]
+
+
+def check_of_constraints(cl4, plant):
+    """Largest residual of the two output-feedback affine rows, decided on realizations.
+
+    The left row (sI - A) [phi_xx phi_xy] - B2 [phi_ux phi_uy] = [I 0] is
+    two calls of ``_affine_residual``.  The right row
+    [phi_xx; phi_ux] (sI - A) - [phi_xy; phi_uy] C2 = [I; 0] is the left
+    form on transposes, with (A', C2') in place of (A, B2).
+    """
     if plant.C2 is None:
         raise ValueError("plant needs a measurement channel C2 for output feedback")
     A, B2, C2 = plant.A, plant.B2, plant.C2
-    n = A.shape[0]
-    n_u = B2.shape[1]
-    n_y = C2.shape[0]
-    K_eval = _controller_evaluator(K)
-
-    def resolvent(s):
-        Ks = K_eval(s)
-        M = s * np.eye(n) - A - B2 @ Ks @ C2
-        if np.linalg.cond(M) > 1e12:
-            raise SingularAtS(f"closed loop singular at s = {s}")
-        return np.linalg.inv(M), Ks
-
-    def fxx(s):
-        R, _ = resolvent(s)
-        return R
-
-    def fxy(s):
-        R, Ks = resolvent(s)
-        return R @ B2 @ Ks
-
-    def fux(s):
-        R, Ks = resolvent(s)
-        return Ks @ C2 @ R
-
-    def fuy(s):
-        R, Ks = resolvent(s)
-        return Ks + Ks @ C2 @ R @ B2 @ Ks
-
-    return OutputFeedbackClosedLoops(
-        FrequencyResponse((n, n), fxx, "phi_xx"),
-        FrequencyResponse((n, n_y), fxy, "phi_xy"),
-        FrequencyResponse((n_u, n), fux, "phi_ux"),
-        FrequencyResponse((n_u, n_y), fuy, "phi_uy"),
+    xx, xy, ux, uy = _of_realizations(cl4, _realization)
+    n = plant.n
+    return max(
+        _affine_residual(xx, ux, A, B2, np.eye(n)),
+        _affine_residual(xy, uy, A, B2, np.zeros((n, xy.n_inputs))),
+        _affine_residual(_transpose(xx), _transpose(xy), A.T, C2.T, np.eye(n)),
+        _affine_residual(_transpose(ux), _transpose(uy), A.T, C2.T, np.zeros((n, ux.n_outputs))),
     )
 
 
-def check_of_constraints(cl4, plant, n_samples=7, seed=0):
-    """Max residual of both output-feedback affine rows over random samples."""
-    if plant.C2 is None:
-        raise ValueError("plant needs a measurement channel C2 for output feedback")
-    A, B2, C2 = plant.A, plant.B2, plant.C2
-    n = A.shape[0]
-    worst = 0.0
-    evaluated = 0
-    for s in sample_points(n_samples, seed):
-        try:
-            pxx, pxy, pux, puy = cl4.evaluate(s)
-        except SingularAtS:
-            continue
-        evaluated += 1
-        sIA = s * np.eye(n) - A
-        r1 = sIA @ pxx - B2 @ pux - np.eye(n)
-        r2 = sIA @ pxy - B2 @ puy
-        r3 = pxx @ sIA - pxy @ C2 - np.eye(n)
-        r4 = pux @ sIA - puy @ C2
-        worst = max(
-            worst,
-            float(
-                max(
-                    np.max(np.abs(r1)),
-                    np.max(np.abs(r2)),
-                    np.max(np.abs(r3)),
-                    np.max(np.abs(r4)),
-                )
-            ),
-        )
-    _require_samples(evaluated, n_samples)
-    return worst
+def _of_controller(xx, xy, ux, uy):
+    """phi_uy - (s phi_ux) (1/s) (s phi_xx)^-1 (s phi_xy) from realizations of the maps.
+
+    (1/s) (s phi_xx)^-1 = (1/s^2) phi_xx^-1 integrates the inverse of
+    s phi_xx = (A, B, C A, C B), whose feedthrough C B is the identity on
+    achievable loops (ConstraintViolated otherwise).  Every block of the
+    cascade keeps its output map, so row-grouped realizations give a
+    controller inside the pattern sparsity.  The states are stacked as
+    [phi_xy, phi_xx, integrator, phi_ux, phi_uy].
+    """
+    _require_unit_feedthrough(xx, "phi_xx")
+    n = xx.n_outputs
+    Ax, Bx = xx.A, xx.B
+    CxAx = xx.C @ Ax
+    nxx = xx.n_states
+    L = StateSpace(
+        np.block([[Ax, Bx], [-CxAx @ Ax, -CxAx @ Bx]]),
+        np.vstack([np.zeros((nxx, n)), np.eye(n)]),
+        np.hstack([np.zeros((n, nxx)), np.eye(n)]),
+        np.zeros((n, n)),
+    )
+    T = series(series(_derivative(xy), L), _derivative(ux))
+    T_neg = StateSpace(
+        T.A, T.B, -T.C, -T.D, in_partition=xy.in_partition, out_partition=uy.out_partition
+    )
+    return parallel(T_neg, uy)
 
 
 def recover_controller_of(cl4):
-    """Output-feedback controller phi_uy - phi_ux phi_xx^-1 phi_xy."""
-
-    def fn(s):
-        pxx, pxy, pux, puy = cl4.evaluate(s)
-        if np.linalg.cond(pxx) > 1e12:
-            raise SingularPhiXX(f"state-on-state closed loop singular at s = {s}")
-        return puy - pux @ np.linalg.inv(pxx) @ pxy
-
-    shape = None
-    if hasattr(cl4.phi_uy, "shape"):
-        shape = cl4.phi_uy.shape
-    return FrequencyResponse(shape, fn, "recovered output-feedback controller")
+    """Output-feedback controller phi_uy - phi_ux phi_xx^-1 phi_xy, minimally realized."""
+    return minimal_realization(_of_controller(*_of_realizations(cl4, _realization)))
 
 
 def of_structured_implementation(cl4, pattern):
     """Structured internal realization of the output-feedback controller.
 
-    Builds the cascade  - s phi_ux o (1/s^2) phi_xx^-1 o s phi_xy  in
-    parallel with phi_uy from per-entry realizations.  All blocks of the
+    The cascade of ``_of_controller`` on row-grouped realizations of the
+    four maps, with its states regrouped by node.  All blocks of the
     cascade have block-diagonal output maps, so the interconnection stays
     inside the pattern sparsity.
 
     Returns (system, witness).
     """
-    maps = {}
-    for name in ("phi_xx", "phi_xy", "phi_ux", "phi_uy"):
-        val = getattr(cl4, name)
-        _realizable(val, name)
-        maps[name] = val if isinstance(val, RationalMatrix) else tf_of(val)
-    for name in ("phi_xx", "phi_xy", "phi_ux"):
-        if not maps[name].is_strictly_proper():
-            raise ConstraintViolated(f"{name} must be strictly proper")
-    if not maps["phi_uy"].is_proper():
-        raise ConstraintViolated("phi_uy must be proper")
-    for name in ("phi_xx", "phi_xy", "phi_ux", "phi_uy"):
-        H = maps[name]
-        pat_check = _pattern_for(pattern, H)
-        if not is_tf_structured(H, pat_check):
+    xx, xy, ux, uy = _of_realizations(cl4, _row_realization)
+    for name in _OF_MAPS:
+        H = getattr(cl4, name)
+        if not is_tf_structured(H, _pattern_for(pattern, H)):
             raise NotTFStructured(f"{name} does not conform to the pattern")
-    Rxx = realize_rational(maps["phi_xx"], "rows")
-    Rxy = realize_rational(maps["phi_xy"], "rows")
-    Rux = realize_rational(maps["phi_ux"], "rows")
-    Ruy = realize_rational(maps["phi_uy"], "rows")
-    n = maps["phi_xx"].shape[0]
-    if np.max(np.abs(Rxx.C @ Rxx.B - np.eye(n))) > 1e-7:
-        raise ConstraintViolated(
-            "s * phi_xx does not tend to the identity; the affine constraint fails"
-        )
-    x_part = maps["phi_xx"].row_partition
-
-    # (1/s^2) phi_xx^-1 realization: integrate the inverse of s * phi_xx.
-    Ax, Bx, Cx = Rxx.A, Rxx.B, Rxx.C
-    CxAx = Cx @ Ax
-    nxx = Rxx.n_states
-    A_L = np.block([[Ax, Bx], [-CxAx @ Ax, -CxAx @ Bx]])
-    B_L = np.vstack([np.zeros((nxx, n)), np.eye(n)])
-    C_L = np.hstack([np.zeros((n, nxx)), np.eye(n)])
-    L = StateSpace(
-        A_L,
-        B_L,
-        C_L,
-        np.zeros((n, n)),
-        in_partition=x_part,
-        out_partition=x_part,
-    )
-    L = interleave_node_states(L, [Rxx.state_partition, x_part])
-
-    s_phi_xy = _derivative(Rxy)
-    s_phi_ux = _derivative(Rux)
-    T = series(series(s_phi_xy, L), s_phi_ux)
-    T_neg = StateSpace(
-        T.A,
-        T.B,
-        -T.C,
-        -T.D,
-        state_partition=T.state_partition,
-        in_partition=T.in_partition,
-        out_partition=T.out_partition,
-    )
-    impl = parallel(T_neg, Ruy)
-    impl = interleave_node_states(
-        impl,
-        [Rxy.state_partition, L.state_partition, Rux.state_partition, Ruy.state_partition],
-    )
-    impl.in_partition = maps["phi_xy"].col_partition
-    impl.out_partition = maps["phi_uy"].row_partition
-    witness = check_realization_structure(impl, _pattern_for(pattern, maps["phi_uy"]))
+    groups = [xy.state_partition, xx.state_partition, xx.out_partition]
+    groups += [ux.state_partition, uy.state_partition]
+    impl = interleave_node_states(_of_controller(xx, xy, ux, uy), groups)
+    witness = check_realization_structure(impl, _pattern_for(pattern, cl4.phi_uy))
     return impl, witness
 
 
 def _pattern_for(pattern, H):
     """Pattern with the same graph but partitions matching H's shape."""
-    return StructurePattern(pattern.graph, H.row_partition, H.col_partition)
+    return StructurePattern(pattern.graph, *_transfer_partitions(H))
 
 
 @dataclass(frozen=True)
@@ -544,13 +486,15 @@ class RelativeEquivalence:
     phi_u_relative: bool
 
 
-def check_relative_equivalence(plant, K, n_samples=5, seed=0, tol=1e-8):
+def check_relative_equivalence(plant, K):
     """Check that K 1 = 0 and phi_u 1 = 0 agree for a relative-drift plant.
 
     The plant drift must annihilate the all-ones vector and B2 must have
     full row rank; under those hypotheses the two conditions are
-    equivalent, and ConsistencyCheckFailed is raised when the sampled flags
-    differ.
+    equivalent, and ConsistencyCheckFailed is raised when the flags
+    differ.  Both flags come from ``relative.is_relative``, which decides
+    a rational gain or a realization exactly; phi_u is judged on the
+    realization ``closed_loops_of`` builds.
     """
     n = plant.n
     ones = np.ones(n)
@@ -559,19 +503,8 @@ def check_relative_equivalence(plant, K, n_samples=5, seed=0, tol=1e-8):
         raise HypothesisViolated("plant drift does not annihilate the ones vector")
     if np.linalg.matrix_rank(plant.B2) < n:
         raise HypothesisViolated("B2 must have full row rank")
-    K_eval = _controller_evaluator(K)
-    k_rel = True
-    phi_rel = True
-    for s in sample_points(n_samples, seed):
-        Ks = K_eval(s)
-        k_scale = max(np.max(np.abs(Ks)), 1.0)
-        if np.max(np.abs(Ks @ ones)) > tol * k_scale:
-            k_rel = False
-        M = s * np.eye(n) - plant.A - plant.B2 @ Ks
-        phi_u = Ks @ np.linalg.inv(M)
-        pu_scale = max(np.max(np.abs(phi_u)), 1.0)
-        if np.max(np.abs(phi_u @ ones)) > tol * pu_scale:
-            phi_rel = False
+    k_rel = bool(is_relative(K))
+    phi_rel = bool(is_relative(closed_loops_of(plant, K).phi_u))
     if k_rel != phi_rel:
         raise ConsistencyCheckFailed(
             f"relative feedback equivalence violated: K relative is {k_rel}, "

@@ -3,7 +3,7 @@
 Systems are kept alongside block partitions of their state, input and
 output dimensions so that sparsity checks can be made per node.
 Interconnections never reduce their realizations: non-minimal modes are
-harmless for the evaluation-based checks used throughout and keeping
+harmless for the subspace-based checks used throughout and keeping
 them makes the realizations predictable; ``minimal_realization`` reduces
 one on request.  Reachable (Krylov) subspaces decide which transfer
 entries vanish (``structure.transfer_support``), so structure and
@@ -797,23 +797,3 @@ def interleave_node_states(sys, groups):
     out.state_partition = Partition(node_sizes)
     return out
 
-
-class FrequencyResponse:
-    """Transfer matrix given only through point evaluation."""
-
-    def __init__(self, shape, fn, description=""):
-        self.shape = tuple(shape)
-        self._fn = fn
-        self.description = description
-
-    def evaluate(self, s):
-        out = np.asarray(self._fn(s), dtype=complex)
-        if out.shape != self.shape:
-            raise ValueError(
-                f"frequency response returned shape {out.shape}, expected {self.shape}"
-            )
-        return out
-
-    def __repr__(self):
-        tag = f" {self.description}" if self.description else ""
-        return f"FrequencyResponse(shape={self.shape}{tag})"

@@ -192,6 +192,30 @@ def test_rational_decompose_keeps_complex_gains():
         np.testing.assert_allclose(form.row_gain(r, s), want[r], rtol=0.0, atol=1e-12)
 
 
+def test_static_checks_keep_complex_gains():
+    # an imaginary part is part of the row sum, for arrays and lists alike
+    assert not is_relative(np.array([[1j, 0.0]]))
+    assert not is_relative([[1j, 0.0]])
+    assert is_relative([[1j, -1j], [2.0 + 1j, -2.0 - 1j]])
+    k = np.array([1.0 + 2.0j, -1.0 - 2.0j])
+    M = relative_decompose(k, path_graph(2))
+    np.testing.assert_allclose(M.sum(axis=1), k, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(edge_sum_operator(M), k, rtol=0.0, atol=1e-12)
+    with pytest.raises(NotRelative):
+        relative_decompose([1j, 0.0], path_graph(2))
+
+
+def test_static_checks_read_real_gains_as_real(rng):
+    # a real gain, or a complex one with no imaginary part, stays on the real route
+    k = rng.standard_normal(5)
+    k -= k.mean()
+    graph = ring_graph(5)
+    M = relative_decompose(k, graph)
+    assert M.dtype == float
+    assert np.array_equal(relative_decompose(k.astype(complex), graph), M)
+    assert np.array_equal(edge_sum_adjoint(graph, k.astype(complex)), edge_sum_adjoint(graph, k))
+
+
 def test_pairwise_form_json_terms():
     g = ring_graph(4)
     form = relative_decompose_rational(

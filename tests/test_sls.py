@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     chain3_controller,
     chain3_phi_u,
@@ -14,8 +17,6 @@ from locrel.errors import (
     ConstraintViolated,
     HypothesisViolated,
     NoRealization,
-    NoSamplesEvaluated,
-    SingularAtS,
     SingularPhiX,
 )
 from locrel.consensus import proper_approximation, static_consensus_gain
@@ -35,9 +36,8 @@ from locrel.sls import (
     output_feedback_closed_loops,
     recover_controller_of,
     recover_controller_sf,
-    sample_points,
 )
-from locrel.statespace import StateSpace, tf_of
+from locrel.statespace import StateSpace, parallel, series, tf_of
 from locrel.structure import transfer_support
 
 
@@ -62,11 +62,8 @@ CHAIN_K1_TIMES_23 = np.array(
 )
 
 
-def test_sample_points_deterministic():
-    assert sample_points(5, 3) == sample_points(5, 3)
-    for s in sample_points(7, 0):
-        assert 0.5 <= s.real <= 3.0
-        assert abs(s.imag) <= 3.0
+# fixed right-half-plane probe points, off every stable pole
+PROBES = (1.0, 0.5 + 2.0j, 3.0 - 1.0j, 0.2 - 0.7j, 2.5 + 0.3j)
 
 
 def test_chain_closed_loops_match_design():
@@ -81,17 +78,108 @@ def test_chain_pair_satisfies_affine_constraint():
     assert check_affine_constraint(chain_pair(), chain_plant()) < 1e-9
 
 
-def test_affine_constraint_flags_perturbation():
+def bumped_chain_pair():
+    """The chain design with 0.1 / s added to phi_u[0, 1]."""
     phi_u = chain3_phi_u()
     bumped = [[phi_u[i, j] for j in range(3)] for i in range(3)]
     bumped[0][1] = bumped[0][1] + RationalEntry([0.1], [0.0, 1.0])
-    cl = ClosedLoopPair(chain3_phi_x(), RationalMatrix(bumped))
-    assert check_affine_constraint(cl, chain_plant()) > 0.05
+    return ClosedLoopPair(chain3_phi_x(), RationalMatrix(bumped))
+
+
+def test_affine_constraint_flags_perturbation():
+    assert check_affine_constraint(bumped_chain_pair(), chain_plant()) > 0.05
+
+
+def sympy_matrix(H, s):
+    """A rational matrix in exact arithmetic; its coefficients are short decimals."""
+
+    def poly(coeffs):
+        return sum(sympy.nsimplify(float(c), rational=True) * s**k for k, c in enumerate(coeffs))
+
+    return sympy.Matrix([[poly(e.num) / poly(e.den) for e in row] for row in H.entries])
+
+
+def test_chain_residuals_in_exact_arithmetic():
+    # (sI - A) phi_x - B2 phi_u - I with A = 0 and B2 = I, simplified by sympy
+    s = sympy.symbols("s")
+
+    def residual(cl):
+        px, pu = sympy_matrix(cl.phi_x, s), sympy_matrix(cl.phi_u, s)
+        return (s * px - pu - sympy.eye(3)).applyfunc(sympy.simplify)
+
+    assert residual(chain_pair()) == sympy.zeros(3, 3)
+    want = sympy.zeros(3, 3)
+    want[0, 1] = -sympy.Rational(1, 10) / s
+    assert residual(bumped_chain_pair()) == want
+    # the exact check reads the first as zero and the second as at least
+    # the leading coefficient of its residual, 0.1
+    assert check_affine_constraint(chain_pair(), chain_plant()) < 1e-12
+    assert check_affine_constraint(bumped_chain_pair(), chain_plant()) >= 0.1 * (1 - 1e-9)
+
+
+def stable_matrix(rng, n):
+    X = rng.standard_normal((n, n))
+    return X - (np.max(np.linalg.eigvals(X).real) + rng.uniform(0.5, 2.0)) * np.eye(n)
+
+
+def random_controller(rng, n_states, n_out, n_in):
+    """A static gain (no states) or a stable StateSpace controller."""
+    if n_states == 0:
+        return rng.standard_normal((n_out, n_in))
+    return StateSpace(
+        stable_matrix(rng, n_states),
+        rng.standard_normal((n_states, n_in)),
+        rng.standard_normal((n_out, n_states)),
+        rng.standard_normal((n_out, n_in)),
+    )
+
+
+@st.composite
+def state_feedback_cases(draw):
+    """A stable plant, B2 = I or random, under a static or 1-2 state controller."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    m = n if draw(st.booleans()) else draw(st.integers(1, n))
+    B2 = np.eye(n) if m == n and draw(st.booleans()) else rng.standard_normal((n, m))
+    plant = Plant(stable_matrix(rng, n), np.eye(n), B2)
+    K = random_controller(rng, draw(st.integers(0, 2)), m, n)
+    entry = (draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1)))
+    return plant, K, entry
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_feedback_cases(), st.floats(1e-4, 1.0), st.floats(0.1, 5.0))
+def test_exact_affine_residual_property(case, eps, pole):
+    plant, K, (i, j) = case
+    cl = closed_loops_of(plant, K)
+    scale = 1.0 + np.max(np.abs(cl.phi_x.A))
+    assert check_affine_constraint(cl, plant) <= 1e-9 * scale
+    # the same phi_u on the same A but another B is a second realization
+    pu = cl.phi_u
+    split = ClosedLoopPair(cl.phi_x, StateSpace(pu.A, 2.0 * pu.B, pu.C / 2.0, pu.D))
+    assert check_affine_constraint(split, plant) <= 1e-9 * scale
+    # eps / (s + pole) on phi_u[i, j] leaves the residual -B2[:, i] eps / (s + pole) e_j',
+    # whose leading coefficient is eps times column i of B2
+    n, m = plant.n, plant.n_inputs
+    bump = StateSpace([[-pole]], np.eye(1, n, j), eps * np.eye(m, 1, -i), np.zeros((m, n)))
+    bumped = ClosedLoopPair(cl.phi_x, parallel(cl.phi_u, bump))
+    floor = eps * np.max(np.abs(plant.B2[:, i]))
+    assert check_affine_constraint(bumped, plant) >= floor * (1 - 1e-6)
+    # eps / (s + pole)^2 has no leading coefficient, but both of its states
+    # are reachable, so the reading keeps the same floor
+    b, c = np.outer([0.0, 1.0], np.eye(n)[j]), np.outer(eps * np.eye(m)[i], [1.0, 0.0])
+    bump = StateSpace([[-pole, 1.0], [0.0, -pole]], b, c, np.zeros((m, n)))
+    bumped = ClosedLoopPair(cl.phi_x, parallel(cl.phi_u, bump))
+    assert check_affine_constraint(bumped, plant) >= floor * (1 - 1e-6)
+    # (1 + eps) phi_x leaves eps (sI - A) phi_x, whose feedthrough is eps I
+    px = cl.phi_x
+    scaled = ClosedLoopPair(StateSpace(px.A, px.B, (1 + eps) * px.C, px.D), cl.phi_u)
+    assert check_affine_constraint(scaled, plant) >= eps * (1 - 1e-6)
 
 
 def test_affine_constraint_flags_improper_pair():
     # phi_x = I/s + E and phi_u = s E satisfy the affine identity exactly
-    # but are not strictly proper; the decay probe must reject them
+    # but are not strictly proper, so no controller achieves them
     n = 3
     E = 0.2
     px = [
@@ -103,7 +191,8 @@ def test_affine_constraint_flags_improper_pair():
     ]
     pu = [[RationalEntry([0.0, E]) for _ in range(n)] for _ in range(n)]
     cl = ClosedLoopPair(RationalMatrix(px), RationalMatrix(pu))
-    assert check_affine_constraint(cl, chain_plant()) >= 1.0
+    with pytest.raises(ConstraintViolated):
+        check_affine_constraint(cl, chain_plant())
 
 
 def test_recovered_chain_controller_matches_closed_form():
@@ -127,14 +216,14 @@ def test_recovery_round_trip_static(rng):
         cl = closed_loops_of(plant, K0)
         K = recover_controller_sf(cl)
         assert isinstance(K, StateSpace)
-        for s in sample_points(4, 11):
+        for s in PROBES[:4]:
             assert np.max(np.abs(K.evaluate(s) - K0)) < 1e-8
 
 
 def test_recovery_of_zero_controller():
     plant = chain_plant()
     K = recover_controller_sf(closed_loops_of(plant, np.zeros((3, 3))))
-    for s in sample_points(3, 2):
+    for s in PROBES[:3]:
         assert np.max(np.abs(K.evaluate(s))) < 1e-12
 
 
@@ -147,7 +236,7 @@ def test_recovery_round_trip_dynamic(rng):
         cl = closed_loops_of(plant, K0)
         K = recover_controller_sf(cl)
         assert isinstance(K, StateSpace)
-        for s in sample_points(4, 5):
+        for s in PROBES[:4]:
             ref = K0.evaluate(s)
             assert np.max(np.abs(K.evaluate(s) - ref)) < 1e-8 * (
                 1.0 + np.max(np.abs(ref))
@@ -199,7 +288,6 @@ def test_implementation_rejects_improper_loops():
 
 
 RING_POLE = -10.0
-PROBES = (1.0, 0.5 + 2.0j, 3.0 - 1.0j, 0.2 - 0.7j, 2.5 + 0.3j)
 
 
 def ring_case(n):
@@ -289,19 +377,24 @@ def test_ring_recovery_is_minimal_and_reproduces_loops(n):
             assert relative_error(got, want) < 1e-9
 
 
-def test_frequency_form_loops_have_no_realization():
+def test_output_feedback_loops_of_minus_identity_implement_and_recover():
     plant = Plant(
         A=-np.eye(2), B1=np.eye(2), B2=np.eye(2), C2=np.eye(2)
     )
     cl4 = output_feedback_closed_loops(plant, -np.eye(2))
     pattern = StructurePattern.scalar(Graph(np.ones((2, 2), dtype=bool)))
-    with pytest.raises(NoRealization):
-        of_structured_implementation(cl4, pattern)
+    impl, witness = of_structured_implementation(cl4, pattern)
+    assert witness.structured
+    K = recover_controller_of(cl4)
+    assert isinstance(K, StateSpace) and K.n_states == 0
+    # with C2 = I the state-on-state and input-on-state maps are the
+    # state-feedback pair of the same gain
     pair = ClosedLoopPair(cl4.phi_xx, cl4.phi_ux)
-    with pytest.raises(NoRealization):
-        implementation_realization_sf(pair, pattern)
-    with pytest.raises(NoRealization):
-        recover_controller_sf(pair)
+    sf_impl, _ = implementation_realization_sf(pair, pattern)
+    for s in PROBES:
+        for got in (impl.evaluate(s), K.evaluate(s), sf_impl.evaluate(s)):
+            assert np.max(np.abs(got + np.eye(2))) < 1e-9
+        assert np.max(np.abs(recover_controller_sf(pair).evaluate(s) + np.eye(2))) < 1e-9
 
 
 def scalar_of_tuple():
@@ -328,21 +421,20 @@ def test_output_feedback_constraints_scalar():
     assert check_of_constraints(cl4, scalar_of_plant()) < 1e-10
 
 
-class _SingularEverywhere:
-    """A closed-loop map with a pole at every point it is evaluated at."""
+class _ValuesOnly:
+    """A closed-loop map known only by its values."""
 
     def evaluate(self, s):
-        raise SingularAtS(f"singular at s = {s}")
+        return np.eye(1, dtype=complex) / s
 
 
-def test_sampled_checks_refuse_zero_evaluated_samples():
-    # a residual over no samples would read 0.0, a pass
-    sing = _SingularEverywhere()
-    with pytest.raises(NoSamplesEvaluated):
-        check_affine_constraint(ClosedLoopPair(sing, sing), chain_plant())
-    with pytest.raises(NoSamplesEvaluated):
+def test_exact_checks_reject_an_object_with_no_realization():
+    only = _ValuesOnly()
+    with pytest.raises(NoRealization):
+        check_affine_constraint(ClosedLoopPair(only, only), scalar_of_plant())
+    with pytest.raises(NoRealization):
         check_of_constraints(
-            OutputFeedbackClosedLoops(sing, sing, sing, sing), scalar_of_plant()
+            OutputFeedbackClosedLoops(only, only, only, only), scalar_of_plant()
         )
 
 
@@ -359,7 +451,7 @@ def test_output_feedback_constraints_random_static(rng):
         cl4 = output_feedback_closed_loops(plant, K0)
         assert check_of_constraints(cl4, plant) < 1e-9
         K = recover_controller_of(cl4)
-        for s in sample_points(3, 7):
+        for s in PROBES[:3]:
             assert np.max(np.abs(K.evaluate(s) - K0)) < 1e-7
 
 
@@ -455,3 +547,97 @@ def test_static_gain_on_two_state_nodes_gets_the_node_partition():
     # a gain of the wrong shape keeps its error
     with pytest.raises(ValueError, match="controller maps"):
         closed_loops_of(plant, np.zeros((8, 6)))
+
+
+def dense_of_loops(plant, K_of):
+    """The four output-feedback maps at s from the dense resolvent: a test-only oracle."""
+    A, B2, C2 = plant.A, plant.B2, plant.C2
+
+    def at(s):
+        Ks = K_of(s)
+        R = np.linalg.inv(s * np.eye(plant.n) - A - B2 @ Ks @ C2)
+        return R, R @ B2 @ Ks, Ks @ C2 @ R, Ks + Ks @ C2 @ R @ B2 @ Ks
+
+    return at
+
+
+def dense_of_residual(plant, maps, s):
+    """Largest entry of the left and of the right output-feedback affine row at s."""
+    pxx, pxy, pux, puy = maps
+    sIA = s * np.eye(plant.n) - plant.A
+    left = (
+        sIA @ pxx - plant.B2 @ pux - np.eye(plant.n),
+        sIA @ pxy - plant.B2 @ puy,
+    )
+    right = (
+        pxx @ sIA - pxy @ plant.C2 - np.eye(plant.n),
+        pux @ sIA - puy @ plant.C2,
+    )
+    return tuple(max(float(np.max(np.abs(r))) for r in row) for row in (left, right))
+
+
+def test_output_feedback_maps_match_dense_oracle(rng):
+    for trial in range(6):
+        n = int(rng.integers(2, 5))
+        n_u, n_y = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+        plant = Plant(
+            A=stable_matrix(rng, n),
+            B1=np.eye(n),
+            B2=rng.standard_normal((n, n_u)),
+            C2=rng.standard_normal((n_y, n)),
+        )
+        K0 = random_controller(rng, 2 * (trial % 2), n_u, n_y)
+        K_of = K0.evaluate if isinstance(K0, StateSpace) else lambda s, K0=K0: K0
+        cl4 = output_feedback_closed_loops(plant, K0)
+        oracle = dense_of_loops(plant, K_of)
+        for s in PROBES:
+            for got, want in zip(cl4.evaluate(s), oracle(s)):
+                assert relative_error(got, want) < 1e-9
+        assert check_of_constraints(cl4, plant) < 1e-9
+        K = recover_controller_of(cl4)
+        assert K.n_states == 2 * (trial % 2)
+        for s in PROBES:
+            assert relative_error(K.evaluate(s), K_of(s)) < 1e-9
+        # eps / (s + 1) from measurement j to input i (delta) or to state k (gamma)
+        i, j, k, eps = int(rng.integers(n_u)), int(rng.integers(n_y)), int(rng.integers(n)), 0.01
+        lag = [[-1.0]], np.eye(1, n_y, j)
+        delta = StateSpace(*lag, eps * np.eye(n_u, 1, -i), np.zeros((n_u, n_y)))
+        gamma = StateSpace(*lag, eps * np.eye(n, 1, -k), np.zeros((n, n_y)))
+        resolvent_b2 = StateSpace(plant.A, plant.B2, np.eye(n), np.zeros((n, n_u)))
+        c2_resolvent = StateSpace(plant.A, np.eye(n), plant.C2, np.zeros((n_y, n)))
+        xx, xy, ux, uy = cl4.phi_xx, cl4.phi_xy, cl4.phi_ux, cl4.phi_uy
+        c2_j, b2_i = np.max(np.abs(plant.C2[j])), np.max(np.abs(plant.B2[:, i]))
+        cases = (
+            # phi_uy + delta breaks the left row by -B2 delta and the right by
+            # -delta C2: leading coefficients eps B2[:, i] and eps C2[j]
+            (xx, xy, ux, parallel(uy, delta), eps * max(b2_i, c2_j), (True, True)),
+            # adding (sI - A)^-1 B2 delta to phi_xy too keeps the left row, and
+            # the right row still breaks by -delta C2
+            (
+                xx,
+                parallel(xy, series(delta, resolvent_b2)),
+                ux,
+                parallel(uy, delta),
+                eps * c2_j,
+                (False, True),
+            ),
+            # gamma on phi_xy and gamma C2 (sI - A)^-1 on phi_xx keep the right row,
+            # and the left row breaks by (sI - A) gamma, whose feedthrough is eps
+            (
+                parallel(xx, series(c2_resolvent, gamma)),
+                parallel(xy, gamma),
+                ux,
+                uy,
+                eps,
+                (True, False),
+            ),
+        )
+        for *maps, floor, broken in cases:
+            bumped = OutputFeedbackClosedLoops(*maps)
+            assert check_of_constraints(bumped, plant) >= floor * (1 - 1e-6)
+            dense = np.array([dense_of_residual(plant, bumped.evaluate(s), s) for s in PROBES])
+            for side in range(2):
+                if broken[side]:
+                    assert np.max(dense[:, side]) > 1e-4 * floor
+                else:
+                    assert np.max(dense[:, side]) < 1e-9

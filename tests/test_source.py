@@ -22,6 +22,24 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert or AssertionError in the package: {found}"
 
 
+def test_package_draws_no_random_numbers():
+    # a verdict that rests on random samples depends on where they fall;
+    # every check in the package is decided from its realization instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
+            if any(name and name.split(".")[-1] in ("random", "default_rng") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"random number use in the package: {found}"
+
+
 def test_traced_benchmark_names_resolve():
     # the benchmark's traced run wraps these functions by name, so renaming
     # or removing one breaks it; read the list without running the script
