@@ -5,6 +5,9 @@ of transfer matrices, affine closed-loop parameterizations with
 controller recovery and structured implementations, relative (pairwise
 difference) feedback, infeasibility certificates for localized consensus
 design on rings, and the spatially invariant picture on discrete tori.
+
+The package and its CLI import numpy only: scipy takes most of a cold
+start, and only ``statespace.h2_norm_squared`` loads it, when called.
 """
 
 from .errors import (

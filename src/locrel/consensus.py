@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConsistencyCheckFailed,
@@ -64,6 +63,14 @@ def circulant_rank(C):
     return _symbol_rank(np.fft.fft(_check_circulant(C)[0]))
 
 
+def _difference_measure(n, shift):
+    """Circulant measure whose row i reads x_i - x_{i - shift}, indices mod n."""
+    out = np.eye(n)
+    rows = np.arange(n)
+    out[rows, (rows - shift) % n] = -1.0
+    return out
+
+
 def consensus_measures(n, kinds=None):
     """Standard consensus measures on n agents.
 
@@ -78,10 +85,7 @@ def consensus_measures(n, kinds=None):
     out = {}
     for kind in kinds:
         if kind == "le":
-            first = np.zeros(n)
-            first[0] = 1.0
-            first[-1] = -1.0
-            out["le"] = scipy.linalg.circulant(first).T
+            out["le"] = _difference_measure(n, 1)
         elif kind == "ave":
             ave = np.full((n, n), -1.0 / n)
             ave[np.diag_indices(n)] += 1.0
@@ -91,10 +95,7 @@ def consensus_measures(n, kinds=None):
                 raise OddNForLongRange(
                     "the long-range deviation measure needs an even agent count"
                 )
-            first = np.zeros(n)
-            first[0] = 1.0
-            first[n // 2] = -1.0
-            out["lr"] = scipy.linalg.circulant(first).T
+            out["lr"] = _difference_measure(n, n // 2)
         else:
             raise ValueError(f"unknown measure kind {kind!r}")
     return out

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConsistencyCheckFailed,
@@ -39,6 +38,7 @@ from .statespace import (
     StateSpace,
     _column_subspaces,
     _invariant_subspace,
+    block_diag,
     interleave_node_states,
     inverse,
     minimal_realization,
@@ -48,6 +48,7 @@ from .statespace import (
 )
 from .structure import (
     INPUT_ZERO_TOL,
+    _entry_pattern,
     _transfer_partitions,
     check_realization_structure,
     is_tf_structured,
@@ -238,7 +239,7 @@ def _affine_residual(Hx, Hu, A, B2, rhs):
     if np.array_equal(Hx.A, Hu.A) and np.array_equal(Hx.B, Hu.B):
         A_c, B_c, C_x, C_u = Hx.A, Hx.B, Hx.C, Hu.C
     else:
-        A_c = scipy.linalg.block_diag(Hx.A, Hu.A)
+        A_c = block_diag(Hx.A, Hu.A)
         B_c = np.vstack([Hx.B, Hu.B])
         C_x = np.hstack([Hx.C, np.zeros((Hx.n_outputs, Hu.n_states))])
         C_u = np.hstack([np.zeros((Hu.n_outputs, Hx.n_states)), Hu.C])
@@ -268,7 +269,7 @@ def check_affine_constraint(cl, plant):
     )
 
 
-def _row_realization(H, name, strict=True):
+def _row_realization(H, name, strict=True, support=None):
     """Realization of a closed-loop map, states grouped by row.
 
     A and C are block diagonal over the output rows, and B is zero on
@@ -278,13 +279,15 @@ def _row_realization(H, name, strict=True):
     observable subspace of that row (grown for all rows in one batched
     pass) and then to the reachable subspace of the inputs the row
     responds to; its feedthrough is kept.  The map must be strictly
-    proper, or, when not ``strict``, proper.
+    proper, or, when not ``strict``, proper.  A caller that has already
+    computed ``transfer_support(H)`` passes it as ``support``.
     """
     R = _realization(H, name, strict)
     if isinstance(H, RationalMatrix):
         return R
     row_part, col_part = _transfer_partitions(H)
-    support = transfer_support(H)
+    if support is None:
+        support = transfer_support(H)
     blocks = [None] * H.n_outputs
     # the observable subspaces of all rows grow in one batched pass
     for rows, Q in _column_subspaces(H.A.T, H.C.T):
@@ -296,9 +299,9 @@ def _row_realization(H, name, strict=True):
     sizes = np.array([A.shape[0] for A, _, _ in blocks], dtype=int)
     offsets = row_part.offsets()
     return StateSpace(
-        scipy.linalg.block_diag(*(A for A, _, _ in blocks)),
+        block_diag(*(A for A, _, _ in blocks)),
         np.vstack([B for _, B, _ in blocks]),
-        scipy.linalg.block_diag(*(c for _, _, c in blocks)),
+        block_diag(*(c for _, _, c in blocks)),
         H.D,
         state_partition=Partition(
             tuple(int(sizes[lo:hi].sum()) for lo, hi in zip(offsets, offsets[1:]))
@@ -461,10 +464,21 @@ def of_structured_implementation(cl4, pattern):
 
     Returns (system, witness).
     """
-    xx, xy, ux, uy = _of_realizations(cl4, _row_realization)
-    for name in _OF_MAPS:
-        H = getattr(cl4, name)
-        if not is_tf_structured(H, _pattern_for(pattern, H)):
+    maps = {name: getattr(cl4, name) for name in _OF_MAPS}
+    # a state-space map's support serves its row realization and its pattern check
+    supports = {
+        name: transfer_support(H) for name, H in maps.items() if isinstance(H, StateSpace)
+    }
+    xx, xy, ux, uy = _of_realizations(
+        cl4, lambda H, name, strict: _row_realization(H, name, strict, supports.get(name))
+    )
+    for name, H in maps.items():
+        map_pattern = _pattern_for(pattern, H)
+        if name in supports:
+            conforms = not np.any(supports[name] & ~_entry_pattern(map_pattern))
+        else:
+            conforms = is_tf_structured(H, map_pattern)
+        if not conforms:
             raise NotTFStructured(f"{name} does not conform to the pattern")
     groups = [xy.state_partition, xx.state_partition, xx.out_partition]
     groups += [ux.state_partition, uy.state_partition]

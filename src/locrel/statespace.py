@@ -24,7 +24,6 @@ reachable step) use ``_invariant_subspace``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     IllPosedFeedback,
@@ -186,11 +185,25 @@ def series(g, h):
     )
 
 
+def block_diag(*blocks):
+    """Block-diagonal matrix of 2-D blocks, as ``scipy.linalg.block_diag``.
+
+    A (1, 0) block adds a zero row and no column.
+    """
+    shapes = np.array([b.shape for b in blocks])
+    out = np.zeros(shapes.sum(axis=0), dtype=np.result_type(*(b.dtype for b in blocks)))
+    r = c = 0
+    for b, (rows, cols) in zip(blocks, shapes):
+        out[r : r + rows, c : c + cols] = b
+        r, c = r + rows, c + cols
+    return out
+
+
 def parallel(g, h):
     """Sum of two systems sharing inputs and outputs."""
     if g.shape != h.shape:
         raise ValueError("parallel: systems must share input/output dimensions")
-    A = scipy.linalg.block_diag(g.A, h.A)
+    A = block_diag(g.A, h.A)
     B = np.vstack([g.B, h.B])
     C = np.hstack([g.C, h.C])
     D = g.D + h.D
@@ -278,6 +291,8 @@ def h2_norm_squared(sys):
         raise NonzeroFeedthrough("H2 norm requires zero feedthrough")
     if sys.n_states == 0:
         return 0.0
+    import scipy.linalg  # the package's only scipy use; see the package docstring
+
     Q = scipy.linalg.solve_continuous_lyapunov(sys.A.T, -sys.C.T @ sys.C)
     return float(np.trace(sys.B.T @ Q @ sys.B))
 

@@ -9,6 +9,7 @@ so each node only touches its own inputs or outputs directly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,18 +87,22 @@ def _largest_magnitude(M, axis):
     return np.maximum(M.max(axis=axis, initial=0.0), -M.min(axis=axis, initial=0.0))
 
 
-def _column_supports(sys, width):
-    """Supports of the input columns, ``width`` at a time, as (width, p) masks.
+def _column_supports(sys, widths):
+    """Supports of consecutive groups of input columns, as (lo, mask) pairs.
 
-    Row j of a mask holds the outputs whose transfer entry from input j is
-    not the zero function.  The reachable subspaces of each group of input
-    columns grow together in one ``_column_subspaces`` pass.
+    The groups take their sizes from ``widths`` in turn and start at column
+    lo; row j of the (width, p) mask holds the outputs whose transfer entry
+    from input lo + j is not the zero function.  The reachable subspaces of
+    each group grow together in one ``_column_subspaces`` pass.
     """
     A, C = sys.A, sys.C
     a_norm = np.linalg.norm(A)
     c_tol = OUTPUT_ZERO_TOL * np.maximum(_largest_magnitude(C, 1), 1.0)
     n, p = sys.n_states, sys.n_outputs
-    for lo in range(0, sys.n_inputs, width):
+    lo = 0
+    for width in widths:
+        if lo >= sys.n_inputs:
+            return
         D, B = sys.D[:, lo : lo + width], sys.B[:, lo : lo + width]
         out = ((D > INPUT_ZERO_TOL) | (D < -INPUT_ZERO_TOL)).T
         live = np.flatnonzero(_largest_magnitude(B, 0) > INPUT_ZERO_TOL)
@@ -109,7 +114,8 @@ def _column_supports(sys, width):
                 g, k = Q.shape[0], Q.shape[2]
                 CQ = np.abs(C @ Q.transpose(1, 0, 2).reshape(n, g * k)).reshape(p, g, k)
                 out[live[group]] |= (np.max(CQ, axis=2, initial=0.0) > c_tol[:, None]).T
-        yield out
+        yield lo, out
+        lo += width
 
 
 def transfer_support(sys):
@@ -123,7 +129,7 @@ def transfer_support(sys):
     subspaces of all input columns grow in one batched pass
     (``statespace._column_subspaces``), in blocks of bounded memory.
     """
-    masks = list(_column_supports(sys, max(sys.n_inputs, 1)))
+    masks = [mask for _, mask in _column_supports(sys, (sys.n_inputs,))]
     return (masks[0] if masks else np.zeros((0, sys.n_outputs), dtype=bool)).T
 
 
@@ -136,6 +142,15 @@ def _transfer_partitions(H):
             raise ValueError("system partitions do not match its dimensions")
         return row, col
     return H.row_partition, H.col_partition
+
+
+def _entry_pattern(pattern):
+    """(p, m) mask of the transfer entries that sit on pattern edges."""
+    adj = pattern.graph.adjacency
+    nodes = np.arange(adj.shape[0])
+    rows = np.repeat(nodes, pattern.row_partition.block_sizes)
+    cols = np.repeat(nodes, pattern.col_partition.block_sizes)
+    return adj[np.ix_(rows, cols)]
 
 
 def is_tf_structured(H, pattern):
@@ -151,13 +166,13 @@ def is_tf_structured(H, pattern):
     ):
         raise ValueError("transfer matrix partitions do not match the pattern")
     if isinstance(H, StateSpace):
-        adj = pattern.graph.adjacency
-        rows = np.repeat(np.arange(adj.shape[0]), row_part.block_sizes)
-        cols = np.repeat(np.arange(adj.shape[0]), col_part.block_sizes)
-        allowed = adj[np.ix_(rows, cols)]
-        # column by column: the first off-pattern response settles it
+        allowed = _entry_pattern(pattern).T
+        # groups of 1, 2, 4, ... columns: the first off-pattern response
+        # settles it, and a conforming map takes about log2(m) passes
+        doubling = (1 << k for k in itertools.count())
         return not any(
-            np.any(mask[0] & ~allowed[:, j]) for j, mask in enumerate(_column_supports(H, 1))
+            np.any(mask & ~allowed[lo : lo + len(mask)])
+            for lo, mask in _column_supports(H, doubling)
         )
     ro = pattern.row_partition.offsets()
     co = pattern.col_partition.offsets()

@@ -97,6 +97,19 @@ def test_measures_long_range():
     assert np.allclose(C @ np.ones(6), 0.0)
 
 
+def test_difference_measures_match_scipy_circulant_bitwise():
+    for n in range(3, 17):
+        kinds = ("le", "lr") if n % 2 == 0 else ("le",)
+        got = consensus_measures(n, kinds=kinds)
+        for kind in kinds:
+            first = np.zeros(n)
+            first[0] = 1.0
+            first[-1 if kind == "le" else n // 2] = -1.0
+            want = scipy.linalg.circulant(first).T
+            assert got[kind].dtype == want.dtype and got[kind].shape == want.shape
+            assert got[kind].tobytes() == want.tobytes(), (n, kind)
+
+
 def test_measures_default_kinds():
     assert set(consensus_measures(6)) == {"le", "ave", "lr"}
     assert set(consensus_measures(5)) == {"le", "ave"}

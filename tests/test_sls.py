@@ -13,14 +13,24 @@ from conftest import (
     random_proper_entry,
 )
 
+import locrel.sls as sls
 from locrel.errors import (
     ConstraintViolated,
     HypothesisViolated,
     NoRealization,
+    NotTFStructured,
     SingularPhiX,
 )
 from locrel.consensus import proper_approximation, static_consensus_gain
-from locrel.graphs import Graph, Partition, StructurePattern, laplacian, path_graph, ring_graph
+from locrel.graphs import (
+    Graph,
+    Partition,
+    StructurePattern,
+    b_hops,
+    laplacian,
+    path_graph,
+    ring_graph,
+)
 from locrel.rational import RationalEntry, RationalMatrix
 from locrel.sls import (
     ClosedLoopPair,
@@ -38,7 +48,7 @@ from locrel.sls import (
     recover_controller_sf,
 )
 from locrel.statespace import StateSpace, parallel, series, tf_of
-from locrel.structure import transfer_support
+from locrel.structure import is_tf_structured, transfer_support
 
 
 def chain_plant():
@@ -501,6 +511,67 @@ def test_of_implementation_decoupled_pair():
         got = impl.evaluate(s)
         assert np.max(np.abs(got - np.diag(ks))) < 1e-8
         assert abs(got[0, 1]) < 1e-10 and abs(got[1, 0]) < 1e-10
+
+
+def ring_output_feedback_loops(n):
+    # dx = -x + u, y = x, u = K y with K the proper ring approximation
+    plant = Plant(A=-np.eye(n), B1=np.eye(n), B2=np.eye(n), C2=np.eye(n))
+    return output_feedback_closed_loops(plant, proper_approximation(n, -10.0))
+
+
+def test_of_implementation_verdict_matches_is_tf_structured():
+    n = 6
+    cl4 = ring_output_feedback_loops(n)
+    K = proper_approximation(n, -10.0)
+    maps = [cl4.phi_xx, cl4.phi_xy, cl4.phi_ux, cl4.phi_uy]
+    for graph in (ring_graph(n), b_hops(ring_graph(n), 2), b_hops(ring_graph(n), 3)):
+        pattern = StructurePattern.scalar(graph)
+        if all(is_tf_structured(H, pattern) for H in maps):
+            impl, witness = of_structured_implementation(cl4, pattern)
+            assert witness.structured
+            for s in PROBES:
+                assert relative_error(impl.evaluate(s), K.evaluate(s)) < 1e-9
+        else:
+            with pytest.raises(NotTFStructured, match="phi_xx"):
+                of_structured_implementation(cl4, pattern)
+    # the full 3-hop pattern conforms, the 1-hop ring does not
+    full = StructurePattern.scalar(b_hops(ring_graph(n), 3))
+    assert all(is_tf_structured(H, full) for H in maps)
+    assert not is_tf_structured(cl4.phi_xx, StructurePattern.scalar(ring_graph(n)))
+
+
+def test_of_implementation_decides_each_support_once(monkeypatch):
+    supports, verdicts = [], []
+
+    def counting_support(H):
+        supports.append(H)
+        return transfer_support(H)
+
+    def counting_verdict(H, pattern):
+        verdicts.append(H)
+        return is_tf_structured(H, pattern)
+
+    monkeypatch.setattr(sls, "transfer_support", counting_support)
+    monkeypatch.setattr(sls, "is_tf_structured", counting_verdict)
+    n = 8
+    pattern = StructurePattern.scalar(Graph(np.ones((n, n), dtype=bool)))
+    _, witness = of_structured_implementation(ring_output_feedback_loops(n), pattern)
+    assert witness.structured
+    assert len(supports) == 4 and not verdicts
+
+
+def test_row_realization_keeps_a_row_with_no_observable_states():
+    # the unobserved row contributes a (0, 0) block to A and a (1, 0) block to C
+    rng = np.random.default_rng(21)
+    C = rng.standard_normal((3, 3))
+    C[1] = 0.0
+    A = -2.0 * np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    H = StateSpace(A, rng.standard_normal((3, 2)), C, np.zeros((3, 2)))
+    R = _row_realization(H, "loop")
+    assert R.state_partition.block_sizes[1] == 0
+    assert R.C.shape == (3, R.n_states) and not np.any(R.C[1])
+    for s in PROBES:
+        assert relative_error(R.evaluate(s), H.evaluate(s)) < 1e-9
 
 
 def test_relative_equivalence_flags(rng):

@@ -2,9 +2,31 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "locrel"
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# Imports locrel and its CLI in a fresh interpreter, runs every recorded
+# README command through cli.main, and prints the scipy modules loaded.
+NUMPY_ONLY_SCRIPT = """
+import contextlib, io, json, sys
+import locrel, locrel.cli
+perfbench = sys.argv[1]
+with open(perfbench + "/cli_expected.json") as handle:
+    corpus = json.load(handle)
+for case in corpus:
+    argv = [arg.replace("{data}", perfbench + "/data") for arg in case["argv"]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = locrel.cli.main(argv)
+    if code != case["exit"]:
+        raise SystemExit(f"{argv} exited {code}, not {case['exit']}")
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
 
 
 def test_package_has_no_assert_statements():
@@ -60,3 +82,19 @@ def test_traced_benchmark_names_resolve():
         if owner is None:
             missing.append(name)
     assert traced and not missing, f"traced names missing from locrel: {missing}"
+
+
+def test_package_and_cli_run_on_numpy_alone():
+    # scipy.linalg takes most of the CLI's start-up time; only
+    # h2_norm_squared imports it, and no README command reaches it
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(PERFBENCH)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

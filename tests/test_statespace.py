@@ -20,6 +20,7 @@ from locrel.statespace import (
     StateSpace,
     _root_abscissa,
     batch_h2_squared,
+    block_diag,
     feedback,
     h2_norm,
     h2_norm_squared,
@@ -124,6 +125,31 @@ def test_parallel_cancellation():
     Z = parallel(G, minusG)
     for s in (0.9, 1.7 + 0.4j):
         assert np.max(np.abs(Z.evaluate(s))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(3, 3), (2, 2)],  # parallel and the stacked SLS residual
+        [(0, 0), (4, 4)],
+        [(4, 4), (0, 0)],
+        [(0, 0), (0, 0)],
+        [(2, 2), (0, 0), (1, 1), (3, 3)],  # row realization: A blocks
+        [(1, 2), (1, 0), (1, 1), (1, 3)],  # row realization: C blocks
+        [(1, 0)],
+        [(1, 0), (1, 0)],
+        [(0, 0)],
+    ],
+)
+def test_block_diag_matches_scipy_bitwise(shapes):
+    rng = np.random.default_rng(len(shapes))
+    blocks = [rng.standard_normal(shape) for shape in shapes]
+    if blocks[0].size:
+        blocks[0][0, 0] = -0.0
+    want = scipy.linalg.block_diag(*blocks)
+    got = block_diag(*blocks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_feedback_against_known_formula():

@@ -11,8 +11,9 @@ from sympy.polys.matrices import DomainMatrix
 
 import locrel.sls as sls
 import locrel.statespace as statespace
+import locrel.structure as structure
 from locrel.consensus import proper_approximation
-from locrel.graphs import Graph, Partition, StructurePattern
+from locrel.graphs import Graph, Partition, StructurePattern, ring_graph
 from locrel.relative import is_relative
 from locrel.sls import Plant, closed_loops_of, implementation_realization_sf
 from locrel.statespace import StateSpace, _column_subspaces, _invariant_subspace, tf_of
@@ -376,3 +377,26 @@ def test_is_relative_state_space_matches_rational(rng):
         verdicts.append(verdict)
     assert verdicts[:5] == [True, False, True, False, True]
     assert any(verdicts[5:]) and not all(verdicts[5:])
+
+
+def test_pattern_check_grows_doubling_column_groups(monkeypatch):
+    # groups of 1, 2, 4, ... columns: a conforming map takes log2(m) passes
+    # and the first off-pattern group ends the check
+    widths = []
+
+    def counting(A, V, **kwargs):
+        widths.append(V.shape[1])
+        return _column_subspaces(A, V, **kwargs)
+
+    monkeypatch.setattr(structure, "_column_subspaces", counting)
+    n = 32
+    ring = StructurePattern.scalar(ring_graph(n))
+    assert is_tf_structured(proper_approximation(n, -10.0), ring)
+    assert widths == [1, 2, 4, 8, 16, 1]
+    for col, want in ((n - 1, [1, 2, 4, 8, 16, 1]), (0, [1]), (5, [1, 2, 4])):
+        widths.clear()
+        B = np.eye(n)
+        B[n // 2, col] = 1.0  # input col reaches the opposite node
+        sys = StateSpace(-np.eye(n), B, np.eye(n), np.zeros((n, n)))
+        assert not is_tf_structured(sys, ring)
+        assert widths == want
