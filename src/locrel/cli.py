@@ -161,13 +161,11 @@ def cmd_sls(args):
     return out, 0
 
 
-def _measure_for(n, doc_or_args):
-    if isinstance(doc_or_args, dict):
-        if "c" in doc_or_args:
-            return np.asarray(doc_or_args["c"], dtype=float)
-        name = doc_or_args.get("measure", "ave")
-    else:
-        name = doc_or_args
+def _measure_for(n, flag, doc):
+    """The --measure flag, else the document's "c" or "measure", else ave."""
+    if flag is None and "c" in doc:
+        return np.asarray(doc["c"], dtype=float)
+    name = flag or doc.get("measure", "ave")
     return cons.consensus_measures(n, kinds=(name,))[name]
 
 
@@ -182,12 +180,12 @@ def cmd_consensus(args):
         b = args.b if args.b is not None else doc.get("b")
         if b is None:
             raise LocrelError("feasibility needs the locality radius b")
-        C = _measure_for(n, doc if doc else args.measure)
+        C = _measure_for(n, args.measure, doc)
         prob = cons.ConsensusProblem(n=n, b=int(b), gamma=gamma, c=C)
         cert = cons.sls_relative_feasibility(prob)
         return cert.to_json(), (2 if cert.infeasible else 0)
     if args.action == "h2":
-        C = _measure_for(n, doc if doc else args.measure)
+        C = _measure_for(n, args.measure, doc)
         prob = cons.ConsensusProblem(n=n, b=1, gamma=gamma, c=C)
         choice = args.controller or doc.get("controller", "ks")
         if choice == "ka":
@@ -265,7 +263,6 @@ def build_parser():
     parser = _Parser(
         prog="locrel",
         description="Locality and relative-feedback analysis for distributed controllers.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -288,7 +285,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--measure", choices=("le", "ave", "lr"), default="ave")
+    p.add_argument("--measure", choices=("le", "ave", "lr"), help="default: ave")
     p.add_argument(
         "--controller",
         choices=("ks", "ka"),

@@ -320,10 +320,9 @@ def proper_approximation(n, a):
 def approximation_transfer(n, a):
     """Transfer matrix -a/(s - a) * K_s of the proper approximation.
 
-    Written down directly entry by entry; the realization returned by
-    proper_approximation has a repeated pole of multiplicity n, which
-    polynomial simplification handles poorly, while the closed form is
-    exact.
+    Written down directly entry by entry, as a closed-form reference:
+    ``tf_of(proper_approximation(n, a))`` equals it entry by entry, since
+    each entry's minimal part has the single state of the pole a.
     """
     if a >= 0:
         raise NonNegativeA("the approximation pole must be strictly negative")
@@ -352,6 +351,8 @@ def h2_deflated(prob, K):
     scale_c = max(np.max(np.abs(c_sym)), 1.0)
     if abs(c_sym[0]) > 1e-9 * scale_c:
         raise ModeZeroDetectable("consensus measure sees the average mode")
+    if isinstance(K, StateSpace) and K.n_states == 0:
+        K = K.D  # a realization with no states is its static gain
     if isinstance(K, StateSpace):
         a_sym = _symbols_of_circulant(K.A)
         b_sym = _symbols_of_circulant(K.B)

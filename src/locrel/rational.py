@@ -2,8 +2,9 @@
 
 Polynomials are stored as coefficient arrays in ascending powers of s.
 Denominators are normalized to a leading coefficient of one.  Arithmetic
-is plain coefficient convolution with a hard degree cap; common factors
-are only cancelled by stripping shared powers of s exactly and by a
+is plain coefficient convolution with a hard degree cap.  An entry never
+cancels common factors itself; ``cancel_common_factors`` does where a
+caller asks, by stripping shared powers of s exactly and by a
 conservative root-matching test, which batch builders run only on the
 entries that ``_cancellable_rows`` flags.
 """
@@ -310,13 +311,11 @@ class RationalEntry:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(1.0,), simplify=False):
+    def __init__(self, num, den=(1.0,)):
         num = ptrim(num)
         den = ptrim(den)
         if pis_zero(den):
             raise ZeroDivisionError("denominator polynomial is zero")
-        if simplify:
-            num, den = cancel_common_factors(num, den)
         if pis_zero(num):
             num = np.zeros(1)
             den = np.ones(1)
@@ -398,8 +397,12 @@ class RationalEntry:
         return RationalEntry(self.den, self.num)
 
     def times_s(self):
-        """Multiply by s (shared factors are cancelled exactly)."""
-        return RationalEntry(np.concatenate(([0.0], self.num)), self.den, simplify=True)
+        """Multiply by s.
+
+        A power of s shared with the denominator is stripped exactly; other
+        shared roots go only where ``cancel_common_factors`` matches them.
+        """
+        return RationalEntry(*cancel_common_factors(np.concatenate(([0.0], self.num)), self.den))
 
     def equals(self, other, tol=1e-9):
         diff = self - _coerce_entry(other)

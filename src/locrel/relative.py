@@ -21,6 +21,7 @@ from .rational import (
     RationalMatrix,
     _cancellable_rows,
     _rows_zero,
+    cancel_common_factors,
     common_denominator,
     entry_array,
 )
@@ -234,6 +235,6 @@ def relative_decompose_rational(K, graph):
         grid = entry_array(num_grid, common)
         live = _cancellable_rows(num_grid, common) & ~_rows_zero(num_grid)
         for i, j in zip(*np.nonzero(live)):
-            grid[i, j] = RationalEntry(num_grid[i, j], common, simplify=True)
+            grid[i, j] = RationalEntry(*cancel_common_factors(num_grid[i, j], common))
         kernels.append(grid.tolist())
     return PairwiseDifferenceForm(graph, kernels)

@@ -8,9 +8,12 @@ them makes the realizations predictable; ``minimal_realization`` reduces
 one on request.  Reachable (Krylov) subspaces decide which transfer
 entries vanish (``structure.transfer_support``), so structure and
 relativity verdicts on a realization never convert it to rational form.
-Rational conversion itself compresses each entry to the invariant
-subspace it actually reaches, because characteristic polynomials of large
-composite state matrices are numerically useless.
+Rational conversion (``tf_of``) has one path for every system: each entry
+comes from its own minimal (reachable, then observable) part, whose
+numerator and denominator share no root, so nothing is cancelled after
+the fact; the result is checked against the frequency response.  The
+reverse direction (``realize_rational``) realizes each entry in
+controllable canonical form.
 
 Subspaces grown from one vector each, one per column of B or row of C,
 grow together in ``_column_subspaces``: one product with A per Krylov
@@ -22,6 +25,8 @@ reachable step) use ``_invariant_subspace``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -586,7 +591,11 @@ def minimal_realization(sys):
 
 
 def _siso_entry(A, b, c, d):
-    """Rational entry c (sI - A)^-1 b + d for a small state matrix."""
+    """Rational entry c (sI - A)^-1 b + d of a minimal SISO realization.
+
+    A minimal realization leaves no root shared by the numerator and
+    det(sI - A), so the entry is built as it stands.
+    """
     k = A.shape[0]
     if k == 0:
         return RationalEntry([float(d)]) if d != 0.0 else RationalEntry([])
@@ -597,12 +606,8 @@ def _siso_entry(A, b, c, d):
     num = ptrim(num)
     if d != 0.0:
         num = padd(num, pscale(q, d))
-    return RationalEntry(num, q, simplify=True)
+    return RationalEntry(num, q)
 
-
-# Faddeev-LeVerrier loses all precision well before this many states, so
-# larger systems are converted entry by entry on their reachable parts.
-DIRECT_TF_LIMIT = 12
 
 _TF_CHECK_POINTS = (0.83 + 1.37j, 2.21 - 0.59j, 1.49 + 2.73j)
 
@@ -631,34 +636,12 @@ def _reduced_entries(sys):
 def tf_of(sys):
     """Rational transfer matrix of a state-space system.
 
-    Small systems share the characteristic polynomial denominator with
-    common factors cancelled conservatively per entry.  Larger systems
-    are compressed per entry first (``_reduced_entries``).  Either way the
-    result is checked against the original frequency response.
+    Every entry is built from its own minimal part (``_reduced_entries``),
+    and the result is checked against the original frequency response.
     """
     if sys.n_states == 0:
         return RationalMatrix.from_real(sys.D, sys.out_partition, sys.in_partition)
-    n = sys.n_states
-    p, m = sys.n_outputs, sys.n_inputs
-    if n <= DIRECT_TF_LIMIT:
-        q, mats = char_poly(sys.A)
-        # numerators: sum_k (C mats[k] B) s^(n-1-k) + D q(s)
-        coeff_mats = [sys.C @ Nk @ sys.B for Nk in mats]
-        entries = []
-        for i in range(p):
-            row = []
-            for j in range(m):
-                num = np.zeros(n)
-                for k, M in enumerate(coeff_mats):
-                    num[n - 1 - k] = M[i, j]
-                num = ptrim(num)
-                if sys.D[i, j] != 0.0:
-                    num = padd(num, pscale(q, sys.D[i, j]))
-                row.append(RationalEntry(num, q, simplify=True))
-            entries.append(row)
-    else:
-        entries = _reduced_entries(sys)
-    result = RationalMatrix(entries, sys.out_partition, sys.in_partition)
+    result = RationalMatrix(_reduced_entries(sys), sys.out_partition, sys.in_partition)
     for s in _TF_CHECK_POINTS:
         try:
             want = sys.evaluate(s)
@@ -668,7 +651,7 @@ def tf_of(sys):
         scale = max(float(np.max(np.abs(want))), 1.0)
         if np.max(np.abs(got - want)) > 1e-6 * scale:
             raise RationalConversionFailed(
-                f"{n}-state system lost accuracy during rational conversion"
+                f"{sys.n_states}-state system lost accuracy during rational conversion"
             )
     return result
 
@@ -722,33 +705,16 @@ def realize_rational(H, orientation="rows"):
         raise ValueError("orientation must be 'rows' or 'columns'")
     p, m = H.shape
     pieces = [[realize_entry(H[i, j]) for j in range(m)] for i in range(p)]
-    dims = [[pieces[i][j][0].shape[0] for j in range(m)] for i in range(p)]
-    if orientation == "rows":
-        part = H.row_partition
-        row_offsets = part.offsets()
-        group_sizes = [
-            sum(dims[i][j] for i in range(row_offsets[b], row_offsets[b + 1]) for j in range(m))
-            for b in range(part.n_blocks)
-        ]
-        order = [
-            (i, j)
-            for b in range(part.n_blocks)
-            for i in range(row_offsets[b], row_offsets[b + 1])
-            for j in range(m)
-        ]
-    else:
-        part = H.col_partition
-        col_offsets = part.offsets()
-        group_sizes = [
-            sum(dims[i][j] for j in range(col_offsets[b], col_offsets[b + 1]) for i in range(p))
-            for b in range(part.n_blocks)
-        ]
-        order = [
-            (i, j)
-            for b in range(part.n_blocks)
-            for j in range(col_offsets[b], col_offsets[b + 1])
-            for i in range(p)
-        ]
+    dims = np.array([[piece[0].shape[0] for piece in row] for row in pieces], dtype=int)
+    by_rows = orientation == "rows"
+    part = H.row_partition if by_rows else H.col_partition
+    # blocks are contiguous, so grouping by row blocks keeps the entries in
+    # row-major order and grouping by column blocks in column-major order
+    order = list(itertools.product(range(p), range(m)))
+    if not by_rows:
+        order.sort(key=lambda ij: ij[1])
+    line_dims = dims.sum(axis=1 if by_rows else 0)
+    group_sizes = [int(line_dims[part.block_slice(b)].sum()) for b in range(part.n_blocks)]
     total = sum(group_sizes)
     A = np.zeros((total, total))
     B = np.zeros((total, m))
@@ -757,7 +723,7 @@ def realize_rational(H, orientation="rows"):
     pos = 0
     for i, j in order:
         Aij, Bij, Cij, Dij = pieces[i][j]
-        k = dims[i][j]
+        k = Aij.shape[0]
         A[pos : pos + k, pos : pos + k] = Aij
         B[pos : pos + k, j : j + 1] = Bij
         C[i : i + 1, pos : pos + k] = Cij

@@ -165,27 +165,16 @@ def is_tf_structured(H, pattern):
         or col_part.block_sizes != pattern.col_partition.block_sizes
     ):
         raise ValueError("transfer matrix partitions do not match the pattern")
+    allowed = _entry_pattern(pattern)
     if isinstance(H, StateSpace):
-        allowed = _entry_pattern(pattern).T
         # groups of 1, 2, 4, ... columns: the first off-pattern response
         # settles it, and a conforming map takes about log2(m) passes
         doubling = (1 << k for k in itertools.count())
         return not any(
-            np.any(mask & ~allowed[lo : lo + len(mask)])
+            np.any(mask & ~allowed.T[lo : lo + len(mask)])
             for lo, mask in _column_supports(H, doubling)
         )
-    ro = pattern.row_partition.offsets()
-    co = pattern.col_partition.offsets()
-    adj = pattern.graph.adjacency
-    for bi in range(pattern.graph.n):
-        for bj in range(pattern.graph.n):
-            if adj[bi, bj]:
-                continue
-            for i in range(ro[bi], ro[bi + 1]):
-                for j in range(co[bj], co[bj + 1]):
-                    if not H[i, j].is_zero():
-                        return False
-    return True
+    return all(H[i, j].is_zero() for i, j in zip(*np.nonzero(~allowed)))
 
 
 @dataclass(frozen=True)

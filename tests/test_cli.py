@@ -247,6 +247,34 @@ def test_flags_before_and_after_action_word(capsys):
     assert doc1 == doc2 == {"relative": True}
 
 
+def test_common_options_before_the_command_word_are_rejected(capsys):
+    for flag in (["--output", "csv"], ["--tolerance", "1e-3"], ["--input", "x.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*flag, "consensus", "h2", "--n", "4", "--gamma", "1"])
+        assert exc.value.code == 1
+        assert "usage: locrel" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "consensus", "h2", "--n", "4", "--gamma", "1", "--output", "csv")
+    assert code == 0 and out.splitlines() == ["key,value", "h2Squared,4.625"]
+
+
+@pytest.mark.parametrize(
+    "action, extra, doc",
+    [
+        ("feasibility", [], {"n": 8, "b": 1}),
+        ("feasibility", [], {"n": 8, "b": 1, "measure": "le"}),
+        ("h2", ["--gamma", "1"], {"n": 8, "b": 1}),
+        ("h2", ["--gamma", "1"], {"n": 8, "c": np.eye(8).tolist()}),
+    ],
+)
+def test_consensus_measure_flag_wins_over_the_document(capsys, tmp_path, action, extra, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for measure in ("le", "lr"):
+        _, got = run_json(capsys, "consensus", action, "--input", str(path), "--measure", measure, *extra)
+        _, want = run_json(capsys, "consensus", action, "--n", "8", "--b", "1", "--measure", measure, *extra)
+        assert got == want
+
+
 def test_stdin_input(capsys, monkeypatch):
     doc = {"gain": [1.0, -2.0, 1.0]}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))

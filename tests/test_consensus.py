@@ -289,6 +289,14 @@ def test_h2_static_matches_per_mode_sum():
             assert h2_deflated(prob, K) == pytest.approx(want, rel=n * np.finfo(float).eps)
 
 
+def test_h2_of_realization_with_no_states_is_its_static_gain():
+    for n in (3, 4, 8):
+        K = static_consensus_gain(n)
+        for C in consensus_measures(n, kinds=("le", "ave")).values():
+            prob = ConsensusProblem(n=n, b=1, gamma=1.3, c=C)
+            assert h2_deflated(prob, StateSpace.static(K)) == h2_deflated(prob, K)
+
+
 def test_h2_static_local_error_measure():
     prob = ConsensusProblem(n=6, b=1, gamma=1.0, c=consensus_measures(6)["le"])
     got = h2_deflated(prob, static_consensus_gain(6))

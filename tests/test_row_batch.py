@@ -18,6 +18,7 @@ from locrel.rational import (
     DEGREE_CAP,
     RationalEntry,
     RationalMatrix,
+    cancel_common_factors,
     common_denominator,
     distinct_denominators,
     pdeg,
@@ -105,7 +106,7 @@ def per_entry_decompose(K, graph):
                 coeffs = ptrim(num_grid[i, j])
                 if pis_zero(coeffs):
                     continue
-                grid[i][j] = RationalEntry(coeffs, common, simplify=True)
+                grid[i][j] = RationalEntry(*cancel_common_factors(coeffs, common))
         kernels.append(grid)
     return kernels
 

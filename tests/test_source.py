@@ -4,6 +4,8 @@ import ast
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -98,3 +100,16 @@ def test_package_and_cli_run_on_numpy_alone():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_readme_cli_block_is_the_recorded_corpus():
+    # the README's commands are the ones whose outputs the benchmark records
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI examples\n+```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [
+        [arg.replace("tests/data/", "{data}/") for arg in shlex.split(line)[1:]]
+        for line in block.splitlines()
+        if line.startswith("locrel ")
+    ]
+    corpus = json.loads((PERFBENCH / "cli_expected.json").read_text())
+    assert commands == [case["argv"] for case in corpus]

@@ -12,11 +12,12 @@ from locrel.errors import (
     RationalConversionFailed,
     SingularAtS,
 )
+from locrel.consensus import approximation_transfer, proper_approximation
 from locrel.graphs import Partition
-from locrel.rational import RationalEntry, RationalMatrix, pmul
+from locrel.rational import RationalEntry, RationalMatrix, pdeg, pmul
+from locrel.sls import Plant, closed_loops_of, recover_controller_sf
 import locrel.statespace as statespace
 from locrel.statespace import (
-    DIRECT_TF_LIMIT,
     StateSpace,
     _root_abscissa,
     batch_h2_squared,
@@ -28,11 +29,13 @@ from locrel.statespace import (
     is_hurwitz,
     parallel,
     permute_states,
+    realize_entry,
     realize_rational,
     scalar_h2_squared,
     series,
     tf_of,
 )
+from locrel.structure import tridiag_counterexample
 
 
 def random_stable_system(rng, n_states, n_in=None, n_out=None):
@@ -91,12 +94,11 @@ def test_tf_of_matches_resolvent_evaluation():
             assert np.max(np.abs(got - ref)) < 1e-8 * (1.0 + np.max(np.abs(ref)))
 
 
-def test_direct_conversion_is_verified(monkeypatch):
-    # a wrong characteristic polynomial on the direct (Faddeev-LeVerrier)
-    # path is caught against the frequency response, not returned
+def test_conversion_is_verified(monkeypatch):
+    # a wrong characteristic polynomial of an entry's minimal part is
+    # caught against the frequency response, not returned
     rng = np.random.default_rng(9)
     sys = random_stable_system(rng, 5, 2, 3)
-    assert sys.n_states <= DIRECT_TF_LIMIT
     tf_of(sys)
     exact = statespace.char_poly
 
@@ -109,6 +111,39 @@ def test_direct_conversion_is_verified(monkeypatch):
     monkeypatch.setattr(statespace, "char_poly", perturbed)
     with pytest.raises(RationalConversionFailed):
         tf_of(sys)
+
+
+@pytest.mark.parametrize("n", range(8, 21))
+def test_tf_of_chain_entries_have_minimal_degree(n):
+    # tridiag(1, -2, 1) has the distinct eigenvalues -2 + 2 cos(k pi / (n+1))
+    # with eigenvectors sin(i k pi / (n+1)), i, k = 1..n, so entry (i, j)
+    # has a pole for each mode k with (n+1) dividing neither i k nor j k
+    H = tf_of(tridiag_counterexample(n).system)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            degree = sum(1 for k in range(1, n + 1) if (i * k) % (n + 1) and (j * k) % (n + 1))
+            assert pdeg(H[i - 1, j - 1].den) == degree, (i, j)
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_tf_of_proper_approximation_is_the_closed_form(n):
+    H, want = tf_of(proper_approximation(n, -10.0)), approximation_transfer(n, -10.0)
+    for i in range(n):
+        for j in range(n):
+            got, ref = H[i, j], want[i, j]
+            assert (got.num.size, got.den.size) == (ref.num.size, ref.den.size), (i, j)
+            np.testing.assert_allclose(got.num, ref.num, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(got.den, ref.den, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_recovered_ring_controller_converts_to_first_order_entries(n):
+    # the recovered controller is -a/(s - a) K_s on its n - 1 observable
+    # modes, so no entry has more than the one pole a
+    plant = Plant(A=np.zeros((n, n)), B1=np.eye(n), B2=np.eye(n))
+    K = recover_controller_sf(closed_loops_of(plant, proper_approximation(n, -10.0)))
+    H = tf_of(K)
+    assert max(pdeg(H[i, j].den) for i in range(n) for j in range(n)) <= 1
 
 
 def test_series_of_two_integrators():
@@ -385,6 +420,62 @@ def test_realize_rational_groups_states_by_orientation():
     assert rows.state_partition.block_sizes == (2, 1)
     cols = realize_rational(H, "columns")
     assert cols.state_partition.block_sizes == (1, 2)
+
+
+def _realize_rational_reference(H, orientation):
+    """realize_rational as two mirrored branches, one per orientation."""
+    p, m = H.shape
+    pieces = [[realize_entry(H[i, j]) for j in range(m)] for i in range(p)]
+    dims = [[pieces[i][j][0].shape[0] for j in range(m)] for i in range(p)]
+    if orientation == "rows":
+        off = H.row_partition.offsets()
+        blocks = range(H.row_partition.n_blocks)
+        sizes = [sum(dims[i][j] for i in range(off[b], off[b + 1]) for j in range(m)) for b in blocks]
+        order = [(i, j) for b in blocks for i in range(off[b], off[b + 1]) for j in range(m)]
+    else:
+        off = H.col_partition.offsets()
+        blocks = range(H.col_partition.n_blocks)
+        sizes = [sum(dims[i][j] for j in range(off[b], off[b + 1]) for i in range(p)) for b in blocks]
+        order = [(i, j) for b in blocks for j in range(off[b], off[b + 1]) for i in range(p)]
+    total = sum(sizes)
+    A, B, C, D = np.zeros((total, total)), np.zeros((total, m)), np.zeros((p, total)), np.zeros((p, m))
+    pos = 0
+    for i, j in order:
+        Aij, Bij, Cij, Dij = pieces[i][j]
+        k = dims[i][j]
+        A[pos : pos + k, pos : pos + k] = Aij
+        B[pos : pos + k, j : j + 1] = Bij
+        C[i : i + 1, pos : pos + k] = Cij
+        D[i, j] = Dij[0, 0]
+        pos += k
+    return (A, B, C, D), tuple(sizes)
+
+
+def _random_partition(rng, total):
+    """Block sizes summing to total, zero-size blocks included."""
+    cuts = np.sort(rng.integers(0, total + 1, size=int(rng.integers(0, 4))))
+    return Partition(tuple(int(v) for v in np.diff(np.concatenate([[0], cuts, [total]]))))
+
+
+def test_realize_rational_matches_mirrored_branches_bitwise():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        p, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        entries = []
+        for _ in range(p):
+            row = []
+            for _ in range(m):
+                k = int(rng.integers(0, 4))
+                num = rng.standard_normal(int(rng.integers(1, k + 2))) * (rng.uniform() < 0.8)
+                row.append(RationalEntry(num, np.append(rng.uniform(0.5, 2.0, k), 1.0)))
+            entries.append(row)
+        H = RationalMatrix(entries, _random_partition(rng, p), _random_partition(rng, m))
+        for orientation in ("rows", "columns"):
+            sys = realize_rational(H, orientation)
+            mats, sizes = _realize_rational_reference(H, orientation)
+            assert sys.state_partition.block_sizes == sizes
+            for got, want in zip((sys.A, sys.B, sys.C, sys.D), mats):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_interleave_node_states():
