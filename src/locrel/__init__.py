@@ -6,8 +6,8 @@ controller recovery and structured implementations, relative (pairwise
 difference) feedback, infeasibility certificates for localized consensus
 design on rings, and the spatially invariant picture on discrete tori.
 
-The package and its CLI import numpy only: scipy takes most of a cold
-start, and only ``statespace.h2_norm_squared`` loads it, when called.
+The package and its CLI run on numpy alone; scipy serves only the tests'
+reference computations, such as the Lyapunov H2 norm.
 """
 
 from .errors import (
@@ -53,8 +53,6 @@ from .rational import RationalEntry, RationalMatrix
 from .statespace import (
     StateSpace,
     feedback,
-    h2_norm,
-    h2_norm_squared,
     minimal_realization,
     parallel,
     realize_rational,
@@ -67,7 +65,6 @@ from .structure import (
     TridiagCounterexample,
     build_structured_realization,
     check_realization_structure,
-    is_block_diagonal,
     is_graph_structured,
     is_tf_structured,
     transfer_support,
@@ -76,11 +73,9 @@ from .structure import (
 from .relative import (
     PairwiseDifferenceForm,
     edge_sum_adjoint,
-    edge_sum_operator,
     is_relative,
     relative_decompose,
     relative_decompose_rational,
-    verify_adjoint_identity,
 )
 from .sls import (
     ClosedLoopPair,
@@ -101,7 +96,6 @@ from .consensus import (
     ConsensusProblem,
     FeasibilityCertificate,
     GapReport,
-    approximation_transfer,
     circulant_rank,
     consensus_measures,
     gap_demonstration,
@@ -116,12 +110,10 @@ from .spatial import (
     SIClosedLoops,
     canonical_offsets,
     circular_sup_distance,
-    convolve,
     dft_symbol,
     is_cl_tf_structured_si,
     is_relative_si,
     si_closed_loops,
-    si_h2_norm,
     si_h2_squared,
     spatial_feasibility,
 )

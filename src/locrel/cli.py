@@ -258,7 +258,6 @@ def build_parser():
     common.add_argument(
         "--output", choices=("json", "csv"), default="json", help="output format"
     )
-    common.add_argument("--tolerance", type=float, default=1e-8)
 
     parser = _Parser(
         prog="locrel",
@@ -278,6 +277,7 @@ def build_parser():
         "sls", help="closed-loop parameterization tools", parents=[common]
     )
     p.add_argument("action", choices=("closed-loops", "check", "recover", "implement"))
+    p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=cmd_sls)
 
     p = sub.add_parser("consensus", help="ring consensus analysis", parents=[common])

@@ -25,7 +25,6 @@ from .errors import (
     UnstableNonzeroMode,
 )
 from .graphs import Partition, StructurePattern, b_hops, laplacian, ring_graph
-from .rational import RationalMatrix, entry_array
 from .statespace import StateSpace, batch_h2_squared, feedback
 from .structure import check_realization_structure, is_tf_structured
 
@@ -315,21 +314,6 @@ def proper_approximation(n, a):
         in_partition=part,
         out_partition=part,
     )
-
-
-def approximation_transfer(n, a):
-    """Transfer matrix -a/(s - a) * K_s of the proper approximation.
-
-    Written down directly entry by entry, as a closed-form reference:
-    ``tf_of(proper_approximation(n, a))`` equals it entry by entry, since
-    each entry's minimal part has the single state of the pole a.
-    """
-    if a >= 0:
-        raise NonNegativeA("the approximation pole must be strictly negative")
-    Ks = static_consensus_gain(n)
-    grid = entry_array(-float(a) * Ks[..., None], np.array([-float(a), 1.0]))
-    part = Partition.scalar(n)
-    return RationalMatrix(grid, part, part)
 
 
 def _symbols_of_circulant(M):

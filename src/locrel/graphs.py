@@ -44,9 +44,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, edges={int(np.count_nonzero(self.adjacency))})"
 
-    def neighbors(self, i):
-        return np.flatnonzero(self.adjacency[i])
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -332,17 +332,8 @@ class RationalEntry:
         return RationalEntry([0.0])
 
     @staticmethod
-    def one():
-        return RationalEntry([1.0])
-
-    @staticmethod
     def constant(c):
         return RationalEntry([c])
-
-    @staticmethod
-    def monomial():
-        """The entry s (improper on purpose; used as a building block)."""
-        return RationalEntry([0.0, 1.0])
 
     def is_zero(self):
         return pis_zero(self.num)
@@ -376,13 +367,6 @@ class RationalEntry:
         num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
         return RationalEntry(num, pmul(self.den, other.den))
 
-    def __sub__(self, other):
-        other = _coerce_entry(other)
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalEntry(-self.num, self.den)
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return RationalEntry(pscale(self.num, other), self.den)
@@ -390,24 +374,6 @@ class RationalEntry:
         return RationalEntry(pmul(self.num, other.num), pmul(self.den, other.den))
 
     __rmul__ = __mul__
-
-    def reciprocal(self):
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert the zero entry")
-        return RationalEntry(self.den, self.num)
-
-    def times_s(self):
-        """Multiply by s.
-
-        A power of s shared with the denominator is stripped exactly; other
-        shared roots go only where ``cancel_common_factors`` matches them.
-        """
-        return RationalEntry(*cancel_common_factors(np.concatenate(([0.0], self.num)), self.den))
-
-    def equals(self, other, tol=1e-9):
-        diff = self - _coerce_entry(other)
-        scale = max(np.max(np.abs(self.num)), np.max(np.abs(_coerce_entry(other).num)), 1.0)
-        return bool(np.max(np.abs(diff.num)) <= tol * scale)
 
     def to_json(self):
         return {"num": [float(c) for c in self.num], "den": [float(c) for c in self.den]}
@@ -503,10 +469,6 @@ class RationalMatrix:
         grid = entry_array(matrix[..., None], np.ones(1))
         return RationalMatrix(grid, row_partition, col_partition)
 
-    @staticmethod
-    def identity(n, partition=None):
-        return RationalMatrix.from_real(np.eye(n), partition, partition)
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
@@ -524,28 +486,6 @@ class RationalMatrix:
 
     def is_proper(self):
         return all(e.is_proper() for row in self.entries for e in row)
-
-    def map(self, fn):
-        return RationalMatrix(
-            [[fn(e) for e in row] for row in self.entries],
-            self.row_partition,
-            self.col_partition,
-        )
-
-    def __neg__(self):
-        return self.map(lambda e: -e)
-
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in rational matrix addition")
-        grid = [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.shape[1])]
-            for i in range(self.shape[0])
-        ]
-        return RationalMatrix(grid, self.row_partition, self.col_partition)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def matmul(self, other):
         if self.shape[1] != other.shape[0]:
@@ -566,9 +506,6 @@ class RationalMatrix:
                 row.append(acc)
             grid.append(row)
         return RationalMatrix(grid, self.row_partition, other.col_partition)
-
-    def times_s(self):
-        return self.map(lambda e: e.times_s())
 
     def inverse(self):
         """Exact rational inverse via adjugate over determinant.

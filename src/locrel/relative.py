@@ -98,11 +98,6 @@ def _laplacian_pinv(graph):
     return (V * inv) @ V.T
 
 
-def edge_sum_operator(M):
-    """Row sums M @ 1: expresses sum_{i<j} M_ij (y_i - y_j) as a row gain."""
-    return np.atleast_2d(_static_gain(M)).sum(axis=1)
-
-
 def edge_sum_adjoint(graph, v):
     """Skew edge matrix (1/2) A o (v 1' - 1 v') supported off the diagonal."""
     v = _static_gain(v).reshape(-1)
@@ -110,22 +105,6 @@ def edge_sum_adjoint(graph, v):
     np.fill_diagonal(off, False)
     outer = np.outer(v, np.ones(graph.n)) - np.outer(np.ones(graph.n), v)
     return 0.5 * off * outer
-
-
-def verify_adjoint_identity(graph):
-    """Max deviation of (row-sum o adjoint) from half the Laplacian.
-
-    Applying the row-sum map after its adjoint acts as L/2; this returns
-    the largest absolute deviation over all coordinate directions.
-    """
-    L = laplacian(graph)
-    worst = 0.0
-    for i in range(graph.n):
-        e = np.zeros(graph.n)
-        e[i] = 1.0
-        lhs = edge_sum_operator(edge_sum_adjoint(graph, e))
-        worst = max(worst, float(np.max(np.abs(lhs - 0.5 * L @ e))))
-    return worst
 
 
 def relative_decompose(k, graph):
@@ -166,30 +145,6 @@ class PairwiseDifferenceForm:
 
     graph: Graph
     kernels: list
-
-    def reconstruct_row(self, r, s, y):
-        """Evaluate output r of the represented gain at frequency s."""
-        n = self.graph.n
-        total = 0.0 + 0.0j
-        grid = self.kernels[r]
-        for i in range(n):
-            for j in range(i + 1, n):
-                entry = grid[i][j]
-                if entry.is_zero():
-                    continue
-                total += entry.evaluate(s) * (y[i] - y[j])
-        return total
-
-    def row_gain(self, r, s):
-        """Row vector of the represented gain at frequency s."""
-        n = self.graph.n
-        grid = self.kernels[r]
-        M = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                if not grid[i][j].is_zero():
-                    M[i, j] = grid[i][j].evaluate(s)
-        return M.sum(axis=1)
 
     def to_json(self):
         items = []

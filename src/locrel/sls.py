@@ -104,9 +104,6 @@ class ClosedLoopPair:
     phi_x: object
     phi_u: object
 
-    def evaluate(self, s):
-        return self.phi_x.evaluate(s), self.phi_u.evaluate(s)
-
 
 @dataclass
 class OutputFeedbackClosedLoops:
@@ -116,14 +113,6 @@ class OutputFeedbackClosedLoops:
     phi_xy: object
     phi_ux: object
     phi_uy: object
-
-    def evaluate(self, s):
-        return (
-            self.phi_xx.evaluate(s),
-            self.phi_xy.evaluate(s),
-            self.phi_ux.evaluate(s),
-            self.phi_uy.evaluate(s),
-        )
 
 
 def _controller_to_ss(K, part=None):

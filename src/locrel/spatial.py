@@ -42,23 +42,6 @@ from .rational import (
 from .relative import is_relative
 from .statespace import batch_h2_squared, scalar_h2_squared
 
-__all__ = [
-    "ConvKernelArray",
-    "SIClosedLoops",
-    "canonical_offset",
-    "canonical_offsets",
-    "circular_sup_distance",
-    "convolve",
-    "dft_symbol",
-    "is_cl_tf_structured_si",
-    "is_relative_si",
-    "si_closed_loops",
-    "si_h2_norm",
-    "si_h2_squared",
-    "spatial_feasibility",
-]
-
-
 def canonical_offset(offset, n):
     """Map an integer offset tuple into (-floor(n/2), floor(n/2)]^d."""
     out = []
@@ -128,19 +111,6 @@ class ConvKernelArray:
             key=lambda item: item[0],
         )
 
-    def support_radius(self):
-        taps = self.taps()
-        if not taps:
-            return 0
-        return max(circular_sup_distance(off, self.n) for off, _ in taps)
-
-    def evaluate_grid(self, s):
-        """Complex array of tap values at s, laid out on the offset grid."""
-        values = np.zeros((self.n,) * self.d, dtype=complex)
-        for idx, entry in self._taps.items():
-            values[idx] = entry.evaluate(s)
-        return values
-
     def to_json(self):
         return {
             "d": self.d,
@@ -159,18 +129,6 @@ class ConvKernelArray:
                 tuple(tap["offset"]), RationalEntry(tap["num"], tap["den"])
             )
         return kernel
-
-
-def convolve(kernel, signal, s):
-    """Circularly convolve the kernel (evaluated at s) with a spatial signal."""
-    signal = np.asarray(signal, dtype=complex)
-    if signal.shape != (kernel.n,) * kernel.d:
-        raise ValueError("signal shape does not match the torus")
-    out = np.zeros_like(signal)
-    for offset, entry in kernel.taps():
-        value = entry.evaluate(s)
-        out += value * np.roll(signal, shift=offset, axis=tuple(range(kernel.d)))
-    return out
 
 
 def _symbol_coeffs(kernel):
@@ -215,10 +173,6 @@ def si_h2_squared(kernel):
                 f"tap at offset {offset} has no finite H2 norm: {exc}"
             ) from exc
     return total
-
-
-def si_h2_norm(kernel):
-    return float(np.sqrt(si_h2_squared(kernel)))
 
 
 def si_h2_squared_parseval(kernel):
@@ -331,11 +285,6 @@ class SIClosedLoops:
         if np.any(np.abs(den) <= 1e-12 * scale):
             raise SingularAtS(f"closed loop has a pole at s = {s}")
         return _polyval(self.phi_x_num, s) / den, _polyval(self.phi_u_num, s) / den
-
-    def kernel_at(self, s):
-        """Closed-loop taps at s via the inverse DFT of the symbol values."""
-        px, pu = self._values(s)
-        return np.fft.ifftn(px), np.fft.ifftn(pu)
 
     def h2_squared(self, gamma):
         """Squared deflated H2 norm of (phi_x, gamma phi_u), dropping mode 0.

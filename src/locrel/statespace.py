@@ -274,38 +274,6 @@ def inverse(g):
     )
 
 
-def is_hurwitz(ss_or_matrix, tol=1e-9):
-    """True when every eigenvalue has real part below -tol."""
-    A = ss_or_matrix.A if isinstance(ss_or_matrix, StateSpace) else ss_or_matrix
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] == 0:
-        return True
-    return bool(np.max(np.linalg.eigvals(A).real) < -tol)
-
-
-def h2_norm_squared(sys):
-    """Squared H2 norm via the observability Gramian.
-
-    Solves A' Q + Q A + C' C = 0 and returns trace(B' Q B).  The state
-    matrix must be Hurwitz and the feedthrough zero, otherwise the norm
-    is infinite.
-    """
-    if not is_hurwitz(sys):
-        raise NotHurwitz("H2 norm requires a Hurwitz state matrix")
-    if np.max(np.abs(sys.D)) > 0:
-        raise NonzeroFeedthrough("H2 norm requires zero feedthrough")
-    if sys.n_states == 0:
-        return 0.0
-    import scipy.linalg  # the package's only scipy use; see the package docstring
-
-    Q = scipy.linalg.solve_continuous_lyapunov(sys.A.T, -sys.C.T @ sys.C)
-    return float(np.trace(sys.B.T @ Q @ sys.B))
-
-
-def h2_norm(sys):
-    return float(np.sqrt(max(h2_norm_squared(sys), 0.0)))
-
-
 # Matrix elements per batched solve: a block of entries of degree k holds
 # block * (2k - 1)^2 of them, so memory stays bounded however many entries
 # there are, and the block shrinks as the degree rises.

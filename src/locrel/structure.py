@@ -56,30 +56,18 @@ def _block_maxima(matrix, row_part, col_part):
     return out
 
 
-def _blocks_conform(matrix, row_part, col_part, allowed, tol=ZERO_BLOCK_TOL):
+def _live_blocks(matrix, row_part, col_part, tol=ZERO_BLOCK_TOL):
+    """Mask of the blocks whose largest entry exceeds tol * max(|M|, 1)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     maxima = _block_maxima(matrix, row_part, col_part)
     scale = max(np.max(np.abs(matrix)) if matrix.size else 0.0, 1.0)
-    return not np.any(maxima[~np.asarray(allowed, dtype=bool)] > tol * scale)
+    return maxima > tol * scale
 
 
 def is_graph_structured(matrix, pattern, tol=ZERO_BLOCK_TOL):
     """True when every non-edge block of the matrix is (numerically) zero."""
-    return _blocks_conform(
-        matrix,
-        pattern.row_partition,
-        pattern.col_partition,
-        pattern.graph.adjacency,
-        tol,
-    )
-
-
-def is_block_diagonal(matrix, row_part, col_part, tol=ZERO_BLOCK_TOL):
-    n = min(row_part.n_blocks, col_part.n_blocks)
-    if row_part.n_blocks != col_part.n_blocks:
-        raise ValueError("block-diagonal check needs matching block counts")
-    allowed = np.eye(n, dtype=bool)
-    return _blocks_conform(matrix, row_part, col_part, allowed, tol)
+    live = _live_blocks(matrix, pattern.row_partition, pattern.col_partition, tol)
+    return not np.any(live & ~pattern.graph.adjacency)
 
 
 def _largest_magnitude(M, axis):
@@ -191,23 +179,31 @@ def check_realization_structure(sys, pattern):
     """Classify a realization against a pattern.
 
     The state partition of the system must have one block per node (the
-    per-node state grouping); zero-size state blocks are fine.
+    per-node state grouping); zero-size state blocks are fine.  So must its
+    input and output partitions, which default to the pattern's.  Each
+    matrix's mask of nonzero blocks is read once, by the pattern test and
+    by the block-diagonal tests of the input and output sides.
     """
+    n = pattern.graph.n
     sp = sys.state_partition
-    if sp is None or sp.n_blocks != pattern.graph.n:
+    if sp is None or sp.n_blocks != n:
         raise ValueError("system state partition must have one block per node")
     if sp.total != sys.n_states:
         raise ValueError("state partition does not sum to the state dimension")
     ip = sys.in_partition or pattern.col_partition
     op = sys.out_partition or pattern.row_partition
-    adj = pattern.graph.adjacency
-    ok_A = _blocks_conform(sys.A, sp, sp, adj)
-    ok_B = _blocks_conform(sys.B, sp, ip, adj)
-    ok_C = _blocks_conform(sys.C, op, sp, adj)
-    ok_D = _blocks_conform(sys.D, op, ip, adj)
-    structured = ok_A and ok_B and ok_C and ok_D
-    in_diag = is_block_diagonal(sys.B, sp, ip) and is_block_diagonal(sys.D, op, ip)
-    out_diag = is_block_diagonal(sys.C, op, sp) and is_block_diagonal(sys.D, op, ip)
+    if ip.n_blocks != n or op.n_blocks != n:
+        raise ValueError("system input and output partitions must have one block per node")
+    A, B, C, D = (
+        _live_blocks(sys.A, sp, sp),
+        _live_blocks(sys.B, sp, ip),
+        _live_blocks(sys.C, op, sp),
+        _live_blocks(sys.D, op, ip),
+    )
+    off_edge, off_diagonal = ~pattern.graph.adjacency, ~np.eye(n, dtype=bool)
+    structured = not any(np.any(live & off_edge) for live in (A, B, C, D))
+    in_diag = not (np.any(B & off_diagonal) or np.any(D & off_diagonal))
+    out_diag = not (np.any(C & off_diagonal) or np.any(D & off_diagonal))
     network = structured and (in_diag or out_diag)
     return RealizationStructure(structured, network, in_diag, out_diag)
 

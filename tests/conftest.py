@@ -1,10 +1,43 @@
-"""Shared helpers for building random structured test instances."""
+"""Shared helpers: random structured test instances and reference oracles."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from locrel.graphs import Graph, StructurePattern, path_graph
+from locrel.consensus import static_consensus_gain
+from locrel.graphs import Graph, StructurePattern, laplacian, path_graph
 from locrel.rational import RationalEntry, RationalMatrix, pmul
+from locrel.relative import edge_sum_adjoint
+
+
+def h2_norm_squared(sys):
+    """Squared H2 norm of a stable strictly proper realization, from its Gramian.
+
+    trace(B' Q B) with A' Q + Q A + C' C = 0: the Lyapunov reference for
+    the package's per-entry, per-frequency and deflated H2 norms.
+    """
+    assert not np.any(sys.D), "the H2 norm needs zero feedthrough"
+    if sys.n_states == 0:
+        return 0.0
+    assert np.max(np.linalg.eigvals(sys.A).real) < 0, "the H2 norm needs a Hurwitz A"
+    Q = scipy.linalg.solve_continuous_lyapunov(sys.A.T, -sys.C.T @ sys.C)
+    return float(np.trace(sys.B.T @ Q @ sys.B))
+
+
+def approximation_transfer(n, a):
+    """Closed form -a/(s - a) K_s of ``consensus.proper_approximation(n, a)``."""
+    Ks = static_consensus_gain(n)
+    return RationalMatrix([[RationalEntry([-a * k], [-a, 1.0]) for k in row] for row in Ks])
+
+
+def verify_adjoint_identity(graph):
+    """Largest deviation of the row sums of ``edge_sum_adjoint`` from half the Laplacian.
+
+    Summing the rows of the adjoint's edge matrix acts as L/2; this checks
+    it on every coordinate direction.
+    """
+    row_sums = np.stack([edge_sum_adjoint(graph, e).sum(axis=1) for e in np.eye(graph.n)], axis=1)
+    return float(np.max(np.abs(row_sums - 0.5 * laplacian(graph))))
 
 
 def random_connected_graph(n, rng, extra_edge_prob=0.3):
@@ -80,7 +113,7 @@ def chain3_phi_x():
         for j in range(n):
             e = phi_u[i, j]
             if i == j:
-                e = e + RationalEntry.one()
+                e = e + 1.0
             den_s = np.concatenate(([0.0], e.den))
             row.append(RationalEntry(e.num, den_s))
         grid.append(row)

@@ -40,6 +40,17 @@ def test_structure_check_corpus(capsys):
     assert doc["tfStructured"] is False
 
 
+def test_structure_check_rejects_a_partition_without_one_block_per_node(capsys, tmp_path):
+    doc = json.loads((DATA / "tridiag3.json").read_text())
+    for side in ("in", "out"):
+        doc["system"]["partitions"] = {"state": [1, 1, 1], side: [2, 1]}
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "structure", "check", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "one block per node" in err
+
+
 def test_structure_realize_corpus(capsys):
     code, doc = run_json(
         capsys, "structure", "realize", "--input", str(DATA / "chain3_phi_u_realize.json")
@@ -80,6 +91,21 @@ def test_sls_check_corpus(capsys):
     assert code == 0
     assert doc["ok"] is True
     assert doc["affineResidual"] < 1e-8
+
+
+def test_sls_check_reads_the_tolerance(capsys):
+    path = str(DATA / "chain3_plant_controller.json")
+    _, default = run_json(capsys, "sls", "check", "--input", path)
+    _, strict = run_json(capsys, "sls", "check", "--input", path, "--tolerance", "-1")
+    assert default["ok"] is True and strict["ok"] is False
+    assert strict["affineResidual"] == default["affineResidual"]
+
+
+def test_tolerance_is_an_sls_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["consensus", "h2", "--n", "4", "--gamma", "1", "--tolerance", "1e9"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tolerance 1e9" in capsys.readouterr().err
 
 
 def test_sls_closed_loops_corpus(capsys):

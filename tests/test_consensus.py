@@ -7,12 +7,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import approximation_transfer, h2_norm_squared
 
 from locrel.consensus import (
     DENSE_WITNESS_MAX_N,
     ConsensusProblem,
     FeasibilityCertificate,
-    approximation_transfer,
     circulant_rank,
     consensus_measures,
     gap_demonstration,
@@ -30,7 +30,7 @@ from locrel.errors import (
     OddNForLongRange,
     UnstableNonzeroMode,
 )
-from locrel.statespace import StateSpace, h2_norm_squared
+from locrel.statespace import StateSpace
 
 
 def ave_problem(n, b, gamma):
@@ -227,8 +227,6 @@ def test_static_gain_examples():
 def test_proper_approximation_examples():
     with pytest.raises(NonNegativeA):
         proper_approximation(4, 0.0)
-    with pytest.raises(NonNegativeA):
-        approximation_transfer(4, 2.0)
     Ka = proper_approximation(4, -10.0)
     Ks = static_consensus_gain(4)
     assert np.allclose(Ka.evaluate(0.0), Ks, atol=1e-12)
@@ -430,18 +428,6 @@ def test_certificate_json_writes_taps_for_large_rings():
             W += w * np.roll(np.eye(n), k, axis=0)
         assert np.array_equal(W, cert.witness)
         assert doc["witnessRowSums"] == [float(v) for v in cert.witness.sum(axis=1)]
-
-
-def test_approximation_transfer_entries_share_no_arrays():
-    H = approximation_transfer(5, -10.0)
-    Ks = static_consensus_gain(5)
-    for i, j in np.ndindex(5, 5):
-        e = H[i, j]
-        if Ks[i, j] == 0.0:
-            assert e.num.tolist() == [0.0] and e.den.tolist() == [1.0]
-        else:
-            assert e.num.tolist() == [10.0 * Ks[i, j]] and e.den.tolist() == [10.0, 1.0]
-        assert e.num.flags.owndata and e.den.flags.owndata
 
 
 def per_mode_lyapunov_h2(prob, K):

@@ -99,8 +99,8 @@ def test_entry_basics():
     assert e.is_strictly_proper() and e.is_proper() and not e.is_zero()
     assert e.evaluate(2.0) == 0.5
     assert RationalEntry.zero().is_zero()
-    assert RationalEntry.one().evaluate(123.0) == 1.0
-    s = RationalEntry.monomial()
+    assert RationalEntry.constant(1.0).evaluate(123.0) == 1.0
+    s = RationalEntry([0.0, 1.0])
     assert s.evaluate(3.0 + 1.0j) == 3.0 + 1.0j
     assert not s.is_proper()
     # monic normalization of the denominator
@@ -117,20 +117,7 @@ def test_entry_arithmetic_matches_pointwise():
         s = complex(rng.uniform(0.3, 2.0), rng.uniform(-2.0, 2.0))
         va, vb = a.evaluate(s), b.evaluate(s)
         assert abs((a + b).evaluate(s) - (va + vb)) < 1e-8 * max(1.0, abs(va + vb))
-        assert abs((a - b).evaluate(s) - (va - vb)) < 1e-8 * max(1.0, abs(va - vb))
         assert abs((a * b).evaluate(s) - va * vb) < 1e-8 * max(1.0, abs(va * vb))
-        assert abs((-a).evaluate(s) + va) < 1e-12 * max(1.0, abs(va))
-        assert abs(a.times_s().evaluate(s) - s * va) < 1e-9 * max(1.0, abs(s * va))
-        if abs(vb) > 1e-6:
-            assert abs(b.reciprocal().evaluate(s) - 1.0 / vb) < 1e-8 / abs(vb)
-
-
-def test_entry_equality_is_evaluation_based():
-    # same function, different representations
-    a = RationalEntry(pmul([1.0, 1.0], [2.0, 1.0]), pmul([2.0, 1.0], [0.0, 1.0]))
-    b = RationalEntry([1.0, 1.0], [0.0, 1.0])
-    assert a.equals(b)
-    assert not a.equals(RationalEntry([1.0], [0.0, 1.0]))
 
 
 def test_degree_cap_guards_runaway_growth():
@@ -150,10 +137,10 @@ def test_matrix_construction_and_indexing():
     M = RationalMatrix.from_real(np.array([[1.0, 2.0], [0.0, -1.0]]))
     assert M.shape == (2, 2)
     assert M[0, 1].evaluate(9.0) == 2.0
-    I2 = RationalMatrix.identity(2)
+    I2 = RationalMatrix.from_real(np.eye(2))
     assert np.allclose(I2.evaluate(1.7), np.eye(2))
     with pytest.raises(ValueError):
-        RationalMatrix([[RationalEntry.one()], [RationalEntry.one(), RationalEntry.one()]])
+        RationalMatrix([[1.0], [1.0, 1.0]])
 
 
 def test_matrix_ops_match_pointwise():
@@ -164,11 +151,8 @@ def test_matrix_ops_match_pointwise():
         B = RationalMatrix([[random_entry(rng) for _ in range(n)] for _ in range(n)])
         s = complex(rng.uniform(0.3, 2.0), rng.uniform(-1.5, 1.5))
         va, vb = A.evaluate(s), B.evaluate(s)
-        assert np.allclose((A + B).evaluate(s), va + vb, atol=1e-8)
-        assert np.allclose((A - B).evaluate(s), va - vb, atol=1e-8)
         prod = A.matmul(B)
         assert np.allclose(prod.evaluate(s), va @ vb, atol=1e-7 * max(1.0, np.max(np.abs(va @ vb))))
-        assert np.allclose(A.times_s().evaluate(s), s * va, atol=1e-8 * max(1.0, np.max(np.abs(s * va))))
 
 
 def test_matrix_inverse_round_trip():
@@ -393,8 +377,3 @@ def test_matrix_builders_are_bitwise_per_entry():
         want = RationalEntry.constant(M[i, j])
         assert _bits(built[i, j].num) == _bits(want.num)
         assert _bits(built[i, j].den) == _bits(want.den)
-    eye = RationalMatrix.identity(3)
-    for i, j in np.ndindex(3, 3):
-        want = RationalEntry.one() if i == j else RationalEntry.zero()
-        assert _bits(eye[i, j].num) == _bits(want.num)
-        assert _bits(eye[i, j].den) == _bits(want.den)

@@ -304,7 +304,7 @@ def relative_gains(draw, graph):
                 num = num + 0.5j
             flow = RationalEntry(num, den)
             row[i] = row[i] + flow
-            row[j] = row[j] - flow
+            row[j] = row[j] + -1.0 * flow
         rows.append(row)
     return RationalMatrix(rows)
 
@@ -356,8 +356,8 @@ def test_decomposition_parity_where_kernels_cancel():
     # on the 3-node path the 0-1 kernel is the flow 1/(s+1): the row's
     # common denominator (s+1)(s+2) cancels down to it
     lag1, lag2 = RationalEntry([1.0], [1.0, 1.0]), RationalEntry([1.0], [2.0, 1.0])
-    row = [lag1, lag2 - lag1, -lag2]
-    K = RationalMatrix([row, [-e for e in row], [RationalEntry.zero()] * 3])
+    row = [lag1, lag2 + -1.0 * lag1, -1.0 * lag2]
+    K = RationalMatrix([row, [-1.0 * e for e in row], [RationalEntry.zero()] * 3])
     assert_same_decomposition(K, path_graph(3))
     kernel = relative_decompose_rational(K, path_graph(3)).kernels[0][0][1]
     assert kernel.den.tolist() == [1.0, 1.0]

@@ -79,7 +79,7 @@ PROBES = (1.0, 0.5 + 2.0j, 3.0 - 1.0j, 0.2 - 0.7j, 2.5 + 0.3j)
 def test_chain_closed_loops_match_design():
     cl = closed_loops_of(chain_plant(), chain3_controller())
     for s in (1.0, 2.0 + 1.0j):
-        px, pu = cl.evaluate(s)
+        px, pu = cl.phi_x.evaluate(s), cl.phi_u.evaluate(s)
         assert np.max(np.abs(px - chain3_phi_x().evaluate(s))) < 1e-8
         assert np.max(np.abs(pu - chain3_phi_u().evaluate(s))) < 1e-8
 
@@ -286,13 +286,13 @@ def test_implementation_without_pattern_has_no_witness():
 
 def test_implementation_rejects_violated_constraint():
     # doubling phi_x breaks s * phi_x -> I
-    phi_x = chain3_phi_x().map(lambda e: e + e)
+    phi_x = RationalMatrix([[e + e for e in row] for row in chain3_phi_x().entries])
     with pytest.raises(ConstraintViolated):
         implementation_realization_sf(ClosedLoopPair(phi_x, chain3_phi_u()))
 
 
 def test_implementation_rejects_improper_loops():
-    phi_u = chain3_phi_u().map(lambda e: e + RationalEntry.one())
+    phi_u = RationalMatrix([[e + 1.0 for e in row] for row in chain3_phi_u().entries])
     with pytest.raises(ConstraintViolated):
         implementation_realization_sf(ClosedLoopPair(chain3_phi_x(), phi_u))
 
@@ -383,8 +383,8 @@ def test_ring_recovery_is_minimal_and_reproduces_loops(n):
     again = closed_loops_of(plant, K)
     for s in PROBES:
         assert relative_error(K.evaluate(s), K_of(s)) < 1e-9
-        for got, want in zip(again.evaluate(s), cl.evaluate(s)):
-            assert relative_error(got, want) < 1e-9
+        for got, want in ((again.phi_x, cl.phi_x), (again.phi_u, cl.phi_u)):
+            assert relative_error(got.evaluate(s), want.evaluate(s)) < 1e-9
 
 
 def test_output_feedback_loops_of_minus_identity_implement_and_recover():
@@ -662,8 +662,9 @@ def test_output_feedback_maps_match_dense_oracle(rng):
         cl4 = output_feedback_closed_loops(plant, K0)
         oracle = dense_of_loops(plant, K_of)
         for s in PROBES:
-            for got, want in zip(cl4.evaluate(s), oracle(s)):
-                assert relative_error(got, want) < 1e-9
+            maps = (cl4.phi_xx, cl4.phi_xy, cl4.phi_ux, cl4.phi_uy)
+            for got, want in zip(maps, oracle(s)):
+                assert relative_error(got.evaluate(s), want) < 1e-9
         assert check_of_constraints(cl4, plant) < 1e-9
         K = recover_controller_of(cl4)
         assert K.n_states == 2 * (trial % 2)
@@ -706,7 +707,8 @@ def test_output_feedback_maps_match_dense_oracle(rng):
         for *maps, floor, broken in cases:
             bumped = OutputFeedbackClosedLoops(*maps)
             assert check_of_constraints(bumped, plant) >= floor * (1 - 1e-6)
-            dense = np.array([dense_of_residual(plant, bumped.evaluate(s), s) for s in PROBES])
+            values = [[m.evaluate(s) for m in maps] for s in PROBES]
+            dense = np.array([dense_of_residual(plant, v, s) for v, s in zip(values, PROBES)])
             for side in range(2):
                 if broken[side]:
                     assert np.max(dense[:, side]) > 1e-4 * floor

@@ -86,9 +86,27 @@ def test_traced_benchmark_names_resolve():
     assert traced and not missing, f"traced names missing from locrel: {missing}"
 
 
+def test_package_imports_no_scipy():
+    # the package's runtime dependency is numpy alone; scipy serves the
+    # tests' reference computations only
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imported in the package: {found}"
+
+
 def test_package_and_cli_run_on_numpy_alone():
-    # scipy.linalg takes most of the CLI's start-up time; only
-    # h2_norm_squared imports it, and no README command reaches it
+    # no module imports scipy (see above), and nothing the package imports
+    # loads it either, so the CLI starts without scipy.linalg, which would
+    # take most of its start-up time
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import approximation_transfer, h2_norm_squared
 
 from locrel.errors import (
     IllPosedFeedback,
@@ -12,7 +13,7 @@ from locrel.errors import (
     RationalConversionFailed,
     SingularAtS,
 )
-from locrel.consensus import approximation_transfer, proper_approximation
+from locrel.consensus import proper_approximation
 from locrel.graphs import Partition
 from locrel.rational import RationalEntry, RationalMatrix, pdeg, pmul
 from locrel.sls import Plant, closed_loops_of, recover_controller_sf
@@ -23,10 +24,7 @@ from locrel.statespace import (
     batch_h2_squared,
     block_diag,
     feedback,
-    h2_norm,
-    h2_norm_squared,
     interleave_node_states,
-    is_hurwitz,
     parallel,
     permute_states,
     realize_entry,
@@ -71,14 +69,16 @@ def test_integrator_evaluation():
 def test_tf_of_simple_systems():
     integ = StateSpace(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
     lag = StateSpace(-np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
-    H = tf_of(lag)
-    assert H[0, 0].equals(RationalEntry([1.0], [1.0, 1.0]))
     biased = StateSpace(
         np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)), 3.0 * np.ones((1, 1))
     )
-    Hb = tf_of(biased)
-    assert Hb[0, 0].equals(RationalEntry([1.0, 3.0], [0.0, 1.0]))
-    assert tf_of(integ)[0, 0].equals(RationalEntry([1.0], [0.0, 1.0]))
+    # 1/(s + 1), (3s + 1)/s and 1/s, ascending coefficients
+    cases = ((lag, [1.0], [1.0, 1.0]), (biased, [1.0, 3.0], [0.0, 1.0]), (integ, [1.0], [0.0, 1.0]))
+    for sys, num, den in cases:
+        entry = tf_of(sys)[0, 0]
+        assert (entry.num.size, entry.den.size) == (len(num), len(den))
+        np.testing.assert_allclose(entry.num, num, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(entry.den, den, rtol=0.0, atol=1e-12)
 
 
 def test_tf_of_matches_resolvent_evaluation():
@@ -212,34 +212,30 @@ def test_ill_posed_feedback_rejected():
         feedback(G, StateSpace.static(np.eye(2)))
 
 
-def test_is_hurwitz():
-    assert is_hurwitz(np.array([[-1.0, 10.0], [0.0, -0.5]]))
-    assert not is_hurwitz(np.array([[0.0]]))
-    assert is_hurwitz(StateSpace.static(np.ones((1, 1))))  # no states
-
-
 def test_h2_norm_of_first_order_lags():
+    # the package's route (the entry of tf_of, then scalar_h2_squared) and
+    # the Lyapunov oracle both give the closed forms 1/2 and 9/4
     lag = StateSpace(-np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
-    assert h2_norm_squared(lag) == pytest.approx(0.5, abs=1e-12)
-    assert h2_norm(lag) == pytest.approx(np.sqrt(0.5), abs=1e-9)
     lag2 = StateSpace(
         -2.0 * np.ones((1, 1)), 3.0 * np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1))
     )
-    assert h2_norm_squared(lag2) == pytest.approx(2.25, abs=1e-12)
-    assert h2_norm(lag2) == pytest.approx(1.5, abs=1e-9)
+    for sys, want in ((lag, 0.5), (lag2, 2.25)):
+        assert scalar_h2_squared(tf_of(sys)[0, 0]) == pytest.approx(want, abs=1e-12)
+        assert h2_norm_squared(sys) == pytest.approx(want, abs=1e-12)
 
 
 def test_h2_norm_guards():
+    # the package's route refuses what has no finite H2 norm
     unstable = StateSpace(
         np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1))
     )
     with pytest.raises(NotHurwitz):
-        h2_norm_squared(unstable)
+        scalar_h2_squared(tf_of(unstable)[0, 0])
     feedthrough = StateSpace(
         -np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))
     )
     with pytest.raises(NonzeroFeedthrough):
-        h2_norm_squared(feedthrough)
+        scalar_h2_squared(tf_of(feedthrough)[0, 0])
 
 
 def quadrature_h2_squared(sys, w_max=1e4, n_points=200001):
@@ -275,7 +271,7 @@ def test_h2_scaling_under_static_series():
     G = random_stable_system(rng, 3, 2, 2)
     c = -1.7
     scaled = series(G, StateSpace.static(c * np.eye(2)))
-    assert h2_norm(scaled) == pytest.approx(abs(c) * h2_norm(G), rel=1e-10)
+    assert h2_norm_squared(scaled) == pytest.approx(c**2 * h2_norm_squared(G), rel=1e-10)
 
 
 def test_scalar_h2_matches_state_space():

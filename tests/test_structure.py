@@ -16,6 +16,8 @@ from locrel.graphs import Graph, Partition, StructurePattern, path_graph, ring_g
 from locrel.rational import RationalEntry, RationalMatrix
 from locrel.statespace import StateSpace, tf_of
 from locrel.structure import (
+    ZERO_BLOCK_TOL,
+    RealizationStructure,
     _block_maxima,
     build_structured_realization,
     check_realization_structure,
@@ -115,7 +117,7 @@ def test_builder_rejects_unstructured_input():
 
 
 def test_builder_rejects_improper_entries():
-    H = RationalMatrix([[RationalEntry.monomial()]])
+    H = RationalMatrix([[RationalEntry([0.0, 1.0])]])
     g = Graph(np.ones((1, 1), dtype=bool))
     with pytest.raises(ImproperEntry):
         build_structured_realization(H, StructurePattern.scalar(g))
@@ -135,7 +137,7 @@ def test_builder_on_chain_phi_u():
 
 
 def test_builder_on_static_identity():
-    H = RationalMatrix.identity(3)
+    H = RationalMatrix.from_real(np.eye(3))
     pat = chain_pattern(3)
     sys = build_structured_realization(H, pat)
     assert sys.n_states == 0
@@ -173,14 +175,15 @@ def test_builder_round_trip_on_random_structured_matrices(rng):
 
 
 def test_orientation_duality(rng):
-    from locrel.structure import is_block_diagonal
-
     pat = StructurePattern.scalar(random_connected_graph(4, rng))
     H = random_tf_structured(pat, rng, max_deg=2)
     rows = build_structured_realization(H, pat, "rows")
     cols = build_structured_realization(H, pat, "columns")
-    assert is_block_diagonal(rows.C, rows.out_partition, rows.state_partition)
-    assert is_block_diagonal(cols.B, cols.state_partition, cols.in_partition)
+    # block diagonal: structured on the graph with no edges
+    empty = Graph(np.eye(4, dtype=bool))
+    rows_c = StructurePattern(empty, rows.out_partition, rows.state_partition)
+    cols_b = StructurePattern(empty, cols.state_partition, cols.in_partition)
+    assert is_graph_structured(rows.C, rows_c) and is_graph_structured(cols.B, cols_b)
     for s in (0.9, 1.1 + 0.8j):
         assert np.allclose(rows.evaluate(s), cols.evaluate(s), atol=1e-9)
 
@@ -226,3 +229,64 @@ def test_zero_size_state_blocks_in_realization_check():
     assert not check_realization_structure(
         sys, StructurePattern.scalar(Graph(np.eye(3)))
     ).structured
+
+
+def per_matrix_structure(sys, pattern):
+    """Reference flags: each test reads one matrix's block maxima against its mask."""
+
+    def conforms(M, row_part, col_part, allowed):
+        scale = max(np.max(np.abs(M)) if M.size else 0.0, 1.0)
+        return not np.any(_block_maxima(M, row_part, col_part)[~allowed] > ZERO_BLOCK_TOL * scale)
+
+    sp = sys.state_partition
+    ip = sys.in_partition or pattern.col_partition
+    op = sys.out_partition or pattern.row_partition
+    adj, eye = pattern.graph.adjacency, np.eye(pattern.graph.n, dtype=bool)
+    structured = (
+        conforms(sys.A, sp, sp, adj)
+        and conforms(sys.B, sp, ip, adj)
+        and conforms(sys.C, op, sp, adj)
+        and conforms(sys.D, op, ip, adj)
+    )
+    in_diag = conforms(sys.B, sp, ip, eye) and conforms(sys.D, op, ip, eye)
+    out_diag = conforms(sys.C, op, sp, eye) and conforms(sys.D, op, ip, eye)
+    return RealizationStructure(structured, structured and (in_diag or out_diag), in_diag, out_diag)
+
+
+def random_block_sparse(rng, row_part, col_part):
+    """A matrix whose blocks are zero, large, or one entry at 0.5 or 2 times the zero tolerance.
+
+    The tolerance is ZERO_BLOCK_TOL times max(|M|, 1), which the large
+    blocks set before the small entries go in.
+    """
+    M = np.zeros((row_part.total, col_part.total))
+    kinds = rng.choice(4, size=(row_part.n_blocks, col_part.n_blocks), p=(0.4, 0.2, 0.2, 0.2))
+    for (i, j), kind in np.ndenumerate(kinds):
+        if kind == 3:
+            block = M[row_part.block_slice(i), col_part.block_slice(j)]
+            block[...] = rng.standard_normal(block.shape)
+    scale = max(np.max(np.abs(M)) if M.size else 0.0, 1.0)
+    for (i, j), kind in np.ndenumerate(kinds):
+        block = M[row_part.block_slice(i), col_part.block_slice(j)]
+        if kind in (1, 2) and block.size:
+            factor = (0.5, 2.0)[kind - 1] * rng.choice((-1.0, 1.0))
+            block.flat[rng.integers(block.size)] = factor * ZERO_BLOCK_TOL * scale
+    return M
+
+
+def test_structure_flags_match_the_per_matrix_check(rng):
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 5))
+        graph = random_connected_graph(n, rng, extra_edge_prob=0.2)
+        sp, ip, op = (Partition(tuple(rng.integers(0, 3, size=n))) for _ in range(3))
+        pattern = StructurePattern(graph, op, ip)
+        A, B = random_block_sparse(rng, sp, sp), random_block_sparse(rng, sp, ip)
+        C, D = random_block_sparse(rng, op, sp), random_block_sparse(rng, op, ip)
+        # every other system leaves its input and output partitions to the pattern
+        sides = (ip, op) if trial % 2 else (None, None)
+        sys = StateSpace(A, B, C, D, sp, *sides)
+        got = check_realization_structure(sys, pattern)
+        assert got == per_matrix_structure(sys, pattern)
+        seen.add(got)
+    assert len(seen) >= 4  # the draws reach several flag combinations
