@@ -29,6 +29,7 @@ from .structure import (
     check_realization_structure,
     is_tf_structured,
 )
+from .tolerances import MATCH
 
 
 # ``sls check`` decides the affine constraint exactly and evaluates no
@@ -277,7 +278,7 @@ def build_parser():
         "sls", help="closed-loop parameterization tools", parents=[common]
     )
     p.add_argument("action", choices=("closed-loops", "check", "recover", "implement"))
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=MATCH)
     p.set_defaults(func=cmd_sls)
 
     p = sub.add_parser("consensus", help="ring consensus analysis", parents=[common])
@@ -309,10 +310,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args)
-    except LocrelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (LocrelError, KeyError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args.output)

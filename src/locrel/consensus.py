@@ -27,34 +27,36 @@ from .errors import (
 from .graphs import Partition, StructurePattern, b_hops, laplacian, ring_graph
 from .statespace import StateSpace, batch_h2_squared, feedback
 from .structure import check_realization_structure, is_tf_structured
+from .tolerances import HYPOTHESIS, MATCH, ZERO, negligible
 
-RANK_TOL_REL = 1e-10
 # above this many agents a banded circulant witness is written to JSON as
 # its 2b + 1 taps (``witnessTaps``) instead of n x n entries (``witness``)
 DENSE_WITNESS_MAX_N = 64
 
 
-def _check_circulant(C, tol=1e-9):
+def _check_circulant(C):
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = C.shape[0]
     if C.shape != (n, n):
         raise NotCirculant("matrix is not square")
+    scale = max(C.max(), -C.min(), 1.0)
+    if not np.isfinite(scale):
+        raise ValueError("a circulant must have finite entries")
     # row i of a circulant is row 0 shifted right by i, which is the window
     # starting at n - i of row 0 written twice
     shifts = np.lib.stride_tricks.sliding_window_view(np.tile(C[0], 2), n)[n:0:-1]
     gap = C - shifts
     np.abs(gap, out=gap)
-    scale = max(C.max(), -C.min(), 1.0)
-    bad = np.flatnonzero(gap.max(axis=1) > tol * scale)
+    bad = np.flatnonzero(gap.max(axis=1) > HYPOTHESIS * scale)
     if bad.size:
         raise NotCirculant(f"row {bad[0]} is not a cyclic shift of row 0")
     return C
 
 
 def _symbol_rank(symbol):
-    """Number of DFT symbol values above the relative rank tolerance."""
+    """Number of DFT symbol values above ZERO of the largest (or 1)."""
     mags = np.abs(symbol)
-    return int(np.count_nonzero(mags > RANK_TOL_REL * max(mags.max(), 1.0)))
+    return int(np.count_nonzero(mags > ZERO * max(mags.max(), 1.0)))
 
 
 def circulant_rank(C):
@@ -132,8 +134,7 @@ class ConsensusProblem:
         self.c = _check_circulant(self.c)
         if self.c.shape[0] != self.n:
             raise ValueError("measure size must match the agent count")
-        scale = max(np.max(np.abs(self.c)), 1.0)
-        if np.max(np.abs(self.c @ np.ones(self.n))) > 1e-9 * scale:
+        if not negligible(self.c @ np.ones(self.n), self.c, HYPOTHESIS):
             raise ValueError("consensus measure must have zero row sums")
 
 
@@ -247,8 +248,7 @@ def sls_relative_feasibility(prob):
     residual = max(
         float(np.max(np.abs(C[:, offsets % n] @ taps - C[:, 0]))), abs(float(taps.sum()))
     )
-    scale = max(np.max(np.abs(C[0])), 1.0)
-    if residual <= 1e-8 * scale:
+    if negligible(residual, C[0], MATCH):
         note = (
             f"rank(C) = {r} fits within the banded degrees of freedom; the static "
             "constraints admit a solution, so this necessary test cannot rule the "
@@ -332,8 +332,7 @@ def h2_deflated(prob, K):
     gamma = prob.gamma
     # ConsensusProblem has checked that C is circulant
     c_sym = np.fft.fft(prob.c[0])
-    scale_c = max(np.max(np.abs(c_sym)), 1.0)
-    if abs(c_sym[0]) > 1e-9 * scale_c:
+    if not negligible(c_sym[0], c_sym, HYPOTHESIS):
         raise ModeZeroDetectable("consensus measure sees the average mode")
     if isinstance(K, StateSpace) and K.n_states == 0:
         K = K.D  # a realization with no states is its static gain
@@ -342,8 +341,8 @@ def h2_deflated(prob, K):
         b_sym = _symbols_of_circulant(K.B)
         k_sym = _symbols_of_circulant(K.C)
         d_sym = _symbols_of_circulant(K.D)
-        k_scale = max(np.max(np.abs(K.B)), np.max(np.abs(K.D)), 1.0)
-        if abs(b_sym[0]) > 1e-9 * k_scale or abs(d_sym[0]) > 1e-9 * k_scale:
+        k_ref = max(np.abs(K.B).max(), np.abs(K.D).max())
+        if not negligible(max(abs(b_sym[0]), abs(d_sym[0])), k_ref, HYPOTHESIS):
             raise ModeZeroDetectable(
                 "controller is not relative: its average mode reacts to the state"
             )
@@ -352,7 +351,7 @@ def h2_deflated(prob, K):
         # u = (d (s - a) + k b)/den w
         a, b, k, d = (sym[1:] for sym in (a_sym, b_sym, k_sym, d_sym))
         A_cl = np.stack((np.stack((d, k), -1), np.stack((b, a), -1)), -2)
-        unstable = np.max(np.linalg.eigvals(A_cl).real, axis=1) >= -1e-9
+        unstable = np.max(np.linalg.eigvals(A_cl).real, axis=1) >= -HYPOTHESIS
         if np.any(unstable):
             mode = 1 + int(np.argmax(unstable))
             raise UnstableNonzeroMode(f"closed-loop mode {mode} is not Hurwitz")
@@ -367,11 +366,10 @@ def h2_deflated(prob, K):
         )
         return float(np.sum(batch_h2_squared(num, den)))
     lam = _symbols_of_circulant(K)
-    k_scale = max(np.max(np.abs(lam)), 1.0)
-    if abs(lam[0]) > 1e-9 * k_scale:
+    if not negligible(lam[0], lam, HYPOTHESIS):
         raise ModeZeroDetectable("static controller is not relative")
     lam, c = lam[1:], c_sym[1:]
-    unstable = lam.real >= -1e-9
+    unstable = lam.real >= -HYPOTHESIS
     if np.any(unstable):
         mode = 1 + int(np.argmax(unstable))
         raise UnstableNonzeroMode(f"closed-loop mode {mode} is not Hurwitz")

@@ -225,12 +225,16 @@ def graph_to_json(graph):
 
 
 def graph_from_json(data):
-    """Parse the {"n", "edges"} format.  Duplicate edges are tolerated."""
+    """Parse the {"n", "edges"} format: n >= 1, edges as node pairs, duplicates tolerated."""
     if isinstance(data, str):
         data = json.loads(data)
     n = int(data["n"])
+    if n < 1:
+        raise ValueError(f"a graph needs at least 1 node, not n={n}")
     adj = np.eye(n, dtype=bool)
     for edge in data.get("edges", []):
+        if np.shape(edge) != (2,):
+            raise ValueError(f"edge {edge!r} is not a pair of nodes")
         i, j = int(edge[0]), int(edge[1])
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")

@@ -20,10 +20,9 @@ from .errors import (
     SingularAtS,
 )
 from .graphs import Partition
+from .tolerances import EXACT, HYPOTHESIS, MATCH, TINY, ZERO
 
 DEGREE_CAP = 128
-ZERO_REL_TOL = 1e-10
-ROOT_MATCH_TOL = 1e-8
 
 
 def _as_rows(c):
@@ -39,47 +38,38 @@ def _as_coeffs(c):
     return _as_rows(arr)
 
 
-def ptrim(c, rel_tol=ZERO_REL_TOL):
+def ptrim(c):
     """Drop leading (highest-order) coefficients that are relatively tiny."""
     c = _as_coeffs(c)
     scale = np.max(np.abs(c)) if c.size else 0.0
     if scale == 0.0:
         return c[:1] if c.size else np.zeros(1)
     keep = c.size
-    while keep > 1 and abs(c[keep - 1]) <= rel_tol * scale:
+    while keep > 1 and abs(c[keep - 1]) <= ZERO * scale:
         keep -= 1
     return c[:keep]
 
 
-def pis_zero(c, rel_tol=ZERO_REL_TOL):
-    c = _as_coeffs(c)
-    scale = np.max(np.abs(c))
-    return bool(scale == 0.0 or np.all(np.abs(c) <= rel_tol * max(scale, 1.0)))
+def pis_zero(c):
+    """True where every coefficient along the last axis is at most ZERO in size."""
+    return np.abs(c).max(axis=-1) <= ZERO
 
 
 def trim_rows(coeffs):
     """Rows along the last axis as ptrim leaves them, with their degrees.
 
     The rule of ptrim for every row at once: a leading coefficient is
-    dropped while its magnitude is at most ZERO_REL_TOL of the row's
+    dropped while its magnitude is at most ZERO of the row's
     largest, down to one coefficient.  Coefficients above each row's
     degree become zero.
     """
     magnitude = np.abs(coeffs)
     scale = np.max(magnitude, axis=-1, keepdims=True)
-    kept = ~(magnitude <= ZERO_REL_TOL * scale)
+    kept = ~(magnitude <= ZERO * scale)
     kept[..., 0] = True
     degree = coeffs.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
     above = np.arange(coeffs.shape[-1]) > degree[..., None]
     return np.where(above, 0.0, coeffs), degree
-
-
-def _rows_zero(coeffs):
-    """pis_zero of every row along the last axis."""
-    magnitude = np.abs(coeffs)
-    scale = np.max(magnitude, axis=-1)
-    floor = ZERO_REL_TOL * np.maximum(scale, 1.0)
-    return (scale == 0.0) | np.all(magnitude <= floor[..., None], axis=-1)
 
 
 def padd(a, b):
@@ -130,13 +120,13 @@ def pdiv(num, den):
     return ptrim(np.atleast_1d(q)[::-1]), ptrim(np.atleast_1d(r)[::-1])
 
 
-def try_exact_divide(num, factor, rel_tol=1e-8):
+def try_exact_divide(num, factor, rel_tol=MATCH):
     """Quotient of num / factor when the remainder is relatively tiny, else None."""
     num, factor = ptrim(num), ptrim(factor)
     if pdeg(factor) > pdeg(num):
         return None
     q, r = pdiv(num, factor)
-    scale = max(np.max(np.abs(num)), 1e-300)
+    scale = max(np.max(np.abs(num)), TINY)
     if np.max(np.abs(r)) <= rel_tol * scale:
         return q
     return None
@@ -145,14 +135,14 @@ def try_exact_divide(num, factor, rel_tol=1e-8):
 def _strip_shared_monomial(num, den):
     """Remove the exact common power of s from both polynomials."""
     num, den = ptrim(num), ptrim(den)
-    n_scale = max(np.max(np.abs(num)), 1e-300)
-    d_scale = max(np.max(np.abs(den)), 1e-300)
+    n_scale = max(np.max(np.abs(num)), TINY)
+    d_scale = max(np.max(np.abs(den)), TINY)
     k = 0
     limit = min(num.size, den.size) - 1
     while (
         k < limit
-        and abs(num[k]) <= 1e-12 * n_scale
-        and abs(den[k]) <= 1e-12 * d_scale
+        and abs(num[k]) <= EXACT * n_scale
+        and abs(den[k]) <= EXACT * d_scale
     ):
         k += 1
     if k:
@@ -160,7 +150,7 @@ def _strip_shared_monomial(num, den):
     return num, den
 
 
-def _deflate(poly, root, rel_tol=ROOT_MATCH_TOL):
+def _deflate(poly, root):
     """Synthetic division of poly by (s - root); None if the remainder is large."""
     poly = ptrim(poly)
     if poly.size < 2:
@@ -171,12 +161,12 @@ def _deflate(poly, root, rel_tol=ROOT_MATCH_TOL):
     for i in range(1, desc.size):
         out[i - 1] = acc
         acc = desc[i] + acc * root
-    scale = max(np.max(np.abs(poly)), 1e-300)
-    if abs(acc) > rel_tol * scale * max(1.0, abs(root)):
+    scale = max(np.max(np.abs(poly)), TINY)
+    if abs(acc) > MATCH * scale * max(1.0, abs(root)):
         return None
     res = out[::-1]
-    if not np.iscomplexobj(poly) and np.max(np.abs(res.imag)) <= 1e-9 * max(
-        np.max(np.abs(res.real)), 1e-300
+    if not np.iscomplexobj(poly) and np.max(np.abs(res.imag)) <= HYPOTHESIS * max(
+        np.max(np.abs(res.real)), TINY
     ):
         res = res.real
     return ptrim(res)
@@ -199,16 +189,16 @@ def cancel_common_factors(num, den):
     while pdeg(den) >= 1 and pdeg(num) >= 1 and guard < DEGREE_CAP:
         guard += 1
         den_roots = np.roots(ptrim(den)[::-1])
-        num_scale = max(np.max(np.abs(num)), 1e-300)
+        num_scale = max(np.max(np.abs(num)), TINY)
         cancelled = False
         for root in den_roots:
-            tol = ROOT_MATCH_TOL * max(1.0, abs(root)) ** pdeg(num)
+            tol = MATCH * max(1.0, abs(root)) ** pdeg(num)
             if abs(pval(num, root)) > tol * num_scale:
                 continue
-            if both_real and abs(root.imag) > 1e-9 * max(1.0, abs(root)):
+            if both_real and abs(root.imag) > HYPOTHESIS * max(1.0, abs(root)):
                 quad = np.array([abs(root) ** 2, -2.0 * root.real, 1.0])
-                new_num = try_exact_divide(num, quad, rel_tol=ROOT_MATCH_TOL)
-                new_den = try_exact_divide(den, quad, rel_tol=ROOT_MATCH_TOL)
+                new_num = try_exact_divide(num, quad)
+                new_den = try_exact_divide(den, quad)
             else:
                 root_use = root.real if both_real else root
                 new_num = _deflate(num, root_use)
@@ -229,13 +219,13 @@ def _cancellable_rows(nums, den):
     Only those with a root-matching hit at a root of den (taken with a 10x
     margin for the batch's rounding), or all when den(0) = 0.
     """
-    if abs(den[0]) <= 1e-12 * np.max(np.abs(den)):
+    if abs(den[0]) <= EXACT * np.max(np.abs(den)):
         return np.ones(nums.shape[:-1], dtype=bool)
     nums, deg = trim_rows(nums)
     roots = np.roots(ptrim(den)[::-1])
     values = np.polynomial.polynomial.polyval(roots, np.moveaxis(nums, -1, 0))
-    scale = np.maximum(np.max(np.abs(nums), axis=-1, keepdims=True), 1e-300)
-    tol = 10 * ROOT_MATCH_TOL * np.maximum(1.0, np.abs(roots)) ** deg[..., None]
+    scale = np.maximum(np.max(np.abs(nums), axis=-1, keepdims=True), TINY)
+    tol = 10 * MATCH * np.maximum(1.0, np.abs(roots)) ** deg[..., None]
     return ~np.all(np.abs(values) > tol * scale, axis=-1)
 
 
@@ -243,13 +233,13 @@ def distinct_denominators(entries):
     """Denominators of the entries, each kept once, in order of appearance.
 
     Two denominators are the same when their sizes are equal and their
-    coefficients agree to a relative 1e-9 (absolute 1e-12).
+    coefficients agree to a relative HYPOTHESIS (absolute EXACT).
     """
     distinct = []
     for e in entries:
         d = e.den
         if not any(
-            d.size == f.size and np.allclose(d, f, rtol=1e-9, atol=1e-12)
+            d.size == f.size and np.allclose(d, f, rtol=HYPOTHESIS, atol=EXACT)
             for f in distinct
         ):
             distinct.append(d)
@@ -271,7 +261,7 @@ def common_denominator(entries):
     unique = dict(zip(keys, entries))  # one entry per bitwise-distinct den
     q = np.ones(1)
     for f in sorted(distinct_denominators(unique.values()), key=pdeg, reverse=True):
-        if try_exact_divide(q, f, rel_tol=1e-9) is None:
+        if try_exact_divide(q, f, rel_tol=HYPOTHESIS) is None:
             q = np.convolve(q, f)
             if q.size - 1 > DEGREE_CAP:
                 raise DegreeCapExceeded(
@@ -281,11 +271,11 @@ def common_denominator(entries):
         raise CommonDenominatorTruncated(
             f"the common denominator has degree {q.size - 1} and a largest "
             f"coefficient of {np.max(np.abs(q)):.2e}; trimming at "
-            f"{ZERO_REL_TOL:g} of it would drop its leading 1"
+            f"{ZERO:g} of it would drop its leading 1"
         )
     factors = {}
     for key, e in unique.items():
-        factor = try_exact_divide(q, e.den, rel_tol=1e-9)
+        factor = try_exact_divide(q, e.den, rel_tol=HYPOTHESIS)
         if factor is None:
             # den not an exact factor of q (close duplicates); fall back
             factor, _ = pdiv(q, e.den)
@@ -305,15 +295,18 @@ class RationalEntry:
     Parameters
     ----------
     num, den : array_like
-        Ascending coefficient arrays.  The denominator must be nonzero and
-        is normalized so that its leading coefficient equals one.
+        Finite ascending coefficient arrays.  The denominator must be
+        nonzero and is normalized so that its leading coefficient equals
+        one.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1.0,)):
-        num = ptrim(num)
-        den = ptrim(den)
+        num, den = _as_coeffs(num), _as_coeffs(den)
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValueError("rational entry coefficients must be finite")
+        num, den = ptrim(num), ptrim(den)
         if pis_zero(den):
             raise ZeroDivisionError("denominator polynomial is zero")
         if pis_zero(num):
@@ -354,14 +347,14 @@ class RationalEntry:
     def evaluate(self, s):
         dval = pval(self.den, s)
         scale = max(np.max(np.abs(self.den)), 1.0) * max(1.0, abs(s)) ** pdeg(self.den)
-        if abs(dval) <= 1e-12 * scale:
+        if abs(dval) <= EXACT * scale:
             raise SingularAtS(f"rational entry has a pole at s = {s}")
         return pval(self.num, s) / dval
 
     def __add__(self, other):
         other = _coerce_entry(other)
         if self.den.size == other.den.size and np.allclose(
-            self.den, other.den, rtol=1e-12, atol=0.0
+            self.den, other.den, rtol=EXACT, atol=0.0
         ):
             return RationalEntry(padd(self.num, other.num), self.den)
         num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
@@ -391,8 +384,8 @@ def entry_array(nums, dens):
 
     ``nums`` holds ascending numerators along its last axis; the array
     returned has shape ``nums.shape[:-1]``, and ``dens`` broadcasts
-    against it.  The rules of ``RationalEntry.__init__`` (trim, zero
-    test, normalization, degree cap) are applied to all rows with array
+    against it.  The rules of ``RationalEntry.__init__`` (finiteness, trim,
+    zero test, normalization, degree cap) are applied to all rows with array
     operations, so every entry is bitwise the one the constructor would
     build, and owns its coefficient arrays.  On failure the error is the
     one the first failing row, in C order, would raise there.
@@ -402,12 +395,15 @@ def entry_array(nums, dens):
     dens = np.broadcast_to(dens, shape + dens.shape[-1:])
     num, num_deg = trim_rows(nums)
     den, den_deg = trim_rows(dens)
-    num_zero = _rows_zero(nums)
-    den_zero = _rows_zero(dens)
+    num_zero, den_zero = pis_zero(nums), pis_zero(dens)
+    nonfinite = ~(np.isfinite(nums).all(axis=-1) & np.isfinite(dens).all(axis=-1))
     over_cap = ~num_zero & ((num_deg > DEGREE_CAP) | (den_deg > DEGREE_CAP))
-    failing = (den_zero | over_cap).reshape(-1)
+    failing = (nonfinite | den_zero | over_cap).reshape(-1)
     if np.any(failing):
-        if den_zero.reshape(-1)[np.argmax(failing)]:
+        first = np.argmax(failing)
+        if nonfinite.reshape(-1)[first]:
+            raise ValueError("rational entry coefficients must be finite")
+        if den_zero.reshape(-1)[first]:
             raise ZeroDivisionError("denominator polynomial is zero")
         raise DegreeCapExceeded("rational entry exceeds the degree cap")
     lead = np.take_along_axis(den, den_deg[..., None], axis=-1)

@@ -20,27 +20,25 @@ from .rational import (
     RationalEntry,
     RationalMatrix,
     _cancellable_rows,
-    _rows_zero,
     cancel_common_factors,
     common_denominator,
     entry_array,
+    pis_zero,
 )
 from .statespace import StateSpace
 from .structure import transfer_support
+from .tolerances import ZERO, negligible
 
-PINV_CUTOFF_REL = 1e-10
 
-
-def _row_coefficients(K, tol):
+def _row_coefficients(K):
     """Each row's common denominator and numerators (one per array row), in turn;
-    NotRelative at the first row whose numerators sum above tol of their scale."""
+    NotRelative at the first row whose numerators sum above ZERO of their scale."""
     for row in K.entries:
         common, nums = common_denominator(row)
         coeffs = np.zeros((len(nums), max(num.size for num in nums)), dtype=complex)
         for j, num in enumerate(nums):
             coeffs[j, : num.size] = num
-        scale = max(np.max(np.abs(coeffs)), 1.0)
-        if np.max(np.abs(coeffs.sum(axis=0))) > tol * scale:
+        if not negligible(coeffs.sum(axis=0), coeffs, ZERO):
             raise NotRelative("rational gain rows must sum to the zero function")
         yield common, coeffs
 
@@ -53,36 +51,35 @@ def _static_gain(k):
     return np.asarray(k, dtype=float)
 
 
-def _row_sums(M, tol):
-    """M @ 1, with sums at most tol of their row's largest term (or 1) set to zero."""
+def _row_sums(M):
+    """M @ 1, with sums at most ZERO of their row's largest term (or 1) set to zero."""
     sums = M.sum(axis=1, keepdims=True)
     scale = np.maximum(np.max(np.abs(M), axis=1, keepdims=True, initial=0.0), 1.0)
-    sums[np.abs(sums) <= tol * scale] = 0.0
+    sums[np.abs(sums) <= ZERO * scale] = 0.0
     return sums
 
 
-def is_relative(K, tol=1e-10):
+def is_relative(K):
     """True when every row of the gain sums to zero.
 
     Accepts a real or complex matrix, a RationalMatrix or a StateSpace; for
     the latter two the row sums must be the zero function.  A realization is relative
     when D 1 = 0 and C annihilates the reachable subspace of B 1, that is
     when the one-input system (A, B 1, C, D 1) has no ``transfer_support``;
-    the sums B 1 and D 1 are zero up to tol of their rows' terms.
+    the sums B 1 and D 1 are zero up to ZERO of their rows' terms.
     """
     if isinstance(K, StateSpace):
-        summed = StateSpace(K.A, _row_sums(K.B, tol), K.C, _row_sums(K.D, tol))
+        summed = StateSpace(K.A, _row_sums(K.B), K.C, _row_sums(K.D))
         return not transfer_support(summed).any()
     if isinstance(K, RationalMatrix):
         try:
-            for _ in _row_coefficients(K, tol):
+            for _ in _row_coefficients(K):
                 pass
         except NotRelative:
             return False
         return True
     K = np.atleast_2d(_static_gain(K))
-    scale = max(np.max(np.abs(K)), 1.0)
-    return bool(np.max(np.abs(K.sum(axis=1))) <= tol * scale)
+    return bool(negligible(K.sum(axis=1), K, ZERO))
 
 
 def _laplacian_pinv(graph):
@@ -93,7 +90,7 @@ def _laplacian_pinv(graph):
     """
     L = laplacian(graph)
     w, V = np.linalg.eigh(L)
-    cutoff = PINV_CUTOFF_REL * max(w[-1], 1.0)
+    cutoff = ZERO * max(w[-1], 1.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (V * inv) @ V.T
 
@@ -127,8 +124,7 @@ def relative_decompose(k, graph):
     if k.size != graph.n:
         raise ValueError("gain length must match the node count")
     require_connected(graph)
-    scale = max(np.max(np.abs(k)), 1.0)
-    if abs(k.sum()) > 1e-10 * scale:
+    if not negligible(k.sum(), k, ZERO):
         raise NotRelative(f"row sums to {k.sum():.3e}, not zero")
     w = 2.0 * (_laplacian_pinv(graph) @ k)
     return edge_sum_adjoint(graph, w)
@@ -176,7 +172,7 @@ def relative_decompose_rational(K, graph):
     m = K.shape[1]
     if m != graph.n:
         raise ValueError("gain column count must match the node count")
-    rows = list(_row_coefficients(K, 1e-10))
+    rows = list(_row_coefficients(K))
     Lp = _laplacian_pinv(graph)
     off = graph.adjacency & ~np.eye(m, dtype=bool)
     kernels = []
@@ -188,7 +184,7 @@ def relative_decompose_rational(K, graph):
         V = 2.0 * np.stack([Lp @ c for c in coeffs.T], axis=-1)
         num_grid = 0.5 * off[:, :, None] * (V[:, None] - V[None, :])
         grid = entry_array(num_grid, common)
-        live = _cancellable_rows(num_grid, common) & ~_rows_zero(num_grid)
+        live = _cancellable_rows(num_grid, common) & ~pis_zero(num_grid)
         for i, j in zip(*np.nonzero(live)):
             grid[i, j] = RationalEntry(*cancel_common_factors(num_grid[i, j], common))
         kernels.append(grid.tolist())

@@ -47,13 +47,13 @@ from .statespace import (
     series,
 )
 from .structure import (
-    INPUT_ZERO_TOL,
     _entry_pattern,
     _transfer_partitions,
     check_realization_structure,
     is_tf_structured,
     transfer_support,
 )
+from .tolerances import HYPOTHESIS, UNIT_FEEDTHROUGH, ZERO, negligible
 
 
 @dataclass
@@ -199,7 +199,7 @@ def _realization(H, name, strict=True):
         if not (H.is_strictly_proper() if strict else H.is_proper()):
             raise ConstraintViolated(f"{name} must be {'strictly ' if strict else ''}proper")
         return realize_rational(H, "rows")
-    if strict and np.max(np.abs(H.D), initial=0.0) > INPUT_ZERO_TOL:
+    if strict and np.max(np.abs(H.D), initial=0.0) > ZERO:
         raise ConstraintViolated(f"{name} must be strictly proper")
     return H
 
@@ -315,7 +315,7 @@ def _derivative(R):
 
 def _require_unit_feedthrough(R, name):
     """Raise unless s * H tends to the identity: its feedthrough C B, on a strictly proper R."""
-    if np.max(np.abs(R.C @ R.B - np.eye(R.n_outputs))) > 1e-7:
+    if np.max(np.abs(R.C @ R.B - np.eye(R.n_outputs))) > UNIT_FEEDTHROUGH:
         raise ConstraintViolated(
             f"s * {name} does not tend to the identity; the affine constraint fails"
         )
@@ -500,9 +500,7 @@ def check_relative_equivalence(plant, K):
     realization ``closed_loops_of`` builds.
     """
     n = plant.n
-    ones = np.ones(n)
-    scale = max(np.max(np.abs(plant.A)), 1.0)
-    if np.max(np.abs(plant.A @ ones)) > 1e-9 * scale:
+    if not negligible(plant.A @ np.ones(n), plant.A, HYPOTHESIS):
         raise HypothesisViolated("plant drift does not annihilate the ones vector")
     if np.linalg.matrix_rank(plant.B2) < n:
         raise HypothesisViolated("B2 must have full row rank")

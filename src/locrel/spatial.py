@@ -32,15 +32,17 @@ from .errors import (
 )
 from .consensus import FeasibilityCertificate
 from .rational import (
-    ZERO_REL_TOL,
     RationalEntry,
     RationalMatrix,
     common_denominator,
     entry_array,
+    pis_zero,
     trim_rows,
 )
 from .relative import is_relative
 from .statespace import batch_h2_squared, scalar_h2_squared
+from .tolerances import EXACT, MATCH, ZERO
+
 
 def canonical_offset(offset, n):
     """Map an integer offset tuple into (-floor(n/2), floor(n/2)]^d."""
@@ -86,10 +88,9 @@ class ConvKernelArray:
                 self.set_tap(offset, entry)
 
     def _grid_index(self, offset):
-        offset = tuple(int(o) for o in offset)
-        if len(offset) != self.d:
-            raise ValueError("offset dimension mismatch")
-        return tuple(o % self.n for o in offset)
+        if np.ndim(offset) != 1 or len(offset) != self.d:
+            raise ValueError(f"offset {offset!r} is not a sequence of length {self.d}")
+        return tuple(int(o) % self.n for o in offset)
 
     def set_tap(self, offset, entry):
         if not isinstance(entry, RationalEntry):
@@ -125,9 +126,7 @@ class ConvKernelArray:
     def from_json(cls, data):
         kernel = cls(int(data["d"]), int(data["n"]))
         for tap in data.get("taps", []):
-            kernel.set_tap(
-                tuple(tap["offset"]), RationalEntry(tap["num"], tap["den"])
-            )
+            kernel.set_tap(tap["offset"], RationalEntry(tap["num"], tap["den"]))
         return kernel
 
 
@@ -147,7 +146,7 @@ def _symbol_coeffs(kernel):
         idx = tuple(o % kernel.n for o in offset)
         coeff_grid[idx][: len(num)] = num
     coeffs, _ = trim_rows(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))))
-    coeffs[np.max(np.abs(coeffs), axis=-1) <= ZERO_REL_TOL] = 0.0
+    coeffs[pis_zero(coeffs)] = 0.0
     return coeffs, common
 
 
@@ -183,10 +182,10 @@ def si_h2_squared_parseval(kernel):
     return float(np.sum(batch_h2_squared(num, den))) / kernel.n**kernel.d
 
 
-def is_relative_si(kernel, tol=1e-10):
+def is_relative_si(kernel):
     """True when the taps sum to the zero transfer function."""
     taps = [entry for _, entry in kernel.taps()]
-    return not taps or is_relative(RationalMatrix([taps]), tol)
+    return not taps or is_relative(RationalMatrix([taps]))
 
 
 def is_cl_tf_structured_si(kernel, b):
@@ -282,7 +281,7 @@ class SIClosedLoops:
         den = _polyval(self.cl_den, s)
         scale = np.maximum(np.max(np.abs(self.cl_den), axis=-1), 1.0)
         scale = scale * max(1.0, abs(s)) ** self.degree
-        if np.any(np.abs(den) <= 1e-12 * scale):
+        if np.any(np.abs(den) <= EXACT * scale):
             raise SingularAtS(f"closed loop has a pole at s = {s}")
         return _polyval(self.phi_x_num, s) / den, _polyval(self.phi_u_num, s) / den
 
@@ -332,7 +331,7 @@ def si_closed_loops(controller_kernel):
     cl_den = s_den - num
     largest = np.max(np.abs(cl_den), axis=-1)
     scale = np.maximum(np.max(np.abs(s_den), axis=-1), np.max(np.abs(num), axis=-1))
-    clash = largest <= 1e-10 * np.maximum(scale, 1.0)
+    clash = largest <= ZERO * np.maximum(scale, 1.0)
     if np.any(clash):
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(clash), clash.shape))
         raise SymbolPoleClash(
@@ -351,6 +350,6 @@ def si_closed_loops(controller_kernel):
     # the identity s phi_x - phi_u = 1 holds by construction; a sampled
     # residual guards against coefficient bookkeeping mistakes
     residual = loops.affine_residual(1.0 + 0.7j)
-    if residual > 1e-8:
+    if residual > MATCH:
         raise ConstraintViolated(f"affine identity violated: residual {residual:.3e}")
     return loops

@@ -38,15 +38,8 @@ from .errors import (
     SingularAtS,
 )
 from .graphs import Partition
-from .rational import (
-    ZERO_REL_TOL,
-    RationalEntry,
-    RationalMatrix,
-    padd,
-    pdeg,
-    pscale,
-    ptrim,
-)
+from .rational import RationalEntry, RationalMatrix, padd, pdeg, pscale, ptrim
+from .tolerances import HYPOTHESIS, TINY, VERIFY, ZERO, negligible
 
 
 class StateSpace:
@@ -77,6 +70,8 @@ class StateSpace:
             raise ValueError(
                 f"D has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
             )
+        if not all(np.isfinite(M).all() for M in (A, B, C, D)):
+            raise ValueError("state-space matrices must be finite")
         self.A, self.B, self.C, self.D = A, B, C, D
         self.n_states = n
         self.n_inputs = B.shape[1]
@@ -112,9 +107,7 @@ class StateSpace:
             X = np.linalg.solve(M, self.B.astype(complex))
         except np.linalg.LinAlgError as exc:
             raise SingularAtS(f"state matrix resolvent is singular at s = {s}") from exc
-        resid = np.max(np.abs(M @ X - self.B)) if self.B.size else 0.0
-        scale = max(np.max(np.abs(self.B)), 1.0) if self.B.size else 1.0
-        if resid > 1e-6 * scale:
+        if not negligible(M @ X - self.B, self.B, VERIFY):
             raise SingularAtS(f"resolvent solve did not converge at s = {s}")
         return self.C @ X + self.D
 
@@ -369,15 +362,16 @@ def batch_h2_squared(num, den):
     N, k = den.shape[0], den.shape[1] - 1
     # numerators and degrees are judged by the rules of pis_zero and ptrim
     row_scale = np.max(np.abs(num), axis=2, initial=0.0)
-    num = np.where((row_scale <= ZERO_REL_TOL)[..., None], 0.0, num)
-    live = np.flatnonzero(np.any(row_scale > ZERO_REL_TOL, axis=1))
+    zero = row_scale <= ZERO
+    num = np.where(zero[..., None], 0.0, num)
+    live = np.flatnonzero(~np.all(zero, axis=1))
     high = np.max(np.abs(num[:, :, k:]), axis=2, initial=0.0)
-    improper = np.any(high > ZERO_REL_TOL * row_scale, axis=1)
+    improper = np.any(high > ZERO * row_scale, axis=1)
     unstable = np.zeros(N, dtype=bool)
     block = max(1, H2_BLOCK_ELEMENTS // max(2 * k - 1, 1) ** 2)
     for lo in range(0, live.size if k else 0, block):
         rows = live[lo : lo + block]
-        unstable[rows] = _root_abscissa(den[rows]) >= -1e-9
+        unstable[rows] = _root_abscissa(den[rows]) >= -HYPOTHESIS
     # the first failing entry decides, as in a loop of one-entry calls
     failing = improper | unstable
     if np.any(failing):
@@ -439,15 +433,15 @@ def char_poly(A):
     return q, mats
 
 
-def _invariant_subspace(A, V, rtol=1e-10, norms=None):
+def _invariant_subspace(A, V, norms=None):
     """Orthonormal basis of the smallest A-invariant subspace holding range(V).
 
     Grows the basis one Krylov block at a time.  Each block is projected
     off the basis, and its rank is the number of singular values above
-    rtol of the block norm; the left singular vectors behind them join
+    ZERO of the block norm; the left singular vectors behind them join
     the basis.  (Unpivoted QR is not rank revealing: a small leading
     column hides the later ones.)  Once the blocks are images A @ Q, a
-    singular value at most rtol times the norm of A is captured too: an
+    singular value at most ZERO times the norm of A is captured too: an
     image that vanishes in exact arithmetic leaves rounding of the size
     of A, not a new direction.
 
@@ -461,17 +455,17 @@ def _invariant_subspace(A, V, rtol=1e-10, norms=None):
     Q = np.zeros((n, 0))
     W = np.atleast_2d(V)
     a_norm, v_norm = norms if norms is not None else (np.linalg.norm(A), 0.0)
-    floor, image_floor = rtol * v_norm, rtol * a_norm
+    floor, image_floor = ZERO * v_norm, ZERO * a_norm
     while W.shape[1] and Q.shape[1] < n:
         # threshold against the block before orthogonalization, so that a
         # block already inside span(Q) up to rounding terminates the loop
         scale = np.linalg.norm(W)
-        if scale <= max(floor, 1e-300):
+        if scale <= max(floor, TINY):
             break
         W = W - Q @ (Q.T @ W)
         W = W - Q @ (Q.T @ W)
         U, sv, _ = np.linalg.svd(W, full_matrices=False)
-        fresh = U[:, sv > max(rtol * scale, floor)]
+        fresh = U[:, sv > max(ZERO * scale, floor)]
         if not fresh.shape[1]:
             break
         Q = np.hstack([Q, fresh])
@@ -486,7 +480,7 @@ def _invariant_subspace(A, V, rtol=1e-10, norms=None):
 KRYLOV_BLOCK_ELEMENTS = 1 << 18
 
 
-def _column_subspaces(A, V, rtol=1e-10, v_norms=None, a_norm=None):
+def _column_subspaces(A, V, v_norms=None, a_norm=None):
     """``_invariant_subspace(A, V[:, [j]])`` for every column j of V at once.
 
     Yields (cols, Q), in no fixed order: column indices whose subspaces
@@ -494,14 +488,14 @@ def _column_subspaces(A, V, rtol=1e-10, v_norms=None, a_norm=None):
     (len(cols), n, k) array.  Each Krylov step is one product with A for
     every live column.  The rank rule is ``_invariant_subspace``'s, with
     the SVD of a one-column block read as its norm: a vector joins when
-    its norm after projection is above max(rtol * scale, floor), and its
-    column stops once the scale is at most max(floor, 1e-300).
+    its norm after projection is above max(ZERO * scale, floor), and its
+    column stops once the scale is at most max(floor, TINY).
     ``v_norms`` (one per column) and ``a_norm`` play the part of
     ``_invariant_subspace``'s ``norms``.
     """
     n, m = A.shape[0], V.shape[1]
-    image_floor = rtol * (np.linalg.norm(A) if a_norm is None else a_norm)
-    v_floor = rtol * (np.zeros(m) if v_norms is None else np.asarray(v_norms, dtype=float))
+    image_floor = ZERO * (np.linalg.norm(A) if a_norm is None else a_norm)
+    v_floor = ZERO * (np.zeros(m) if v_norms is None else np.asarray(v_norms, dtype=float))
     width = max(1, KRYLOV_BLOCK_ELEMENTS // max(n, 1))
     for lo in range(0, m, width):
         cols = np.arange(lo, min(lo + width, m))
@@ -518,7 +512,7 @@ def _column_subspaces(A, V, rtol=1e-10, v_norms=None, a_norm=None):
                     for _ in range(2):
                         W = W - np.matmul(Q, np.matmul(W[:, None, :], Q)[:, 0, :, None])[:, :, 0]
                     norm = np.sqrt(np.einsum("ij,ij->i", W, W))
-                grow = (scale > np.maximum(floor, 1e-300)) & (norm > np.maximum(rtol * scale, floor))
+                grow = (scale > np.maximum(floor, TINY)) & (norm > np.maximum(ZERO * scale, floor))
                 if k == n:
                     grow[:] = False
                 if not grow.all():
@@ -615,9 +609,7 @@ def tf_of(sys):
             want = sys.evaluate(s)
         except SingularAtS:
             continue
-        got = result.evaluate(s)
-        scale = max(float(np.max(np.abs(want))), 1.0)
-        if np.max(np.abs(got - want)) > 1e-6 * scale:
+        if not negligible(result.evaluate(s) - want, want, VERIFY):
             raise RationalConversionFailed(
                 f"{sys.n_states}-state system lost accuracy during rational conversion"
             )
@@ -631,9 +623,7 @@ def realize_entry(entry):
     degree of the entry.
     """
     entry.require_proper()
-    if np.iscomplexobj(entry.num) and np.max(np.abs(np.imag(entry.num))) > 1e-9 * max(
-        np.max(np.abs(entry.num)), 1.0
-    ):
+    if np.iscomplexobj(entry.num) and not negligible(entry.num.imag, entry.num, HYPOTHESIS):
         raise ValueError("cannot realize an entry with complex coefficients")
     den = ptrim(entry.den)
     k = pdeg(den)

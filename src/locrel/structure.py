@@ -17,17 +17,7 @@ import numpy as np
 from .errors import NotTFStructured
 from .graphs import Partition, StructurePattern, path_graph
 from .statespace import StateSpace, _column_subspaces, realize_rational
-
-ZERO_BLOCK_TOL = 1e-12
-# Tolerances of transfer_support.  A feedthrough D_ij, or an input column
-# B_j, of size at most INPUT_ZERO_TOL is zero, as ``rational.pis_zero``
-# reads a constant entry.  A response C_i Q is zero when at most
-# OUTPUT_ZERO_TOL times the largest entry (at least one) of row C_i, since
-# the basis Q carries the rounding of every Krylov step: up to 6e-11 of C_i
-# on dense 30-state realizations with a hidden mode.  Judged per entry
-# and per row, a verdict does not move when one input or output is scaled.
-INPUT_ZERO_TOL = 1e-10
-OUTPUT_ZERO_TOL = 1e-8
+from .tolerances import EXACT, MATCH, ZERO
 
 
 def _block_maxima(matrix, row_part, col_part):
@@ -56,17 +46,17 @@ def _block_maxima(matrix, row_part, col_part):
     return out
 
 
-def _live_blocks(matrix, row_part, col_part, tol=ZERO_BLOCK_TOL):
-    """Mask of the blocks whose largest entry exceeds tol * max(|M|, 1)."""
+def _live_blocks(matrix, row_part, col_part):
+    """Mask of the blocks whose largest entry exceeds EXACT * max(|M|, 1)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     maxima = _block_maxima(matrix, row_part, col_part)
     scale = max(np.max(np.abs(matrix)) if matrix.size else 0.0, 1.0)
-    return maxima > tol * scale
+    return maxima > EXACT * scale
 
 
-def is_graph_structured(matrix, pattern, tol=ZERO_BLOCK_TOL):
+def is_graph_structured(matrix, pattern):
     """True when every non-edge block of the matrix is (numerically) zero."""
-    live = _live_blocks(matrix, pattern.row_partition, pattern.col_partition, tol)
+    live = _live_blocks(matrix, pattern.row_partition, pattern.col_partition)
     return not np.any(live & ~pattern.graph.adjacency)
 
 
@@ -82,18 +72,23 @@ def _column_supports(sys, widths):
     lo; row j of the (width, p) mask holds the outputs whose transfer entry
     from input lo + j is not the zero function.  The reachable subspaces of
     each group grow together in one ``_column_subspaces`` pass.
+
+    A feedthrough D_ij or an input column B_j is zero at size ZERO, and a
+    response C_i Q at MATCH times the largest entry (at least one) of row
+    C_i: judged per entry and per row, a verdict does not move when one
+    input or output is scaled.
     """
     A, C = sys.A, sys.C
     a_norm = np.linalg.norm(A)
-    c_tol = OUTPUT_ZERO_TOL * np.maximum(_largest_magnitude(C, 1), 1.0)
+    c_tol = MATCH * np.maximum(_largest_magnitude(C, 1), 1.0)
     n, p = sys.n_states, sys.n_outputs
     lo = 0
     for width in widths:
         if lo >= sys.n_inputs:
             return
         D, B = sys.D[:, lo : lo + width], sys.B[:, lo : lo + width]
-        out = ((D > INPUT_ZERO_TOL) | (D < -INPUT_ZERO_TOL)).T
-        live = np.flatnonzero(_largest_magnitude(B, 0) > INPUT_ZERO_TOL)
+        out = ((D > ZERO) | (D < -ZERO)).T
+        live = np.flatnonzero(_largest_magnitude(B, 0) > ZERO)
         if live.size:
             # no copy of B when every column is live
             V = B if live.size == B.shape[1] else B[:, live]

@@ -358,3 +358,42 @@ def test_cli_corpus_matches_recorded_outputs(case, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == case["exit"], err
     ORACLES.same_document(json.loads(out), case["stdout"])
+
+
+def _cli_error(capsys, tmp_path, command, text):
+    """Run ``locrel <command> --input`` on a document given as JSON text."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *command.split(), "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    return err
+
+
+def test_non_finite_coefficients_are_an_error(capsys, tmp_path):
+    # json reads 1e999 as inf, which used to make this row "relative": false
+    row = '[{"num": [1e999], "den": [1]}, {"num": [-1], "den": [1]}]'
+    err = _cli_error(capsys, tmp_path, "relative check", f'{{"matrix": {{"entries": [{row}]}}}}')
+    assert "finite" in err
+    assert "finite" in _cli_error(capsys, tmp_path, "relative check", '{"gain": [[1e999, 1.0]]}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ['{"gain": [1, -1, 0], "graph": {"n": 3, "edges": [[0]]}}', '{"gain": [], "graph": {"n": 0}}'],
+)
+def test_malformed_graph_is_an_error(capsys, tmp_path, doc):
+    # an edge that is not a pair, or a graph with no nodes, used to escape as IndexError
+    _cli_error(capsys, tmp_path, "relative decompose", doc)
+
+
+def test_zero_denominator_is_an_error(capsys, tmp_path):
+    row = '[{"num": [1], "den": [0]}, {"num": [-1], "den": [1]}]'
+    err = _cli_error(capsys, tmp_path, "relative check", f'{{"matrix": {{"entries": [{row}]}}}}')
+    assert "zero" in err
+
+
+def test_scalar_tap_offset_is_an_error(capsys, tmp_path):
+    kernel = '{"d": 1, "n": 8, "taps": [{"offset": 0, "num": [1], "den": [1, 1]}]}'
+    err = _cli_error(capsys, tmp_path, "spatial h2", f'{{"kernel": {kernel}}}')
+    assert "offset" in err

@@ -12,7 +12,6 @@ from locrel.rational import (
     RationalEntry,
     RationalMatrix,
     cancel_common_factors,
-    ZERO_REL_TOL,
     common_denominator,
     distinct_denominators,
     entry_array,
@@ -27,6 +26,7 @@ from locrel.rational import (
     try_exact_divide,
 )
 from locrel.relative import is_relative
+from locrel.tolerances import ZERO as ZERO_REL_TOL
 
 
 def random_entry(rng, max_deg=2, stable=False):

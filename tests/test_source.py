@@ -131,3 +131,31 @@ def test_readme_cli_block_is_the_recorded_corpus():
     ]
     corpus = json.loads((PERFBENCH / "cli_expected.json").read_text())
     assert commands == [case["argv"] for case in corpus]
+
+
+def test_thresholds_are_named_in_the_tolerance_policy():
+    # every threshold below 1e-5 is a name of locrel.tolerances, so one
+    # place says what each value decides
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < node.value < 1e-5:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, f"unnamed thresholds in the package: {found}"
+
+
+def test_no_tolerance_parameters():
+    # a threshold comes from the policy, not from a knob no caller sets;
+    # try_exact_divide keeps its own, whose callers pass two values
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                if arg.arg in ("tol", "rtol", "rel_tol") and getattr(node, "name", "") != "try_exact_divide":
+                    found.append(f"{path.name}:{arg.lineno}: {arg.arg}")
+    assert not found, f"tolerance parameters in the package: {found}"

@@ -16,7 +16,6 @@ from locrel.graphs import Graph, Partition, StructurePattern, path_graph, ring_g
 from locrel.rational import RationalEntry, RationalMatrix
 from locrel.statespace import StateSpace, tf_of
 from locrel.structure import (
-    ZERO_BLOCK_TOL,
     RealizationStructure,
     _block_maxima,
     build_structured_realization,
@@ -25,6 +24,7 @@ from locrel.structure import (
     is_tf_structured,
     tridiag_counterexample,
 )
+from locrel.tolerances import EXACT as ZERO_BLOCK_TOL
 
 
 def test_static_ring_gain_is_graph_structured():

@@ -18,12 +18,12 @@ from locrel.relative import is_relative
 from locrel.sls import Plant, closed_loops_of, implementation_realization_sf
 from locrel.statespace import StateSpace, _column_subspaces, _invariant_subspace, tf_of
 from locrel.structure import (
-    INPUT_ZERO_TOL,
     check_realization_structure,
     is_tf_structured,
     transfer_support,
     tridiag_counterexample,
 )
+from locrel.tolerances import ZERO as INPUT_ZERO_TOL
 
 _S = sympy.symbols("s")
 _POLY = sympy.ZZ[_S]
