@@ -20,7 +20,7 @@ import numpy as np
 from . import consensus as cons
 from . import sls, spatial
 from .errors import LocrelError
-from .graphs import Partition, StructurePattern, graph_from_json
+from .graphs import Partition, StructurePattern, _integer, graph_from_json
 from .rational import RationalMatrix
 from .relative import is_relative, relative_decompose, relative_decompose_rational
 from .statespace import StateSpace, tf_of
@@ -175,14 +175,14 @@ def cmd_consensus(args):
     n = args.n if args.n is not None else doc.get("n")
     if n is None:
         raise LocrelError("consensus commands need n (flag or input document)")
-    n = int(n)
+    n = _integer(n, "n")
     gamma = args.gamma if args.gamma is not None else float(doc.get("gamma", 0.0))
     if args.action == "feasibility":
         b = args.b if args.b is not None else doc.get("b")
         if b is None:
             raise LocrelError("feasibility needs the locality radius b")
         C = _measure_for(n, args.measure, doc)
-        prob = cons.ConsensusProblem(n=n, b=int(b), gamma=gamma, c=C)
+        prob = cons.ConsensusProblem(n=n, b=_integer(b, "b"), gamma=gamma, c=C)
         cert = cons.sls_relative_feasibility(prob)
         return cert.to_json(), (2 if cert.infeasible else 0)
     if args.action == "h2":
@@ -204,7 +204,7 @@ def cmd_consensus(args):
     b = args.b if args.b is not None else doc.get("b")
     if b is None:
         raise LocrelError("gap-demo needs the locality radius b")
-    report = cons.gap_demonstration(n, int(b), gamma)
+    report = cons.gap_demonstration(n, _integer(b, "b"), gamma)
     payload = report.to_json()
     return payload, (2 if payload["verdict"] == "Infeasible" else 0)
 
@@ -217,7 +217,7 @@ def cmd_spatial(args):
         b = args.b if args.b is not None else doc.get("b")
         if d is None or n is None or b is None:
             raise LocrelError("spatial feasibility needs d, n and b")
-        cert = spatial.spatial_feasibility(int(d), int(n), int(b))
+        cert = spatial.spatial_feasibility(_integer(d, "d"), _integer(n, "n"), _integer(b, "b"))
         return cert.to_json(), (2 if cert.infeasible else 0)
     kernel = spatial.ConvKernelArray.from_json(doc["kernel"])
     squared = spatial.si_h2_squared(kernel)

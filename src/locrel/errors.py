@@ -78,7 +78,7 @@ class NonNegativeA(LocrelError):
 
 
 class ModeZeroDetectable(LocrelError):
-    """The averaged mode must be unobservable for deflated H2 to be meaningful."""
+    """Deflated H2 needs an unforced average mode, that is a relative controller."""
 
 
 class UnstableNonzeroMode(LocrelError):

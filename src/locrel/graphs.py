@@ -9,11 +9,20 @@ that matrix-level structure checks can work block-wise.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DisconnectedGraph
+
+
+def _integer(value, name):
+    """A count read from a document as an int; a bool, 3.9 or "3" raises ValueError."""
+    whole = isinstance(value, float) and value.is_integer()
+    if whole or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class Graph:
@@ -52,7 +61,7 @@ class Partition:
     block_sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
+        sizes = tuple(_integer(s, "a block size") for s in self.block_sizes)
         if len(sizes) == 0:
             raise ValueError("a partition needs at least one block")
         if any(s < 0 for s in sizes):
@@ -228,14 +237,14 @@ def graph_from_json(data):
     """Parse the {"n", "edges"} format: n >= 1, edges as node pairs, duplicates tolerated."""
     if isinstance(data, str):
         data = json.loads(data)
-    n = int(data["n"])
+    n = _integer(data["n"], "n")
     if n < 1:
         raise ValueError(f"a graph needs at least 1 node, not n={n}")
     adj = np.eye(n, dtype=bool)
     for edge in data.get("edges", []):
         if np.shape(edge) != (2,):
             raise ValueError(f"edge {edge!r} is not a pair of nodes")
-        i, j = int(edge[0]), int(edge[1])
+        i, j = (_integer(node, "a node") for node in edge)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         adj[i, j] = True

@@ -60,18 +60,14 @@ from .tolerances import HYPOTHESIS, UNIT_FEEDTHROUGH, ZERO, negligible
 class Plant:
     """State-space plant with distinct disturbance and control channels.
 
-    dx = A x + B1 w + B2 u,  z = C1 x + D12 u,  y = C2 x + D21 w.
-    The measurement channel (C2, D21) is optional; omit it for state
-    feedback.
+    dx = A x + B1 w + B2 u,  y = C2 x.  The measurement matrix C2 is
+    optional; omit it for state feedback.
     """
 
     A: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
-    C1: Optional[np.ndarray] = None
-    D12: Optional[np.ndarray] = None
     C2: Optional[np.ndarray] = None
-    D21: Optional[np.ndarray] = None
     node_partition: Optional[Partition] = None
 
     def __post_init__(self):
@@ -81,10 +77,8 @@ class Plant:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
-        for name in ("C1", "D12", "C2", "D21"):
-            val = getattr(self, name)
-            if val is not None:
-                setattr(self, name, np.atleast_2d(np.asarray(val, dtype=float)))
+        if self.C2 is not None:
+            self.C2 = np.atleast_2d(np.asarray(self.C2, dtype=float))
         if self.B1.shape[0] != n or self.B2.shape[0] != n:
             raise ValueError("B1/B2 must have one row per state")
 
@@ -180,25 +174,21 @@ def output_feedback_closed_loops(plant, K):
     return OutputFeedbackClosedLoops(*_loop_views(plant, K, plant.C2, None))
 
 
-def _realizable(H, name):
-    """Reject a closed-loop map that is neither rational nor a realization."""
-    if not isinstance(H, (RationalMatrix, StateSpace)):
-        raise NoRealization(
-            f"{name} is neither a RationalMatrix nor a StateSpace and has no realization"
-        )
-
-
 def _realization(H, name, strict=True):
     """Realization of a closed-loop map; rational maps by rows.
 
-    Raises ConstraintViolated unless the map is strictly proper, or, when
-    not ``strict``, proper.
+    Raises NoRealization for an object that is neither, and
+    ConstraintViolated unless the map is strictly proper, or, when not
+    ``strict``, proper.
     """
-    _realizable(H, name)
     if isinstance(H, RationalMatrix):
         if not (H.is_strictly_proper() if strict else H.is_proper()):
             raise ConstraintViolated(f"{name} must be {'strictly ' if strict else ''}proper")
         return realize_rational(H, "rows")
+    if not isinstance(H, StateSpace):
+        raise NoRealization(
+            f"{name} is neither a RationalMatrix nor a StateSpace and has no realization"
+        )
     if strict and np.max(np.abs(H.D), initial=0.0) > ZERO:
         raise ConstraintViolated(f"{name} must be strictly proper")
     return H
@@ -321,22 +311,30 @@ def _require_unit_feedthrough(R, name):
         )
 
 
+def _sf_cascade(Rx, Ru):
+    """(s phi_u)(s phi_x)^-1 from strictly proper realizations of the two maps.
+
+    s phi_x has the proper realization (A, B, C A, C B), whose feedthrough
+    C B is the identity on an achievable pair; its inverse drives s phi_u.
+    This cascade is the implementation v = x + (I - s phi_x) v,
+    u = s phi_u v, with the states of phi_x first.
+    """
+    try:
+        inv = inverse(_derivative(Rx))
+    except IllPosedFeedback as exc:
+        raise SingularPhiX("s * phi_x tends to a singular matrix") from exc
+    return series(inv, _derivative(Ru))
+
+
 def recover_controller_sf(cl):
     """Controller K = phi_u phi_x^-1 achieving a state-feedback closed-loop pair.
 
-    Both maps are strictly proper, so K = (s phi_u)(s phi_x)^-1, where s
-    phi_x has the proper realization (A, B, C A, C B) and the feedthrough
-    C B is the identity on an achievable pair.  The cascade of the
-    inverse and s phi_u is compressed to a minimal realization, which is
-    returned; rational maps are realized first.
+    Both maps are strictly proper, so K = (s phi_u)(s phi_x)^-1: the
+    implementation cascade on realizations of the maps (rational maps are
+    realized first), compressed to a minimal realization.
     """
-    s_phi_x = _derivative(_realization(cl.phi_x, "phi_x"))
-    s_phi_u = _derivative(_realization(cl.phi_u, "phi_u"))
-    try:
-        inv = inverse(s_phi_x)
-    except IllPosedFeedback as exc:
-        raise SingularPhiX("s * phi_x tends to a singular matrix") from exc
-    return minimal_realization(series(inv, s_phi_u))
+    Rx, Ru = _realization(cl.phi_x, "phi_x"), _realization(cl.phi_u, "phi_u")
+    return minimal_realization(_sf_cascade(Rx, Ru))
 
 
 def implementation_realization_sf(cl, pattern=None):
@@ -353,28 +351,9 @@ def implementation_realization_sf(cl, pattern=None):
     Rx = _row_realization(cl.phi_x, "phi_x")
     Ru = _row_realization(cl.phi_u, "phi_u")
     _require_unit_feedthrough(Rx, "phi_x")
-    CxAx = Rx.C @ Rx.A
-    CuAu = Ru.C @ Ru.A
-    Du0 = Ru.C @ Ru.B  # feedthrough of s * phi_u
-    nx, nu = Rx.n_states, Ru.n_states
-    A = np.block(
-        [
-            [Rx.A - Rx.B @ CxAx, np.zeros((nx, nu))],
-            [-Ru.B @ CxAx, Ru.A],
-        ]
+    impl = interleave_node_states(
+        _sf_cascade(Rx, Ru), [Rx.state_partition, Ru.state_partition]
     )
-    B = np.vstack([Rx.B, Ru.B])
-    C = np.hstack([-Du0 @ CxAx, CuAu])
-    D = Du0
-    impl = StateSpace(
-        A,
-        B,
-        C,
-        D,
-        in_partition=Rx.out_partition,
-        out_partition=Ru.out_partition,
-    )
-    impl = interleave_node_states(impl, [Rx.state_partition, Ru.state_partition])
     witness = None
     if pattern is not None:
         witness = check_realization_structure(impl, pattern)
@@ -422,15 +401,8 @@ def _of_controller(xx, xy, ux, uy):
     """
     _require_unit_feedthrough(xx, "phi_xx")
     n = xx.n_outputs
-    Ax, Bx = xx.A, xx.B
-    CxAx = xx.C @ Ax
-    nxx = xx.n_states
-    L = StateSpace(
-        np.block([[Ax, Bx], [-CxAx @ Ax, -CxAx @ Bx]]),
-        np.vstack([np.zeros((nxx, n)), np.eye(n)]),
-        np.hstack([np.zeros((n, nxx)), np.eye(n)]),
-        np.zeros((n, n)),
-    )
+    integrator = StateSpace(np.zeros((n, n)), np.eye(n), np.eye(n), np.zeros((n, n)))
+    L = series(inverse(_derivative(xx)), integrator)
     T = series(series(_derivative(xy), L), _derivative(ux))
     T_neg = StateSpace(
         T.A, T.B, -T.C, -T.D, in_partition=xy.in_partition, out_partition=uy.out_partition

@@ -31,6 +31,7 @@ from .errors import (
     UnstableKernelEntry,
 )
 from .consensus import FeasibilityCertificate
+from .graphs import _integer
 from .rational import (
     RationalEntry,
     RationalMatrix,
@@ -90,7 +91,7 @@ class ConvKernelArray:
     def _grid_index(self, offset):
         if np.ndim(offset) != 1 or len(offset) != self.d:
             raise ValueError(f"offset {offset!r} is not a sequence of length {self.d}")
-        return tuple(int(o) % self.n for o in offset)
+        return tuple(_integer(o, "an offset") % self.n for o in offset)
 
     def set_tap(self, offset, entry):
         if not isinstance(entry, RationalEntry):
@@ -124,7 +125,7 @@ class ConvKernelArray:
 
     @classmethod
     def from_json(cls, data):
-        kernel = cls(int(data["d"]), int(data["n"]))
+        kernel = cls(_integer(data["d"], "d"), _integer(data["n"], "n"))
         for tap in data.get("taps", []):
             kernel.set_tap(tap["offset"], RationalEntry(tap["num"], tap["den"]))
         return kernel

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graphs import Partition
 from .rational import RationalEntry, RationalMatrix, padd, pdeg, pscale, ptrim
-from .tolerances import HYPOTHESIS, TINY, VERIFY, ZERO, negligible
+from .tolerances import HYPOTHESIS, SINGULAR, TINY, VERIFY, ZERO, negligible
 
 
 class StateSpace:
@@ -86,14 +86,16 @@ class StateSpace:
 
     @staticmethod
     def static(D, in_partition=None, out_partition=None):
+        """Gain D with no states: one empty state block per input block."""
         D = np.atleast_2d(np.asarray(D, dtype=float))
         p, m = D.shape
+        blocks = in_partition.n_blocks if in_partition is not None else 1
         return StateSpace(
             np.zeros((0, 0)),
             np.zeros((0, m)),
             np.zeros((p, 0)),
             D,
-            state_partition=Partition((0,)),
+            state_partition=Partition((0,) * blocks),
             in_partition=in_partition,
             out_partition=out_partition,
         )
@@ -221,7 +223,7 @@ def feedback(g, h):
     if h.n_inputs != g.n_outputs or h.n_outputs != g.n_inputs:
         raise ValueError("feedback: h must map outputs of g back to its inputs")
     E = np.eye(g.n_outputs) - g.D @ h.D
-    if g.n_outputs and np.linalg.cond(E) > 1e12:
+    if g.n_outputs and np.linalg.cond(E) > SINGULAR:
         raise IllPosedFeedback("algebraic loop: I - Dg*Dh is singular")
     Einv = np.linalg.inv(E)
     # y = Einv (Cg xg + Dg Ch xh + Dg u)
@@ -253,7 +255,7 @@ def inverse(g):
         raise ValueError("only square systems can be inverted")
     if g.n_inputs == 0:
         return g
-    if np.linalg.cond(g.D) > 1e12:
+    if np.linalg.cond(g.D) > SINGULAR:
         raise IllPosedFeedback("system feedthrough is singular; inverse is improper")
     Dinv = np.linalg.inv(g.D)
     return StateSpace(
@@ -281,10 +283,10 @@ def _two_sum(a, b):
 
 def _two_product(a, b):
     p = a * b
-    t = 134217729.0 * a  # 2^27 + 1 splits a double into two halves
+    t = (2.0**27 + 1) * a  # splits a double into two halves
     a_hi = t - (t - a)
     a_lo = a - a_hi
-    t = 134217729.0 * b
+    t = (2.0**27 + 1) * b
     b_hi = t - (t - b)
     b_lo = b - b_hi
     return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)

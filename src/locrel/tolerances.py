@@ -23,8 +23,8 @@ EXACT = 1e-12
 # input columns and feedthrough.
 ZERO = 1e-10
 # A hypothesis the data must meet before a result applies: a circulant, zero
-# row sums, an undetected average mode, real data, the Hurwitz margin, a
-# divisor of a common denominator.
+# row sums, a relative controller, real data, the Hurwitz margin, a divisor
+# of a common denominator.
 HYPOTHESIS = 1e-9
 # Agreement after several rounded steps: matched roots, exact division, a
 # response C_i Q whose basis carries the rounding of every Krylov step
@@ -37,6 +37,9 @@ UNIT_FEEDTHROUGH = 1e-7
 # A rational conversion or a resolvent solve checked against the frequency
 # response it should reproduce.
 VERIFY = 1e-6
+# A condition number above which a square matrix is singular: the
+# feedthrough of an inverse system or the algebraic loop of a feedback.
+SINGULAR = 1e12
 # A floor that keeps a relative test from dividing by, or scaling with, zero.
 TINY = 1e-300
 

@@ -393,6 +393,31 @@ def test_zero_denominator_is_an_error(capsys, tmp_path):
     assert "zero" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("relative decompose", {"gain": [1, -1, 0], "graph": {"n": 3.9}}),
+        ("relative decompose", {"gain": [1, -1, 0], "graph": {"n": 3, "edges": [[0.7, 1.2]]}}),
+        ("relative decompose", {"gain": [1, -1, 0], "graph": {"n": 3, "edges": [[True, 2]]}}),
+        ("structure check", {"pattern": {"graph": {"n": 3}, "rowPartition": [1, 1, True]}}),
+        ("structure check", {"pattern": {"graph": {"n": 3}, "colPartition": [1.5, 0.5, 1]}}),
+        ("consensus h2", {"n": 4.7}),
+        ("consensus feasibility", {"n": 8, "b": 1.5}),
+        ("consensus gap-demo", {"n": 8, "b": True}),
+        ("spatial feasibility", {"d": 1.5, "n": 8, "b": 1}),
+        ("spatial feasibility", {"d": 1, "n": 8.5, "b": 1}),
+        ("spatial feasibility", {"d": 1, "n": 8, "b": True}),
+        ("spatial h2", {"kernel": {"d": True, "n": 8, "taps": []}}),
+        ("spatial h2", {"kernel": {"d": 1, "n": 8.2, "taps": []}}),
+        ("spatial h2", {"kernel": {"d": 1, "n": 8, "taps": [{"offset": [0.6], "num": [1], "den": [1, 1]}]}}),
+    ],
+)
+def test_non_integral_counts_are_an_error(capsys, tmp_path, command, doc):
+    # each of these used to be truncated: {"n": 4.7} ran as n = 4
+    err = _cli_error(capsys, tmp_path, command, json.dumps(doc))
+    assert "integer" in err
+
+
 def test_scalar_tap_offset_is_an_error(capsys, tmp_path):
     kernel = '{"d": 1, "n": 8, "taps": [{"offset": 0, "num": [1], "den": [1, 1]}]}'
     err = _cli_error(capsys, tmp_path, "spatial h2", f'{{"kernel": {kernel}}}')

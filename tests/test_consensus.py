@@ -30,7 +30,9 @@ from locrel.errors import (
     OddNForLongRange,
     UnstableNonzeroMode,
 )
+from locrel.graphs import StructurePattern, ring_graph
 from locrel.statespace import StateSpace
+from locrel.structure import check_realization_structure
 
 
 def ave_problem(n, b, gamma):
@@ -221,7 +223,13 @@ def test_static_gain_examples():
         ]
     )
     assert np.array_equal(Ks, want)
-    assert np.allclose(static_gain_realization(4).evaluate(2.0), Ks)
+    Ks_real = static_gain_realization(4)
+    assert Ks_real.n_states == 0
+    assert np.array_equal(Ks_real.evaluate(2.0), Ks)
+    # one empty state block per node: structured, and not network realizable
+    # since the gain couples neighbours on both sides
+    witness = check_realization_structure(Ks_real, StructurePattern.scalar(ring_graph(4)))
+    assert witness.structured and not witness.network
 
 
 def test_proper_approximation_examples():

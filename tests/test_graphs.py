@@ -65,6 +65,7 @@ def test_partition_offsets_and_slices():
     assert list(p.offsets()) == [0, 2, 2, 5]
     assert p.block_slice(2) == slice(2, 5)
     assert Partition.scalar(4).block_sizes == (1, 1, 1, 1)
+    assert Partition((2.0, np.int64(1))).block_sizes == (2, 1)
     with pytest.raises(ValueError):
         Partition(())
     with pytest.raises(ValueError):
@@ -191,5 +192,30 @@ def test_graph_json_round_trip():
     # duplicate and reversed edges are tolerated
     g3 = graph_from_json({"n": 3, "edges": [[0, 1], [1, 0], [0, 1]]})
     assert g3.adjacency[0, 1] and g3.adjacency[1, 0] and not g3.adjacency[0, 2]
+    # integral numbers of any type are counts
+    assert graph_from_json({"n": 3.0, "edges": [[np.int64(0), 2.0]]}).adjacency[0, 2]
     with pytest.raises(ValueError):
         graph_from_json({"n": 3, "edges": [[0, 5]]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3.9},
+        {"n": True},
+        {"n": "3"},
+        {"n": 3, "edges": [[0.7, 1.2]]},
+        {"n": 3, "edges": [[True, 2]]},
+    ],
+)
+def test_graph_json_counts_must_be_integers(doc):
+    # these used to be truncated: n = 3.9 made a 3-node graph, [0.7, 1.2] the edge (0, 1)
+    with pytest.raises(ValueError, match="integer"):
+        graph_from_json(doc)
+
+
+@pytest.mark.parametrize("sizes", [(1.5, 2.9, True), (1, True), (np.bool_(True),), (1, "2")])
+def test_partition_sizes_must_be_integers(sizes):
+    # (1.5, 2.9, True) used to become (1, 2, 1)
+    with pytest.raises(ValueError, match="integer"):
+        Partition(sizes)

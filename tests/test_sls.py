@@ -291,6 +291,20 @@ def test_implementation_rejects_violated_constraint():
         implementation_realization_sf(ClosedLoopPair(phi_x, chain3_phi_u()))
 
 
+def test_implementation_agrees_with_recovery_off_unit_feedthrough(rng):
+    # C B = I + delta with every |delta| below UNIT_FEEDTHROUGH passes the
+    # check, and the implementation inverts C B as the recovery does
+    n = 6
+    _, cl, _ = ring_case(n)
+    px = cl.phi_x
+    delta = 0.9e-7 * rng.choice([-1.0, 1.0], size=(n, n))
+    bent = ClosedLoopPair(StateSpace(px.A, px.B, (np.eye(n) + delta) @ px.C, px.D), cl.phi_u)
+    impl, _ = implementation_realization_sf(bent)
+    K = recover_controller_sf(bent)
+    for s in PROBES:
+        assert relative_error(impl.evaluate(s), K.evaluate(s)) < 1e-10
+
+
 def test_implementation_rejects_improper_loops():
     phi_u = RationalMatrix([[e + 1.0 for e in row] for row in chain3_phi_u().entries])
     with pytest.raises(ConstraintViolated):
@@ -405,6 +419,34 @@ def test_output_feedback_loops_of_minus_identity_implement_and_recover():
         for got in (impl.evaluate(s), K.evaluate(s), sf_impl.evaluate(s)):
             assert np.max(np.abs(got + np.eye(2))) < 1e-9
         assert np.max(np.abs(recover_controller_sf(pair).evaluate(s) + np.eye(2))) < 1e-9
+
+
+def test_sf_and_of_controllers_agree_on_random_loops(rng):
+    # with C2 = I the state-feedback pair and the four output-feedback maps
+    # come from one gain: both implementations and both recoveries are that
+    # gain, whether the loops are given as realizations or as rational maps
+    for _ in range(6):
+        n = int(rng.integers(1, 4))
+        plant = Plant(stable_matrix(rng, n), np.eye(n), rng.standard_normal((n, n)), C2=np.eye(n))
+        K = random_controller(rng, int(rng.integers(0, 3)), n, n)
+        K = K if isinstance(K, StateSpace) else StateSpace.static(K)
+        cl, cl4 = closed_loops_of(plant, K), output_feedback_closed_loops(plant, K)
+        rational = (
+            ClosedLoopPair(tf_of(cl.phi_x), tf_of(cl.phi_u)),
+            OutputFeedbackClosedLoops(*(tf_of(H) for H in vars(cl4).values())),
+        )
+        pattern = StructurePattern.scalar(Graph(np.ones((n, n), dtype=bool)))
+        for pair, four in ((cl, cl4), rational):
+            controllers = (
+                implementation_realization_sf(pair)[0],
+                recover_controller_sf(pair),
+                of_structured_implementation(four, pattern)[0],
+                recover_controller_of(four),
+            )
+            for s in PROBES:
+                want = K.evaluate(s)
+                for got in controllers:
+                    assert relative_error(got.evaluate(s), want) < 1e-8
 
 
 def scalar_of_tuple():

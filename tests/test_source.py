@@ -134,14 +134,16 @@ def test_readme_cli_block_is_the_recorded_corpus():
 
 
 def test_thresholds_are_named_in_the_tolerance_policy():
-    # every threshold below 1e-5 is a name of locrel.tolerances, so one
-    # place says what each value decides
+    # every threshold below 1e-5 or above 1e5 is a name of locrel.tolerances,
+    # so one place says what each value decides
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "tolerances.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < node.value < 1e-5:
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, float)):
+                continue
+            if 0.0 < node.value < 1e-5 or node.value > 1e5:
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found, f"unnamed thresholds in the package: {found}"
 

@@ -5,6 +5,8 @@ first must pass and the second must fail.  The thresholds are written here
 as numbers, not read from the policy, so a change of value shows here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from locrel.consensus import (
 )
 from locrel.errors import (
     ConstraintViolated,
+    IllPosedFeedback,
     ModeZeroDetectable,
     NotCirculant,
     NotHurwitz,
@@ -29,10 +32,10 @@ from locrel.graphs import laplacian, ring_graph
 from locrel.rational import RationalEntry, entry_array, pis_zero
 from locrel.relative import is_relative
 from locrel.sls import _require_unit_feedthrough
-from locrel.statespace import StateSpace, batch_h2_squared
+from locrel.statespace import StateSpace, batch_h2_squared, feedback, inverse
 from locrel.tolerances import negligible
 
-ZERO, HYPOTHESIS, UNIT_FEEDTHROUGH = 1e-10, 1e-9, 1e-7
+ZERO, HYPOTHESIS, UNIT_FEEDTHROUGH, SINGULAR = 1e-10, 1e-9, 1e-7, 1e12
 HALF_AND_TWICE = ((0.5, True), (2.0, False))
 
 
@@ -58,8 +61,8 @@ def passes(check, error):
 
 
 def test_policy_values():
-    names = ("EXACT", "ZERO", "HYPOTHESIS", "MATCH", "UNIT_FEEDTHROUGH", "VERIFY", "TINY")
-    values = (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-300)
+    names = ("EXACT", "ZERO", "HYPOTHESIS", "MATCH", "UNIT_FEEDTHROUGH", "VERIFY", "SINGULAR", "TINY")
+    values = (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e12, 1e-300)
     assert tuple(getattr(tolerances, name) for name in names) == values
 
 
@@ -158,11 +161,27 @@ def test_consensus_zero_row_sum_threshold(factor, ok):
 
 @pytest.mark.parametrize("factor, ok", HALF_AND_TWICE)
 def test_h2_deflated_undetected_mode_threshold(factor, ok):
-    prob = ave_problem(4)
-    # the measure's symbols are 0, 1, 1, 1; set past ConsensusProblem's own check
-    prob.c = prob.c + factor * HYPOTHESIS * np.eye(4)
+    # the measure's symbols are 0, 1, 1, 1; its mode-0 symbol is its row sum,
+    # which the frozen problem's constructor judges, so h2_deflated is scored
+    # below the threshold and unreachable above it
+    c = consensus_measures(4, kinds=("ave",))["ave"] + factor * HYPOTHESIS * np.eye(4)
     K = static_consensus_gain(4)
-    assert passes(lambda: h2_deflated(prob, K), ModeZeroDetectable) == ok
+    score = lambda: h2_deflated(ConsensusProblem(n=4, b=1, gamma=1.0, c=c), K)
+    assert passes(score, ValueError) == ok
+
+
+def test_consensus_problem_keeps_its_checked_measure():
+    # h2_deflated relies on the constructor's zero-row-sum check, so neither
+    # a field nor the measure's entries can change afterwards
+    prob = ave_problem(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.c = np.eye(4)
+    with pytest.raises(ValueError):
+        prob.c[0, 0] = 1.0
+    # the caller's array stays writable
+    c = consensus_measures(4, kinds=("ave",))["ave"]
+    ConsensusProblem(n=4, b=1, gamma=1.0, c=c)
+    c[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("factor, ok", HALF_AND_TWICE)
@@ -209,6 +228,20 @@ def test_circulant_rank_threshold(factor, ok):
     symbol = 5.0 * np.array([0.0, 1.0, factor * ZERO, 1.0])
     C = circulant(np.fft.ifft(symbol).real)
     assert circulant_rank(C) == (2 if ok else 3)
+
+
+@pytest.mark.parametrize("factor, ok", HALF_AND_TWICE)
+def test_inverse_singular_feedthrough_bound(factor, ok):
+    D = np.diag([1.0, 1.0 / (factor * SINGULAR)])  # condition number factor * SINGULAR
+    assert passes(lambda: inverse(StateSpace.static(D)), IllPosedFeedback) == ok
+
+
+@pytest.mark.parametrize("factor, ok", HALF_AND_TWICE)
+def test_feedback_singular_loop_bound(factor, ok):
+    # I - Dg Dh = diag(1, 1 / (factor * SINGULAR))
+    Dh = np.diag([0.0, 1.0 - 1.0 / (factor * SINGULAR)])
+    loop = lambda: feedback(StateSpace.static(np.eye(2)), StateSpace.static(Dh))
+    assert passes(loop, IllPosedFeedback) == ok
 
 
 @pytest.mark.parametrize("factor, ok", HALF_AND_TWICE)
