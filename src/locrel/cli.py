@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import numbers
 import sys
 
 import numpy as np
@@ -55,6 +56,20 @@ def _load_input(path):
         return json.load(fh)
 
 
+def _real(value, name):
+    """A number read from a document as a float; a bool or "3" raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
+def _reals(value, name):
+    """An array of numbers read from a document; a bool or string entry raises ValueError."""
+    for entry in np.asarray(value, dtype=object).flat:
+        _real(entry, f"every entry of {name}")
+    return np.asarray(value, dtype=float)
+
+
 def _pattern_from_json(data):
     graph = graph_from_json(data["graph"])
     rp = data.get("rowPartition")
@@ -75,7 +90,7 @@ def _structure_flags(result):
 
 def _controller_from_json(data):
     if "static" in data:
-        return np.asarray(data["static"], dtype=float)
+        return _reals(data["static"], "static")
     if "system" in data:
         return StateSpace.from_json(data["system"])
     if "matrix" in data:
@@ -84,9 +99,9 @@ def _controller_from_json(data):
 
 
 def _plant_from_json(data):
-    A = np.asarray(data["a"], dtype=float)
+    A = _reals(data["a"], "a")
     n = A.shape[0]
-    B2 = np.asarray(data.get("b2", np.eye(n)), dtype=float)
+    B2 = _reals(data["b2"], "b2") if "b2" in data else np.eye(n)
     return sls.Plant(A=A, B1=np.eye(n), B2=B2)
 
 
@@ -117,7 +132,7 @@ def cmd_relative(args):
         if "matrix" in doc:
             flag = is_relative(RationalMatrix.from_json(doc["matrix"]))
         else:
-            flag = is_relative(np.asarray(doc["gain"], dtype=float))
+            flag = is_relative(_reals(doc["gain"], "gain"))
         return {"relative": bool(flag)}, 0
     graph = graph_from_json(doc["graph"])
     if "matrix" in doc:
@@ -125,7 +140,7 @@ def cmd_relative(args):
             RationalMatrix.from_json(doc["matrix"]), graph
         )
         return form.to_json(), 0
-    k = np.asarray(doc["gain"], dtype=float).reshape(-1)
+    k = _reals(doc["gain"], "gain").reshape(-1)
     M = relative_decompose(k, graph)
     return {
         "m": [[float(v) for v in row] for row in M],
@@ -165,7 +180,7 @@ def cmd_sls(args):
 def _measure_for(n, flag, doc):
     """The --measure flag, else the document's "c" or "measure", else ave."""
     if flag is None and "c" in doc:
-        return np.asarray(doc["c"], dtype=float)
+        return _reals(doc["c"], "c")
     name = flag or doc.get("measure", "ave")
     return cons.consensus_measures(n, kinds=(name,))[name]
 
@@ -176,7 +191,7 @@ def cmd_consensus(args):
     if n is None:
         raise LocrelError("consensus commands need n (flag or input document)")
     n = _integer(n, "n")
-    gamma = args.gamma if args.gamma is not None else float(doc.get("gamma", 0.0))
+    gamma = args.gamma if args.gamma is not None else _real(doc.get("gamma", 0.0), "gamma")
     if args.action == "feasibility":
         b = args.b if args.b is not None else doc.get("b")
         if b is None:
@@ -193,7 +208,7 @@ def cmd_consensus(args):
             a = args.a if args.a is not None else doc.get("a")
             if a is None:
                 raise LocrelError("controller ka needs its pole (--a)")
-            K = cons.proper_approximation(n, float(a))
+            K = cons.proper_approximation(n, _real(a, "a"))
         elif choice == "ks":
             K = cons.static_consensus_gain(n)
         elif isinstance(choice, dict):

@@ -19,6 +19,9 @@ from .errors import DisconnectedGraph
 
 def _integer(value, name):
     """A count read from a document as an int; a bool, 3.9 or "3" raises ValueError."""
+    if type(value) is int:
+        # the common case, without the slower abstract-base-class check
+        return value
     whole = isinstance(value, float) and value.is_integer()
     if whole or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         return int(value)
@@ -117,40 +120,73 @@ class StructurePattern:
         return StructurePattern(graph, p, p)
 
 
+# Elements of the neighbour block one reachability step gathers: a batch of
+# w columns over a pattern of e entries gathers e * w of them.
+EXPANSION_BLOCK_ELEMENTS = 1 << 20
+
+
+def _pulls(pattern):
+    """The entries of a boolean (p, n) pattern as neighbour index arrays.
+
+    Returns (rows, starts, cols): ``rows`` are the rows holding an entry,
+    and the entries of rows[k] sit in ``cols`` from starts[k] up to the next
+    start, in row-major order as ``np.nonzero`` lists them.
+    """
+    r, cols = np.nonzero(pattern)
+    rows, starts = np.unique(r, return_index=True)
+    return rows, starts, cols
+
+
+def _reads_any(pulls, X, n_rows):
+    """(n_rows, w) mask: True where some column index of the row holds in X.
+
+    One step of a breadth-first expansion for every column of X at once:
+    with the pattern of A (row i reads column l when A_il is nonzero), the
+    states one step on from the marked states.  An empty row reads nothing.
+    """
+    rows, starts, cols = pulls
+    out = np.zeros((n_rows, X.shape[1]), dtype=bool)
+    if cols.size:
+        out[rows] = np.logical_or.reduceat(X[cols], starts, axis=0)
+    return out
+
+
 def b_hops(graph, b):
     """Graph whose edges join nodes at most b hops apart.
 
-    Computed as the boolean b-th power of the adjacency matrix.  Because
-    self-loops are mandatory the edge set grows monotonically with b.
+    A breadth-first expansion from every node, b steps over neighbour index
+    arrays, in batches of columns of bounded memory; a batch stops early
+    once a step reaches nothing new.  Because self-loops are mandatory the
+    edge set grows monotonically with b.
     """
     if b < 0:
         raise ValueError("hop count must be nonnegative")
     n = graph.n
+    pulls = _pulls(graph.adjacency)
     result = np.eye(n, dtype=bool)
-    step = graph.adjacency
-    k = b
-    while k > 0:
-        if k & 1:
-            result = (result.astype(np.uint8) @ step.astype(np.uint8)) > 0
-        step = (step.astype(np.uint8) @ step.astype(np.uint8)) > 0
-        k >>= 1
-    np.fill_diagonal(result, True)
+    width = max(1, EXPANSION_BLOCK_ELEMENTS // pulls[2].size)
+    for lo in range(0, n, width):
+        reach = result[:, lo : lo + width]
+        for _ in range(b):
+            # self-loops keep every reached node reached
+            grown = _reads_any(pulls, reach, n)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        result[:, lo : lo + width] = reach
     return Graph(result)
 
 
 def is_connected(graph):
-    """True when every node is reachable from node 0."""
-    n = graph.n
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(graph.adjacency[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    """True when every node is reachable from node 0: the expansion of ``b_hops`` from one node."""
+    pulls = _pulls(graph.adjacency)
+    reach = np.zeros((graph.n, 1), dtype=bool)
+    reach[0] = True
+    while True:
+        grown = _reads_any(pulls, reach, graph.n)
+        if np.array_equal(grown, reach):
+            return bool(reach.all())
+        reach = grown
 
 
 def laplacian(graph):

@@ -5,9 +5,12 @@ output dimensions so that sparsity checks can be made per node.
 Interconnections never reduce their realizations: non-minimal modes are
 harmless for the subspace-based checks used throughout and keeping
 them makes the realizations predictable; ``minimal_realization`` reduces
-one on request.  Reachable (Krylov) subspaces decide which transfer
-entries vanish (``structure.transfer_support``), so structure and
-relativity verdicts on a realization never convert it to rational form.
+one on request.  Which transfer entries vanish is decided on the
+realization (``structure.transfer_support``), so structure and relativity
+verdicts never convert it to rational form.  Three stages run in order:
+a structural zero (no path from B_j to C_i in the graph of A; no
+tolerance), a Markov witness (a large C_i A^k B_j; WITNESS), and for the
+entries left the reachable (Krylov) subspaces grown here (MATCH).
 Rational conversion (``tf_of``) has one path for every system: each entry
 comes from its own minimal (reachable, then observable) part, whose
 numerator and denominator share no root, so nothing is cancelled after
@@ -17,9 +20,9 @@ controllable canonical form.
 
 Subspaces grown from one vector each, one per column of B or row of C,
 grow together in ``_column_subspaces``: one product with A per Krylov
-step for every column, in batches of bounded memory.  That serves
-``transfer_support``, the per-entry conversion in ``tf_of`` and the
-per-row observable step of ``sls._row_realization``.  Subspaces grown
+step for every column, in batches of bounded memory.  That serves the
+last stage of ``transfer_support``, the per-entry conversion in ``tf_of``
+and the per-row observable step of ``sls._row_realization``.  Subspaces grown
 from a block of vectors (``minimal_realization`` and the per-row
 reachable step) use ``_invariant_subspace``.
 """
@@ -218,30 +221,46 @@ def parallel(g, h):
     )
 
 
+def _product(X, Y):
+    """X @ Y, with no multiplication when a factor is exactly zero."""
+    if X.any() and Y.any():
+        return X @ Y
+    return np.zeros((X.shape[0], Y.shape[1]))
+
+
 def feedback(g, h):
-    """Positive feedback y = g(u + h(y)); needs I - Dg Dh invertible."""
+    """Positive feedback y = g(u + h(y)); needs I - Dg Dh invertible.
+
+    When Dg Dh is exactly zero the loop has no algebraic part, I - Dg Dh is
+    the identity, and neither its condition number nor its inverse is
+    computed.  The blocks of the closed loop are formed one by one, and a
+    product with an exactly zero factor (a strictly proper g or h) is not
+    multiplied out.
+    """
     if h.n_inputs != g.n_outputs or h.n_outputs != g.n_inputs:
         raise ValueError("feedback: h must map outputs of g back to its inputs")
-    E = np.eye(g.n_outputs) - g.D @ h.D
-    if g.n_outputs and np.linalg.cond(E) > SINGULAR:
-        raise IllPosedFeedback("algebraic loop: I - Dg*Dh is singular")
-    Einv = np.linalg.inv(E)
-    # y = Einv (Cg xg + Dg Ch xh + Dg u)
-    Cy = Einv @ np.hstack([g.C, g.D @ h.C])
-    Dy = Einv @ g.D
-    inject = np.vstack([g.B @ h.D, h.B])  # drives states from y
+    # y = E^-1 (Cg xg + Dg Ch xh + Dg u) with E = I - Dg Dh
+    Cg, Ch, Dy = g.C, _product(g.D, h.C), g.D
+    loop = _product(g.D, h.D)
+    if loop.any():
+        E = np.eye(g.n_outputs) - loop
+        if np.linalg.cond(E) > SINGULAR:
+            raise IllPosedFeedback("algebraic loop: I - Dg*Dh is singular")
+        Einv = np.linalg.inv(E)
+        Cg, Ch, Dy = Einv @ Cg, Einv @ Ch, Einv @ Dy
+    # y drives the states of g through Bg Dh and those of h through Bh
+    gy = _product(g.B, h.D)
     A = np.block(
         [
-            [g.A, g.B @ h.C],
-            [np.zeros((h.n_states, g.n_states)), h.A],
+            [g.A + _product(gy, Cg), _product(g.B, h.C) + _product(gy, Ch)],
+            [_product(h.B, Cg), h.A + _product(h.B, Ch)],
         ]
     )
-    A = A + inject @ Cy
-    B = np.vstack([g.B, np.zeros((h.n_states, g.n_inputs))]) + inject @ Dy
+    B = np.vstack([g.B + _product(gy, Dy), _product(h.B, Dy)])
     return StateSpace(
         A,
         B,
-        Cy,
+        np.hstack([Cg, Ch]),
         Dy,
         state_partition=_concat_partitions(g.state_partition, h.state_partition),
         in_partition=g.in_partition,

@@ -5,6 +5,14 @@ the pattern graph vanishes.  A realization (A, B, C, D) is structured
 when all four matrices conform; it is additionally network-realizable
 when the input side (B, D) or the output side (C, D) is block diagonal,
 so each node only touches its own inputs or outputs directly.
+
+A transfer entry's zero is decided on the realization, in three stages
+in order (``_column_supports``): a structural zero, where no state C_i
+reads is reachable from B_j in the graph of A (exact: no tolerance); a
+Markov witness, a Markov parameter C_i A^k B_j large against its factors
+(WITNESS), which proves the entry nonzero; and, for the entries neither
+decides, the Krylov test on the reachable subspace of B_j (MATCH).  Only
+the first two run on sparse data: neighbour index arrays of A and C.
 """
 
 from __future__ import annotations
@@ -15,9 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTFStructured
-from .graphs import Partition, StructurePattern, path_graph
+from .graphs import (
+    EXPANSION_BLOCK_ELEMENTS,
+    Partition,
+    StructurePattern,
+    _pulls,
+    _reads_any,
+    path_graph,
+)
 from .statespace import StateSpace, _column_subspaces, realize_rational
-from .tolerances import EXACT, MATCH, ZERO
+from .tolerances import EXACT, MATCH, WITNESS, ZERO
 
 
 def _block_maxima(matrix, row_part, col_part):
@@ -36,12 +51,12 @@ def _block_maxima(matrix, row_part, col_part):
     cols = np.asarray(col_part.block_sizes) > 0
     if matrix.size == 0:
         return out
-    maxima = np.maximum.reduceat(
-        np.abs(matrix), np.asarray(row_part.offsets()[:-1])[rows], axis=0
-    )
-    maxima = np.maximum.reduceat(
-        maxima, np.asarray(col_part.offsets()[:-1])[cols], axis=1
-    )
+    maxima = np.abs(matrix)
+    # blocks of size one are their own maxima
+    if any(size != 1 for size in row_part.block_sizes):
+        maxima = np.maximum.reduceat(maxima, np.asarray(row_part.offsets()[:-1])[rows], axis=0)
+    if any(size != 1 for size in col_part.block_sizes):
+        maxima = np.maximum.reduceat(maxima, np.asarray(col_part.offsets()[:-1])[cols], axis=1)
     out[np.ix_(rows, cols)] = maxima
     return out
 
@@ -65,39 +80,135 @@ def _largest_magnitude(M, axis):
     return np.maximum(M.max(axis=axis, initial=0.0), -M.min(axis=axis, initial=0.0))
 
 
-def _column_supports(sys, widths):
-    """Supports of consecutive groups of input columns, as (lo, mask) pairs.
+# Markov parameters C A^k B tried as witnesses, k = 0, ..., MARKOV_STEPS
+MARKOV_STEPS = 8
 
-    The groups take their sizes from ``widths`` in turn and start at column
-    lo; row j of the (width, p) mask holds the outputs whose transfer entry
-    from input lo + j is not the zero function.  The reachable subspaces of
-    each group grow together in one ``_column_subspaces`` pass.
 
-    A feedthrough D_ij or an input column B_j is zero at size ZERO, and a
-    response C_i Q at MATCH times the largest entry (at least one) of row
-    C_i: judged per entry and per row, a verdict does not move when one
-    input or output is scaled.
+def _sparse(M):
+    """The nonzero entries of M as neighbour index arrays and their values."""
+    nonzero = M != 0
+    return _pulls(nonzero), M[nonzero]
+
+
+def _times(pulls, values, X, n_rows):
+    """M @ X for M given by ``_sparse``: one gather and one sum per row."""
+    rows, starts, cols = pulls
+    out = np.zeros((n_rows, X.shape[1]))
+    if cols.size:
+        out[rows] = np.add.reduceat(values[:, None] * X[cols], starts, axis=0)
+    return out
+
+
+def _row_reduce(ufunc, pulls, values, n_rows):
+    """ufunc over the entries of every row of a ``_sparse`` matrix; zero for an empty row."""
+    rows, starts, _ = pulls
+    out = np.zeros(n_rows)
+    if values.size:
+        out[rows] = ufunc.reduceat(values, starts)
+    return out
+
+
+def _certificates(start, todo, B, a, c, bar, a_bound):
+    """Structural zeros and Markov witnesses for one batch of input columns.
+
+    ``a`` and ``c`` are A and C as ``_sparse`` gives them, and ``bar`` the
+    witness threshold of each entry at k = 0.  Yields (start, mask) for the
+    entries of ``todo`` each Markov parameter proves nonzero, and returns
+    the entries neither certificate decides.  One level of the expansion
+    goes with each Markov parameter, so a caller that stops at the first
+    witness never waits for the expansion to close.
     """
-    A, C = sys.A, sys.C
-    a_norm = np.linalg.norm(A)
-    c_tol = MATCH * np.maximum(_largest_magnitude(C, 1), 1.0)
-    n, p = sys.n_states, sys.n_outputs
+    (a_pulls, a_values), (c_pulls, c_values) = a, c
+    n, p = B.shape[0], todo.shape[0]
+    reach = frontier = (B != 0) & todo.any(axis=0)
+    V = B
+    for k in itertools.count():
+        if frontier is not None:
+            frontier = _reads_any(a_pulls, frontier, n) & ~reach
+            reach |= frontier
+            if not frontier.any():
+                # closed: an entry whose C_i reads no reached state is zero
+                frontier = None
+                todo = todo & _reads_any(c_pulls, reach, p)
+        if k <= MARKOV_STEPS and todo.any():
+            found = todo & (np.abs(_times(c_pulls, c_values, V, p)) > bar)
+            if found.any():
+                todo = todo & ~found
+                yield start, found
+            if k < MARKOV_STEPS:
+                V, bar = _times(a_pulls, a_values, V, n), bar * a_bound
+        if not todo.any() or (frontier is None and k >= MARKOV_STEPS):
+            return todo
+
+
+def _column_supports(sys, widths, wanted=None):
+    """Transfer entries proved nonzero, for groups of input columns in turn.
+
+    The groups take their sizes from ``widths`` in turn, and each is split
+    into batches of bounded memory.  Yields (lo, mask) pairs: row i of the
+    (p, w) mask marks the entries from inputs lo, ..., lo + w - 1 to output
+    i that one stage has just proved nonzero, so a batch may be yielded
+    several times and the support is the union.  Only the entries of the
+    (p, m) mask ``wanted`` (default: all) are decided.  The stages, in turn:
+
+    - Feedthrough: D_ij is nonzero at size ZERO.  A zero input column (at
+      size ZERO) has no other entries.
+    - Structural zero: with D_ij = 0, the entry is exactly zero when no
+      state C_i reads is reachable from B_j in the graph of A (Lin, IEEE
+      TAC 19(3), 1974): a breadth-first expansion over neighbour index
+      arrays, with no tolerance.
+    - Markov witness: the entry is nonzero when |C_i A^k B_j| exceeds
+      WITNESS times sqrt(n) max(|C_i|, 1) ||A||^k |B_j| for some
+      k <= MARKOV_STEPS, where ||A|| = sqrt(||A||_1 ||A||_inf) bounds the
+      spectral norms of A and |A|.
+    - Krylov: the entries left (zeros of hidden modes, entries beyond
+      MARKOV_STEPS) are nonzero when C_i Q exceeds MATCH times the largest
+      entry (at least one) of row C_i on the reachable subspace of B_j,
+      grown in one ``_column_subspaces`` pass.
+
+    Judged per entry and per row, a verdict does not move when one input
+    or output is scaled, and a certificate never moves the Krylov verdict.
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n, p, m = sys.n_states, sys.n_outputs, sys.n_inputs
+    if wanted is None:
+        wanted = np.ones((p, m), dtype=bool)
+    a, c = _sparse(A), _sparse(C)
+    magnitudes = np.abs(a[1])
+    rows = _row_reduce(np.add, a[0], magnitudes, n)
+    columns = np.bincount(a[0][2], magnitudes, minlength=n)
+    a_bound = np.sqrt(rows.max(initial=0.0) * columns.max(initial=0.0))
+    c_bar = WITNESS * np.sqrt(n) * np.maximum(np.sqrt(_row_reduce(np.add, c[0], c[1] ** 2, p)), 1.0)
+    c_tol = MATCH * np.maximum(_row_reduce(np.maximum, c[0], np.abs(c[1]), p), 1.0)
+    a_norm = None
+    batch = max(1, EXPANSION_BLOCK_ELEMENTS // max(a[1].size, c[1].size, n, 1))
     lo = 0
     for width in widths:
-        if lo >= sys.n_inputs:
+        if lo >= m:
             return
-        D, B = sys.D[:, lo : lo + width], sys.B[:, lo : lo + width]
-        out = ((D > ZERO) | (D < -ZERO)).T
-        live = np.flatnonzero(_largest_magnitude(B, 0) > ZERO)
-        if live.size:
-            # no copy of B when every column is live
-            V = B if live.size == B.shape[1] else B[:, live]
-            for group, Q in _column_subspaces(A, V, a_norm=a_norm):
+        for start in range(lo, min(lo + width, m), batch):
+            cols = slice(start, min(start + batch, lo + width, m))
+            Db, Bb = D[:, cols], B[:, cols]
+            out = ((Db > ZERO) | (Db < -ZERO)) & wanted[:, cols]
+            if out.any():
+                yield start, out
+            todo = wanted[:, cols] & ~out & (_largest_magnitude(Bb, 0) > ZERO)
+            if not todo.any():
+                continue
+            bar = c_bar[:, None] * np.sqrt(np.einsum("ij,ij->j", Bb, Bb))
+            todo = yield from _certificates(start, todo, Bb, a, c, bar, a_bound)
+            if not todo.any():
+                continue
+            if a_norm is None:
+                a_norm = np.linalg.norm(A)
+            open_cols = np.flatnonzero(todo.any(axis=0))
+            found = np.zeros_like(todo)
+            for group, Q in _column_subspaces(A, Bb[:, open_cols], a_norm=a_norm):
                 # C Q of every column in the group as one product
                 g, k = Q.shape[0], Q.shape[2]
                 CQ = np.abs(C @ Q.transpose(1, 0, 2).reshape(n, g * k)).reshape(p, g, k)
-                out[live[group]] |= (np.max(CQ, axis=2, initial=0.0) > c_tol[:, None]).T
-        yield lo, out
+                found[:, open_cols[group]] = np.max(CQ, axis=2, initial=0.0) > c_tol[:, None]
+            yield start, found & todo
         lo += width
 
 
@@ -105,15 +216,19 @@ def transfer_support(sys):
     """Nonzero pattern of the transfer matrix C (sI - A)^-1 B + D.
 
     Returns a boolean (p, m) array, True where the entry is not the zero
-    function: entry (i, j) vanishes exactly when D_ij = 0 and C_i
-    annihilates the reachable (Krylov) subspace of column B_j, as in the
-    staircase form of Van Dooren (IEEE TAC 26(1), 1981).  Decided from the
-    realization alone; nothing is converted to rational form.  The
-    subspaces of all input columns grow in one batched pass
-    (``statespace._column_subspaces``), in blocks of bounded memory.
+    function.  Decided from the realization alone, nothing converted to
+    rational form, by the stages of ``_column_supports``: the feedthrough,
+    then a structural zero (no path from B_j to C_i in the graph of A; no
+    tolerance), then a Markov witness C_i A^k B_j (WITNESS), and only for
+    what is left the Krylov test: the entry vanishes exactly when D_ij = 0
+    and C_i annihilates the reachable subspace of B_j (MATCH), as in the
+    staircase form of Van Dooren (IEEE TAC 26(1), 1981).  Every stage works
+    on batches of input columns of bounded memory.
     """
-    masks = [mask for _, mask in _column_supports(sys, (sys.n_inputs,))]
-    return (masks[0] if masks else np.zeros((0, sys.n_outputs), dtype=bool)).T
+    support = np.zeros(sys.shape, dtype=bool)
+    for lo, mask in _column_supports(sys, (sys.n_inputs,)):
+        support[:, lo : lo + mask.shape[1]] |= mask
+    return support
 
 
 def _transfer_partitions(H):
@@ -139,8 +254,9 @@ def _entry_pattern(pattern):
 def is_tf_structured(H, pattern):
     """True when every non-edge block of a transfer matrix is the zero entry.
 
-    H is a RationalMatrix or a StateSpace; a realization is judged by
-    ``transfer_support`` and never converted to rational form.
+    H is a RationalMatrix or a StateSpace; a realization is judged by the
+    stages of ``transfer_support`` on its off-pattern entries alone, and
+    never converted to rational form.
     """
     row_part, col_part = _transfer_partitions(H)
     if (
@@ -150,13 +266,11 @@ def is_tf_structured(H, pattern):
         raise ValueError("transfer matrix partitions do not match the pattern")
     allowed = _entry_pattern(pattern)
     if isinstance(H, StateSpace):
-        # groups of 1, 2, 4, ... columns: the first off-pattern response
-        # settles it, and a conforming map takes about log2(m) passes
+        # only off-pattern entries are decided, in groups of 1, 2, 4, ...
+        # columns: the first one proved nonzero settles it, and a conforming
+        # map takes about log2(m) groups
         doubling = (1 << k for k in itertools.count())
-        return not any(
-            np.any(mask & ~allowed.T[lo : lo + len(mask)])
-            for lo, mask in _column_supports(H, doubling)
-        )
+        return not any(mask.any() for _, mask in _column_supports(H, doubling, ~allowed))
     return all(H[i, j].is_zero() for i, j in zip(*np.nonzero(~allowed)))
 
 

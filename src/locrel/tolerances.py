@@ -31,6 +31,14 @@ HYPOTHESIS = 1e-9
 # (up to 6e-11 of C_i on dense 30-state realizations with a hidden mode),
 # affine residuals, and the default of ``sls check --tolerance``.
 MATCH = 1e-8
+# A Markov parameter C_i A^k B_j that proves a transfer entry nonzero: it
+# must exceed this times sqrt(n) max(|C_i|, 1) ||A||^k |B_j| on n states.
+# The Krylov basis Q of B_j holds A^k B_j up to k ZERO sqrt(n) of that
+# scale, and C_i Q has at most n entries, so such a witness makes C_i Q
+# exceed MATCH (this exceeds MATCH + 8 ZERO): a witness never moves a
+# verdict of the Krylov test.  Rounding in C_i A^k B_j is some (k + 1) n
+# 1e-16 of the scale.
+WITNESS = 1e-7
 # s * phi_x tends to the identity: its feedthrough C B, an absolute test on
 # the product of a realization's C and B.
 UNIT_FEEDTHROUGH = 1e-7

@@ -418,6 +418,32 @@ def test_non_integral_counts_are_an_error(capsys, tmp_path, command, doc):
     assert "integer" in err
 
 
+_RANK_TWO_MEASURE = [[1.0 if i == j else -1.0 / 7.0 for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("consensus h2", {"n": 4, "gamma": True}),
+        ("consensus h2", {"n": 4, "gamma": "1"}),
+        ("consensus h2", {"n": 4, "controller": "ka", "a": True}),
+        ("consensus h2", {"n": 4, "controller": "ka", "a": "-10"}),
+        ("consensus gap-demo", {"n": 8, "b": 1, "gamma": False}),
+        ("consensus feasibility", {"n": 8, "b": 1, "c": [[True] + row[1:] for row in _RANK_TWO_MEASURE]}),
+        ("consensus h2", {"n": 8, "c": [["1"] + row[1:] for row in _RANK_TWO_MEASURE]}),
+        ("relative check", {"gain": [[1, True], [0, 0]]}),
+        ("relative decompose", {"gain": [1, True, 0], "graph": {"n": 3}}),
+        ("sls check", {"plant": {"a": [[False]]}, "controller": {"static": [[-1]]}}),
+        ("sls check", {"plant": {"a": [[0]], "b2": [[True]]}, "controller": {"static": [[-1]]}}),
+        ("sls closed-loops", {"plant": {"a": [[0]]}, "controller": {"static": [[True]]}}),
+    ],
+)
+def test_boolean_or_string_numbers_are_an_error(capsys, tmp_path, command, doc):
+    # each of these used to run: {"n": 4, "gamma": true} as gamma = 1
+    err = _cli_error(capsys, tmp_path, command, json.dumps(doc))
+    assert "must be a number" in err
+
+
 def test_scalar_tap_offset_is_an_error(capsys, tmp_path):
     kernel = '{"d": 1, "n": 8, "taps": [{"offset": 0, "num": [1], "den": [1, 1]}]}'
     err = _cli_error(capsys, tmp_path, "spatial h2", f'{{"kernel": {kernel}}}')

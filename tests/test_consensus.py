@@ -361,6 +361,21 @@ def test_gap_demonstration_report():
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
+def test_gap_demonstration_stays_in_bounded_memory():
+    # the closed loop of K_a has 2n states; nothing else of that size is
+    # held beside it, and no pass grows with the square of the states per
+    # input column
+    n = 1024
+    tracemalloc.start()
+    try:
+        report = gap_demonstration(n, 1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.structure == gap_demonstration(8, 1, 1.0).structure
+    assert peak <= 7 * 8 * (2 * n) ** 2
+
+
 def test_gap_demonstration_structure_flags():
     flags = gap_demonstration(4, 1, 1.0).structure
     # n = 64 used to fail in rational conversion; the flags do not depend on n

@@ -1,8 +1,10 @@
 """Graph, partition and pattern primitives."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import locrel.graphs as graphs
 from locrel.errors import DisconnectedGraph
 from locrel.graphs import (
     Graph,
@@ -105,6 +107,29 @@ def test_b_hops_matches_boolean_matrix_power():
         for _ in range(b):
             power = power @ g.adjacency
         assert np.array_equal(b_hops(g, b).adjacency, power.astype(bool))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_b_hops_matches_networkx_shortest_paths(seed):
+    # the breadth-first expansion against networkx's distances, cut off at b
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    g = random_connected_graph(n, rng, extra_edge_prob=float(rng.uniform(0.0, 0.3)))
+    oracle = nx.from_numpy_array(g.adjacency.astype(int))
+    for b in range(5):
+        want = np.zeros((n, n), dtype=bool)
+        for i, reached in nx.all_pairs_shortest_path_length(oracle, cutoff=b):
+            want[i, list(reached)] = True
+        assert np.array_equal(b_hops(g, b).adjacency, want)
+
+
+def test_b_hops_in_column_batches(monkeypatch):
+    # a batch of one column at a time gives the same graph
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(12, rng)
+    want = [b_hops(g, b).adjacency for b in range(4)]
+    monkeypatch.setattr(graphs, "EXPANSION_BLOCK_ELEMENTS", 1)
+    assert all(np.array_equal(b_hops(g, b).adjacency, w) for b, w in enumerate(want))
 
 
 def test_connectivity_checks():

@@ -87,20 +87,24 @@ def test_traced_benchmark_names_resolve():
 
 
 def test_package_imports_no_scipy():
-    # the package's runtime dependency is numpy alone; scipy serves the
-    # tests' reference computations only
+    # the package imports numpy and the standard library only; scipy,
+    # sympy, networkx and hypothesis serve the tests' oracles only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "locrel"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
             else:
                 continue
-            if any(module.split(".")[0] == "scipy" for module in modules):
-                found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"scipy imported in the package: {found}"
+            found += [
+                f"{path.name}:{node.lineno}: {module}"
+                for module in modules
+                if module.split(".")[0] not in allowed
+            ]
+    assert not found, f"the package imports more than numpy and the standard library: {found}"
 
 
 def test_package_and_cli_run_on_numpy_alone():

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import locrel.structure as structure
 from locrel import tolerances
 from locrel.consensus import (
     ConsensusProblem,
@@ -32,10 +33,11 @@ from locrel.graphs import laplacian, ring_graph
 from locrel.rational import RationalEntry, entry_array, pis_zero
 from locrel.relative import is_relative
 from locrel.sls import _require_unit_feedthrough
-from locrel.statespace import StateSpace, batch_h2_squared, feedback, inverse
+from locrel.statespace import StateSpace, _column_subspaces, batch_h2_squared, feedback, inverse
+from locrel.structure import transfer_support
 from locrel.tolerances import negligible
 
-ZERO, HYPOTHESIS, UNIT_FEEDTHROUGH, SINGULAR = 1e-10, 1e-9, 1e-7, 1e12
+ZERO, HYPOTHESIS, WITNESS, UNIT_FEEDTHROUGH, SINGULAR = 1e-10, 1e-9, 1e-7, 1e-7, 1e12
 HALF_AND_TWICE = ((0.5, True), (2.0, False))
 
 
@@ -61,8 +63,10 @@ def passes(check, error):
 
 
 def test_policy_values():
-    names = ("EXACT", "ZERO", "HYPOTHESIS", "MATCH", "UNIT_FEEDTHROUGH", "VERIFY", "SINGULAR", "TINY")
-    values = (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e12, 1e-300)
+    names = (
+        "EXACT", "ZERO", "HYPOTHESIS", "MATCH", "WITNESS", "UNIT_FEEDTHROUGH", "VERIFY", "SINGULAR", "TINY",
+    )
+    values = (1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-7, 1e-6, 1e12, 1e-300)
     assert tuple(getattr(tolerances, name) for name in names) == values
 
 
@@ -248,3 +252,27 @@ def test_feedback_singular_loop_bound(factor, ok):
 def test_unit_feedthrough_threshold(factor, ok):
     R = StateSpace([[0.0]], [[1.0]], [[1.0 + factor * UNIT_FEEDTHROUGH]], [[0.0]])
     assert passes(lambda: _require_unit_feedthrough(R, "phi_x"), ConstraintViolated) == ok
+
+
+@pytest.mark.parametrize("factor, witnessed", ((0.5, False), (2.0, True)))
+def test_markov_witness_threshold(monkeypatch, factor, witnessed):
+    # C A^k B_j = factor * WITNESS * sqrt(n) max(|C_i|, 1) ||A||^k |B_j| at
+    # k = 1 on n = 16 states, with C B = 0: a witness at twice the
+    # threshold, Krylov below it; the entry is nonzero either way
+    krylov = []
+
+    def counting(A, V, **kwargs):
+        krylov.append(V.shape[1])
+        return _column_subspaces(A, V, **kwargs)
+
+    monkeypatch.setattr(structure, "_column_subspaces", counting)
+    n = 16
+    A = np.zeros((n, n))
+    A[1, 0] = 8.0  # ||A|| = 8, exact for this bound
+    B = np.zeros((n, 1))
+    B[0] = 3.0
+    C = np.zeros((1, n))
+    C[0, 1] = factor * WITNESS * np.sqrt(n)
+    sys = StateSpace(A, B, C, np.zeros((1, 1)))
+    assert transfer_support(sys).all()
+    assert krylov == ([] if witnessed else [1])

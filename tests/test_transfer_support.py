@@ -12,17 +12,24 @@ from sympy.polys.matrices import DomainMatrix
 import locrel.sls as sls
 import locrel.statespace as statespace
 import locrel.structure as structure
-from locrel.consensus import proper_approximation
-from locrel.graphs import Graph, Partition, StructurePattern, ring_graph
+from locrel.consensus import proper_approximation, static_gain_realization
+from locrel.graphs import Graph, Partition, StructurePattern, b_hops, ring_graph
 from locrel.relative import is_relative
 from locrel.sls import Plant, closed_loops_of, implementation_realization_sf
-from locrel.statespace import StateSpace, _column_subspaces, _invariant_subspace, tf_of
+from locrel.statespace import (
+    StateSpace,
+    _column_subspaces,
+    _invariant_subspace,
+    feedback,
+    tf_of,
+)
 from locrel.structure import (
     check_realization_structure,
     is_tf_structured,
     transfer_support,
     tridiag_counterexample,
 )
+from locrel.tolerances import MATCH
 from locrel.tolerances import ZERO as INPUT_ZERO_TOL
 
 _S = sympy.symbols("s")
@@ -92,6 +99,49 @@ def test_support_matches_exact_transfer(realization):
     np.testing.assert_array_equal(transfer_support(sys), want)
     allowed = pattern.graph.adjacency
     assert is_tf_structured(sys, pattern) == (not np.any(want & ~allowed))
+
+
+def _krylov_support(sys):
+    """The support by the Krylov test alone, on every input column.
+
+    The reference the certificate stages must reproduce: D_ij beyond ZERO,
+    or C_i Q beyond MATCH times max(max |C_i|, 1) on the reachable subspace
+    Q of a live column B_j.
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    support = np.abs(D) > INPUT_ZERO_TOL
+    c_tol = MATCH * np.maximum(np.max(np.abs(C), axis=1, initial=0.0), 1.0)
+    live = np.flatnonzero(np.max(np.abs(B), axis=0, initial=0.0) > INPUT_ZERO_TOL)
+    if live.size:
+        for group, Q in _column_subspaces(A, B[:, live], a_norm=np.linalg.norm(A)):
+            for j, basis in zip(live[group], Q):
+                support[:, j] |= np.max(np.abs(C @ basis), axis=1, initial=0.0) > c_tol
+    return support
+
+
+def _unimodular(rng, n):
+    """A dense integer matrix with an integer inverse: L U, both unit triangular."""
+    L = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    T = L @ U
+    return T, np.round(np.linalg.inv(T)).astype(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_sparse_realizations(), st.integers(0, 2**32 - 1))
+def test_certificates_match_krylov_alone(realization, seed):
+    # the sparse realization and a dense one of the same transfer matrix:
+    # an integer similarity T leaves the exact support as it is, but its
+    # zeros are no longer structural, so the Krylov stage decides them
+    A, B, C, D, state_part, pattern = realization
+    T, Tinv = _unimodular(np.random.default_rng(seed), A.shape[0])
+    want = _exact_support(A, B, C, D)
+    allowed = pattern.graph.adjacency
+    for system in ((A, B, C, D), (T @ A @ Tinv, T @ B, C @ Tinv, D)):
+        sys = StateSpace(*system)
+        np.testing.assert_array_equal(transfer_support(sys), _krylov_support(sys))
+        np.testing.assert_array_equal(transfer_support(sys), want)
+        assert is_tf_structured(sys, pattern) == (not np.any(want & ~allowed))
 
 
 @st.composite
@@ -288,6 +338,17 @@ def test_unobservable_mode_zero_in_dense_realization():
     )
 
 
+def test_hidden_mode_zeros_are_left_to_krylov(monkeypatch):
+    # the zero of a hidden or an unobservable mode is reachable in the graph
+    # of A and has no witness, so Krylov decides it, as it did alone
+    g = _hidden_mode_system()
+    widths = _counting_krylov(monkeypatch)
+    for sys in (g, StateSpace(g.A.T, g.C.T, g.B.T, g.D.T)):
+        widths.clear()
+        np.testing.assert_array_equal(transfer_support(sys), _krylov_support(sys))
+        assert widths == [1]
+
+
 def test_rounding_in_a_vanishing_krylov_image_is_not_a_direction():
     # A b = 0 exactly, but A applied to the unit vector b / |b| leaves
     # rounding behind; C b = 0, so the entry is zero
@@ -379,9 +440,15 @@ def test_is_relative_state_space_matches_rational(rng):
     assert any(verdicts[5:]) and not all(verdicts[5:])
 
 
-def test_pattern_check_grows_doubling_column_groups(monkeypatch):
-    # groups of 1, 2, 4, ... columns: a conforming map takes log2(m) passes
-    # and the first off-pattern group ends the check
+def _dense_similar(sys, seed=0):
+    """The same transfer matrix from dense A, B and C: an orthogonal similarity."""
+    n = sys.n_states
+    T = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    return StateSpace(T @ sys.A @ T.T, T @ sys.B, sys.C @ T.T, sys.D)
+
+
+def _counting_krylov(monkeypatch):
+    """Record the width of every start block the structure stages send to Krylov."""
     widths = []
 
     def counting(A, V, **kwargs):
@@ -389,14 +456,75 @@ def test_pattern_check_grows_doubling_column_groups(monkeypatch):
         return _column_subspaces(A, V, **kwargs)
 
     monkeypatch.setattr(structure, "_column_subspaces", counting)
+    return widths
+
+
+def test_pattern_check_grows_doubling_column_groups(monkeypatch):
+    # groups of 1, 2, 4, ... columns: a conforming map takes log2(m) passes
+    # and the first off-pattern group ends the check.  Dense realizations
+    # leave every off-pattern entry to Krylov: each is reachable in the
+    # graph of A, and no Markov parameter clears WITNESS
+    widths = _counting_krylov(monkeypatch)
     n = 32
     ring = StructurePattern.scalar(ring_graph(n))
-    assert is_tf_structured(proper_approximation(n, -10.0), ring)
+    assert is_tf_structured(_dense_similar(proper_approximation(n, -10.0)), ring)
     assert widths == [1, 2, 4, 8, 16, 1]
     for col, want in ((n - 1, [1, 2, 4, 8, 16, 1]), (0, [1]), (5, [1, 2, 4])):
         widths.clear()
         B = np.eye(n)
-        B[n // 2, col] = 1.0  # input col reaches the opposite node
-        sys = StateSpace(-np.eye(n), B, np.eye(n), np.zeros((n, n)))
+        # input col reaches the opposite node with a gain between MATCH and
+        # WITNESS: a response, but no witness
+        B[n // 2, col] = 5e-8
+        sys = _dense_similar(StateSpace(-np.eye(n), B, np.eye(n), np.zeros((n, n))))
         assert not is_tf_structured(sys, ring)
         assert widths == want
+
+
+def _integrator_loops(n, b=1):
+    """The gap report's closed loops (sI - K(s))^-1 of K_s and K_a, with their pattern."""
+    integrator = StateSpace(np.zeros((n, n)), np.eye(n), np.eye(n), np.zeros((n, n)))
+    loops = [feedback(integrator, K) for K in (static_gain_realization(n), proper_approximation(n, -10.0))]
+    return loops, StructurePattern.scalar(b_hops(ring_graph(n), b))
+
+
+def test_certificates_decide_the_gap_report_without_krylov(monkeypatch):
+    widths = _counting_krylov(monkeypatch)
+    n = 32
+    ring = StructurePattern.scalar(ring_graph(n))
+    # every off-pattern entry of K_a is a structural zero
+    assert is_tf_structured(proper_approximation(n, -10.0), ring)
+    np.testing.assert_array_equal(transfer_support(proper_approximation(n, -10.0)), ring.graph.adjacency)
+    # the closed loops have D = 0, so their off-pattern entry is a witness
+    loops, pattern = _integrator_loops(n)
+    for loop in loops:
+        assert not np.any(loop.D)
+        assert not is_tf_structured(loop, pattern)
+    assert widths == []
+    # the static K_s has no states: its feedthrough decides every entry
+    assert is_tf_structured(static_gain_realization(n), ring)
+    assert widths == []
+
+
+def test_witness_exponent_matches_the_hop_distance(monkeypatch):
+    # on the K_a loop the entry two hops off first appears in C A^4 B, a
+    # path through K_s, the pole, K_s and the pole again: four Markov steps
+    # find it, three leave it to Krylov
+    widths = _counting_krylov(monkeypatch)
+    loops, pattern = _integrator_loops(16)
+    monkeypatch.setattr(structure, "MARKOV_STEPS", 4)
+    assert not is_tf_structured(loops[1], pattern)
+    assert widths == []
+    monkeypatch.setattr(structure, "MARKOV_STEPS", 3)
+    assert not is_tf_structured(loops[1], pattern)
+    assert widths == [1]
+
+
+def test_ring_closed_loop_support_in_column_batches(monkeypatch):
+    # batches of one column give the same support as one batch, and as Krylov alone
+    cl = _ring_closed_loops(8)
+    want = [_krylov_support(H) for H in (cl.phi_x, cl.phi_u)]
+    for H, support in zip((cl.phi_x, cl.phi_u), want):
+        np.testing.assert_array_equal(transfer_support(H), support)
+    monkeypatch.setattr(structure, "EXPANSION_BLOCK_ELEMENTS", 1)
+    for H, support in zip((cl.phi_x, cl.phi_u), want):
+        np.testing.assert_array_equal(transfer_support(H), support)
