@@ -52,7 +52,6 @@ from .graphs import (
 from .rational import RationalEntry, RationalMatrix
 from .statespace import (
     StateSpace,
-    feedback,
     minimal_realization,
     parallel,
     realize_rational,

@@ -185,30 +185,27 @@ def _measure_for(n, flag, doc):
     return cons.consensus_measures(n, kinds=(name,))[name]
 
 
+def _setting(args, doc, name, read, missing=None, default=None):
+    """The --name flag, else the document's "name" or ``default``, through ``read``."""
+    value = getattr(args, name)
+    if value is None:
+        value = doc.get(name, default)
+    if value is None and missing is not None:
+        raise LocrelError(missing)
+    return read(value, name)
+
+
 def cmd_consensus(args):
     doc = _load_input(args.input) if args.input else {}
-    n = args.n if args.n is not None else doc.get("n")
-    if n is None:
-        raise LocrelError("consensus commands need n (flag or input document)")
-    n = _integer(n, "n")
-    gamma = args.gamma if args.gamma is not None else _real(doc.get("gamma", 0.0), "gamma")
-    if args.action == "feasibility":
-        b = args.b if args.b is not None else doc.get("b")
-        if b is None:
-            raise LocrelError("feasibility needs the locality radius b")
-        C = _measure_for(n, args.measure, doc)
-        prob = cons.ConsensusProblem(n=n, b=_integer(b, "b"), gamma=gamma, c=C)
-        cert = cons.sls_relative_feasibility(prob)
-        return cert.to_json(), (2 if cert.infeasible else 0)
+    n = _setting(args, doc, "n", _integer, "consensus commands need n (flag or input document)")
+    gamma = _setting(args, doc, "gamma", _real, default=0.0)
     if args.action == "h2":
         C = _measure_for(n, args.measure, doc)
         prob = cons.ConsensusProblem(n=n, b=1, gamma=gamma, c=C)
         choice = args.controller or doc.get("controller", "ks")
         if choice == "ka":
-            a = args.a if args.a is not None else doc.get("a")
-            if a is None:
-                raise LocrelError("controller ka needs its pole (--a)")
-            K = cons.proper_approximation(n, _real(a, "a"))
+            a = _setting(args, doc, "a", _real, "controller ka needs its pole (--a)")
+            K = cons.proper_approximation(n, a)
         elif choice == "ks":
             K = cons.static_consensus_gain(n)
         elif isinstance(choice, dict):
@@ -216,23 +213,23 @@ def cmd_consensus(args):
         else:
             raise LocrelError(f"unknown controller {choice!r}")
         return {"h2Squared": cons.h2_deflated(prob, K)}, 0
-    b = args.b if args.b is not None else doc.get("b")
-    if b is None:
-        raise LocrelError("gap-demo needs the locality radius b")
-    report = cons.gap_demonstration(n, _integer(b, "b"), gamma)
-    payload = report.to_json()
+    b = _setting(args, doc, "b", _integer, f"{args.action} needs the locality radius b")
+    if args.action == "feasibility":
+        C = _measure_for(n, args.measure, doc)
+        cert = cons.sls_relative_feasibility(cons.ConsensusProblem(n=n, b=b, gamma=gamma, c=C))
+        return cert.to_json(), (2 if cert.infeasible else 0)
+    payload = cons.gap_demonstration(n, b, gamma).to_json()
     return payload, (2 if payload["verdict"] == "Infeasible" else 0)
 
 
 def cmd_spatial(args):
     doc = _load_input(args.input) if args.input else {}
     if args.action == "feasibility":
-        d = args.d if args.d is not None else doc.get("d")
-        n = args.n if args.n is not None else doc.get("n")
-        b = args.b if args.b is not None else doc.get("b")
-        if d is None or n is None or b is None:
-            raise LocrelError("spatial feasibility needs d, n and b")
-        cert = spatial.spatial_feasibility(_integer(d, "d"), _integer(n, "n"), _integer(b, "b"))
+        d, n, b = (
+            _setting(args, doc, name, _integer, "spatial feasibility needs d, n and b")
+            for name in ("d", "n", "b")
+        )
+        cert = spatial.spatial_feasibility(d, n, b)
         return cert.to_json(), (2 if cert.infeasible else 0)
     kernel = spatial.ConvKernelArray.from_json(doc["kernel"])
     squared = spatial.si_h2_squared(kernel)

@@ -6,7 +6,8 @@ locality pattern while regulating a circulant consensus measure C with
 zero row sums.  A rank condition on C decides infeasibility through the
 static value of the control closed loop; performance of the unlocalized
 designs is scored by an H2 norm with the undetectable average mode
-removed through the DFT.
+removed through the DFT.  The gap report judges the locality of their
+state closed loops on the views ``sls.closed_loops_of`` returns.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .errors import (
     UnstableNonzeroMode,
 )
 from .graphs import Partition, StructurePattern, b_hops, laplacian, ring_graph
-from .statespace import StateSpace, batch_h2_squared, feedback
+from .sls import Plant, closed_loops_of
+from .statespace import StateSpace, batch_h2_squared
 from .structure import check_realization_structure, is_tf_structured
 from .tolerances import HYPOTHESIS, MATCH, ZERO, negligible
 
@@ -102,6 +104,12 @@ def consensus_measures(n, kinds=None):
     return out
 
 
+def _require_control_weight(gamma):
+    """Raise ValueError unless the control weight gamma is finite and nonnegative."""
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"control weight must be finite and nonnegative, not {gamma}")
+
+
 @dataclass(frozen=True)
 class ConsensusProblem:
     """Relative consensus design problem on a b-local ring.
@@ -117,7 +125,7 @@ class ConsensusProblem:
         Locality radius; closed loops may couple agents at ring distance
         at most b, with 1 <= b < n/2.
     gamma : float
-        Control effort weight in the performance output (nonnegative).
+        Control effort weight in the performance output (finite, nonnegative).
     c : ndarray
         Circulant consensus measure with zero row sums.
     """
@@ -132,8 +140,7 @@ class ConsensusProblem:
             raise ValueError("need at least 3 agents")
         if not (1 <= self.b < self.n / 2):
             raise ValueError("locality radius must satisfy 1 <= b < n/2")
-        if self.gamma < 0:
-            raise ValueError("control weight must be nonnegative")
+        _require_control_weight(self.gamma)
         c = _check_circulant(self.c).copy()
         if c.shape[0] != self.n:
             raise ValueError("measure size must match the agent count")
@@ -326,11 +333,19 @@ def h2_deflated(prob, K):
     unforced by the controller (relative feedback), and is dropped.  All
     remaining modes must be Hurwitz.  ConsensusProblem has checked that C
     is circulant with zero row sums, so its symbol vanishes at mode 0.
+    K is an n x n gain array or a realization with n x n blocks; anything
+    else raises ValueError.
     """
-    gamma = prob.gamma
+    n, gamma = prob.n, prob.gamma
     c_sym = np.fft.fft(prob.c[0])
     if isinstance(K, StateSpace) and K.n_states == 0:
         K = K.D  # a realization with no states is its static gain
+    if not isinstance(K, (StateSpace, np.ndarray)):
+        raise ValueError(f"a controller is a gain array or a StateSpace, not {type(K).__name__}")
+    blocks = (K.A, K.B, K.C, K.D) if isinstance(K, StateSpace) else (K,)
+    bad = [M.shape for M in blocks if M.shape != (n, n)]
+    if bad:
+        raise ValueError(f"the controller of {n} agents needs {n} x {n} blocks, not {bad[0]}")
     if isinstance(K, StateSpace):
         a_sym = _symbols_of_circulant(K.A)
         b_sym = _symbols_of_circulant(K.B)
@@ -422,9 +437,8 @@ def gap_demonstration(n, b, gamma):
     ka_real = proper_approximation(n, _APPROXIMATION_POLES[0])
     ks_struct = check_realization_structure(ks_real, pattern)
     ka_struct = check_realization_structure(ka_real, pattern)
-    # the state closed loop of dx = u, u = K x is (sI - K(s))^-1: the
-    # integrator in positive feedback with the controller
-    integrator = StateSpace(np.zeros((n, n)), np.eye(n), np.eye(n), np.zeros((n, n)))
+    # the state closed loop of dx = u + w, u = K x is phi_x = (sI - K(s))^-1
+    agents = Plant(np.zeros((n, n)), np.eye(n), np.eye(n))
     structure = {
         "ksRealizationStructured": ks_struct.structured,
         "ksNetworkRealizable": ks_struct.network,
@@ -433,10 +447,10 @@ def gap_demonstration(n, b, gamma):
         "kaNetworkRealizable": ka_struct.network,
         "kaTFStructured": is_tf_structured(ka_real, pattern),
         "ksClosedLoopTFStructured": is_tf_structured(
-            feedback(integrator, ks_real), cl_pattern
+            closed_loops_of(agents, ks_real).phi_x, cl_pattern
         ),
         "kaClosedLoopTFStructured": is_tf_structured(
-            feedback(integrator, ka_real), cl_pattern
+            closed_loops_of(agents, ka_real).phi_x, cl_pattern
         ),
     }
     return GapReport(

@@ -109,50 +109,43 @@ class OutputFeedbackClosedLoops:
     phi_uy: object
 
 
-def _controller_to_ss(K, part=None):
-    """K as a StateSpace; a square static gain over part gets part on both sides."""
-    if isinstance(K, StateSpace):
-        return K
-    if isinstance(K, RationalMatrix):
-        return realize_rational(K, "rows")
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if part is None or K.shape != (part.total, part.total):
-        return StateSpace.static(K)
-    return StateSpace.static(K, part, part)
+def _loop(plant, K, C2=None):
+    """K as a realization, and phi_xx, phi_ux of the loop u = K y, y = C2 x.
 
-
-def _loop_views(plant, K, C2, y_part):
-    """phi_xx, phi_xy, phi_ux, phi_uy of u = K y with y = C2 x + dy.
-
-    All four are views of one realization over [x; x_K]:
-    A_cl = [[A + B2 D_K C2, B2 C_K], [B_K C2, A_K]].  The inputs dx and dy
-    enter through [I; 0] and [B2 D_K; B_K], x and u are read through
-    [I 0] and [D_K C2, C_K], and dy reaches u through D_K.  The controller
-    dynamics are never duplicated.
+    Both maps are views of one realization over [x; x_K]:
+    A_cl = [[A + B2 D_K C2, B2 C_K], [B_K C2, A_K]], dx enters through
+    B_x = [I; 0], and x and u are read through C_x = B_x' and
+    C_u = [D_K C2, C_K].  With no C2 the loop is state feedback, y = x:
+    nothing is multiplied by C2, and a square static gain over the node
+    partition gets that partition on both sides.
     """
-    n, n_u, n_y = plant.n, plant.n_inputs, C2.shape[0]
-    K_ss = _controller_to_ss(K, y_part if n_u == n_y else None)
-    if K_ss.shape != (n_u, n_y):
+    n, n_u = plant.n, plant.n_inputs
+    n_y, y_part = (n, plant.node_partition) if C2 is None else (C2.shape[0], None)
+    read = (lambda M: M) if C2 is None else (lambda M: M @ C2)
+    if isinstance(K, RationalMatrix):
+        K = realize_rational(K, "rows")
+    elif not isinstance(K, StateSpace):
+        K = np.atleast_2d(np.asarray(K, dtype=float))
+        if y_part is None or K.shape != (y_part.total, y_part.total):
+            y_part = None
+        K = StateSpace.static(K, y_part, y_part)
+    if K.shape != (n_u, n_y):
         raise ValueError(
-            f"controller maps {K_ss.shape[1]} measurements to {K_ss.shape[0]} inputs; "
+            f"controller maps {K.shape[1]} measurements to {K.shape[0]} inputs; "
             f"plant expects {n_y} -> {n_u}"
         )
-    nk = K_ss.n_states
-    A_cl = np.zeros((n + nk, n + nk))
-    A_cl[:n, :n] = plant.A + plant.B2 @ K_ss.D @ C2
-    A_cl[:n, n:] = plant.B2 @ K_ss.C
-    A_cl[n:, :n] = K_ss.B @ C2
-    A_cl[n:, n:] = K_ss.A
-    B_x = np.vstack([np.eye(n), np.zeros((nk, n))])
-    B_y = np.vstack([plant.B2 @ K_ss.D, K_ss.B])
-    C_x = np.hstack([np.eye(n), np.zeros((n, nk))])
-    C_u = np.hstack([K_ss.D @ C2, K_ss.C])
-    part, u_part = plant.node_partition, K_ss.out_partition
+    nk, part, u_part = K.n_states, plant.node_partition, K.out_partition
+    A_cl = np.empty((n + nk, n + nk))
+    A_cl[:n, :n] = plant.A + read(plant.B2 @ K.D)
+    A_cl[:n, n:] = plant.B2 @ K.C
+    A_cl[n:, :n] = read(K.B)
+    A_cl[n:, n:] = K.A
+    B_x = np.eye(n + nk, n)
+    C_u = np.hstack([read(K.D), K.C])
     return (
-        StateSpace(A_cl, B_x, C_x, np.zeros((n, n)), in_partition=part, out_partition=part),
-        StateSpace(A_cl, B_y, C_x, np.zeros((n, n_y)), in_partition=y_part, out_partition=part),
+        K,
+        StateSpace(A_cl, B_x, B_x.T, np.zeros((n, n)), in_partition=part, out_partition=part),
         StateSpace(A_cl, B_x, C_u, np.zeros((n_u, n)), in_partition=part, out_partition=u_part),
-        StateSpace(A_cl, B_y, C_u, K_ss.D, in_partition=y_part, out_partition=u_part),
     )
 
 
@@ -160,18 +153,32 @@ def closed_loops_of(plant, K):
     """State-feedback closed loops phi_x, phi_u for u = K x.
 
     K may be a static gain, a RationalMatrix, or a StateSpace.  The pair
-    is phi_xx, phi_ux of the output-feedback loops with C2 = I: output
-    views of one realization over the plant and controller states.
+    is phi_xx, phi_ux of the output-feedback loops with C2 = I, formed
+    without C2: two views of one realization, sharing its A and B.  It is
+    the package's one construction of a state-feedback loop; the gap
+    report reads its loops here too.
     """
-    phi_x, _, phi_u, _ = _loop_views(plant, K, np.eye(plant.n), plant.node_partition)
+    _, phi_x, phi_u = _loop(plant, K)
     return ClosedLoopPair(phi_x, phi_u)
 
 
 def output_feedback_closed_loops(plant, K):
-    """Closed-loop four-tuple for u = K y, as views of one realization."""
+    """Closed-loop four-tuple for u = K y, y = C2 x + dy, as views of one realization.
+
+    dy enters ``_loop``'s realization through B_y = [B2 D_K; B_K] and
+    reaches u through D_K.
+    """
     if plant.C2 is None:
         raise ValueError("plant needs a measurement channel C2 for output feedback")
-    return OutputFeedbackClosedLoops(*_loop_views(plant, K, plant.C2, None))
+    K, xx, ux = _loop(plant, K, plant.C2)
+    B_y = np.vstack([plant.B2 @ K.D, K.B])
+    zero = np.zeros((plant.n, plant.C2.shape[0]))
+    return OutputFeedbackClosedLoops(
+        xx,
+        StateSpace(xx.A, B_y, xx.C, zero, out_partition=xx.out_partition),
+        ux,
+        StateSpace(xx.A, B_y, ux.C, K.D, out_partition=K.out_partition),
+    )
 
 
 def _realization(H, name, strict=True):

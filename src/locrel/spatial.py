@@ -30,7 +30,7 @@ from .errors import (
     SymbolPoleClash,
     UnstableKernelEntry,
 )
-from .consensus import FeasibilityCertificate
+from .consensus import FeasibilityCertificate, _require_control_weight
 from .graphs import _integer
 from .rational import (
     RationalEntry,
@@ -290,8 +290,10 @@ class SIClosedLoops:
         """Squared deflated H2 norm of (phi_x, gamma phi_u), dropping mode 0.
 
         Both loops share their denominator at each frequency, so one
-        Gramian per frequency serves both.
+        Gramian per frequency serves both.  gamma must be finite and
+        nonnegative (ValueError otherwise).
         """
+        _require_control_weight(gamma)
         width = self.phi_x_num.shape[-1]
         num = self.phi_x_num.reshape(-1, 1, width)
         if gamma > 0:

@@ -2,13 +2,15 @@
 
 Systems are kept alongside block partitions of their state, input and
 output dimensions so that sparsity checks can be made per node.
-Interconnections never reduce their realizations: non-minimal modes are
-harmless for the subspace-based checks used throughout and keeping
-them makes the realizations predictable; ``minimal_realization`` reduces
-one on request.  Which transfer entries vanish is decided on the
-realization (``structure.transfer_support``), so structure and relativity
-verdicts never convert it to rational form.  Three stages run in order:
-a structural zero (no path from B_j to C_i in the graph of A; no
+Closed loops, the gap report's included, are built in ``sls`` alone
+(``closed_loops_of``).  Interconnections never reduce their
+realizations: non-minimal modes are harmless for the subspace-based
+checks used throughout and keeping them makes the realizations
+predictable; ``minimal_realization`` reduces one on request.  Which
+transfer entries vanish is decided on the realization
+(``structure.transfer_support``), so structure and relativity verdicts
+never convert it to rational form.  Three stages run in order: a
+structural zero (no path from B_j to C_i in the graph of A; no
 tolerance), a Markov witness (a large C_i A^k B_j; WITNESS), and for the
 entries left the reachable (Krylov) subspaces grown here (MATCH).
 Rational conversion (``tf_of``) has one path for every system: each entry
@@ -215,53 +217,6 @@ def parallel(g, h):
         B,
         C,
         D,
-        state_partition=_concat_partitions(g.state_partition, h.state_partition),
-        in_partition=g.in_partition,
-        out_partition=g.out_partition,
-    )
-
-
-def _product(X, Y):
-    """X @ Y, with no multiplication when a factor is exactly zero."""
-    if X.any() and Y.any():
-        return X @ Y
-    return np.zeros((X.shape[0], Y.shape[1]))
-
-
-def feedback(g, h):
-    """Positive feedback y = g(u + h(y)); needs I - Dg Dh invertible.
-
-    When Dg Dh is exactly zero the loop has no algebraic part, I - Dg Dh is
-    the identity, and neither its condition number nor its inverse is
-    computed.  The blocks of the closed loop are formed one by one, and a
-    product with an exactly zero factor (a strictly proper g or h) is not
-    multiplied out.
-    """
-    if h.n_inputs != g.n_outputs or h.n_outputs != g.n_inputs:
-        raise ValueError("feedback: h must map outputs of g back to its inputs")
-    # y = E^-1 (Cg xg + Dg Ch xh + Dg u) with E = I - Dg Dh
-    Cg, Ch, Dy = g.C, _product(g.D, h.C), g.D
-    loop = _product(g.D, h.D)
-    if loop.any():
-        E = np.eye(g.n_outputs) - loop
-        if np.linalg.cond(E) > SINGULAR:
-            raise IllPosedFeedback("algebraic loop: I - Dg*Dh is singular")
-        Einv = np.linalg.inv(E)
-        Cg, Ch, Dy = Einv @ Cg, Einv @ Ch, Einv @ Dy
-    # y drives the states of g through Bg Dh and those of h through Bh
-    gy = _product(g.B, h.D)
-    A = np.block(
-        [
-            [g.A + _product(gy, Cg), _product(g.B, h.C) + _product(gy, Ch)],
-            [_product(h.B, Cg), h.A + _product(h.B, Ch)],
-        ]
-    )
-    B = np.vstack([g.B + _product(gy, Dy), _product(h.B, Dy)])
-    return StateSpace(
-        A,
-        B,
-        np.hstack([Cg, Ch]),
-        Dy,
         state_partition=_concat_partitions(g.state_partition, h.state_partition),
         in_partition=g.in_partition,
         out_partition=g.out_partition,

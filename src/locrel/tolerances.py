@@ -46,7 +46,7 @@ UNIT_FEEDTHROUGH = 1e-7
 # response it should reproduce.
 VERIFY = 1e-6
 # A condition number above which a square matrix is singular: the
-# feedthrough of an inverse system or the algebraic loop of a feedback.
+# feedthrough of an inverse system.
 SINGULAR = 1e12
 # A floor that keeps a relative test from dividing by, or scaling with, zero.
 TINY = 1e-300

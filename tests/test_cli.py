@@ -444,6 +444,34 @@ def test_boolean_or_string_numbers_are_an_error(capsys, tmp_path, command, doc):
     assert "must be a number" in err
 
 
+@pytest.mark.parametrize(
+    "controller, message",
+    [
+        ({"static": [[-1, 1], [1, -1]]}, "4 x 4"),
+        ({"static": [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]}, "4 x 4"),
+        ({"system": {"A": [[-1]], "B": [[1, -1]], "C": [[1], [-1]], "D": [[0, 0], [0, 0]]}}, "4 x 4"),
+        ({"matrix": {"entries": [[{"num": [-1], "den": [1]}]]}}, "gain array or a StateSpace"),
+    ],
+)
+def test_consensus_h2_controller_of_the_wrong_size_is_an_error(capsys, tmp_path, controller, message):
+    # a 2-agent gain used to be broadcast against the 4-agent measure and scored 3.75
+    doc = json.dumps({"n": 4, "gamma": 1, "controller": controller})
+    assert message in _cli_error(capsys, tmp_path, "consensus h2", doc)
+
+
+@pytest.mark.parametrize(
+    "command", ["consensus h2 --n 4", "consensus gap-demo --n 8 --b 1", "consensus feasibility --n 8 --b 1"]
+)
+@pytest.mark.parametrize("flag, token", [("nan", "NaN"), ("inf", "Infinity"), ("-1", "-1")])
+def test_negative_or_non_finite_gamma_is_an_error(capsys, tmp_path, command, flag, token):
+    # NaN used to print as the invalid JSON token NaN with exit 0
+    code, out, err = run_cli(capsys, *command.split(), "--gamma", flag)
+    assert (code, out) == (1, "")
+    assert "control weight" in err
+    doc = f'{{"n": 8, "b": 1, "gamma": {token}}}'
+    assert "control weight" in _cli_error(capsys, tmp_path, command.split(" --")[0], doc)
+
+
 def test_scalar_tap_offset_is_an_error(capsys, tmp_path):
     kernel = '{"d": 1, "n": 8, "taps": [{"offset": 0, "num": [1], "den": [1, 1]}]}'
     err = _cli_error(capsys, tmp_path, "spatial h2", f'{{"kernel": {kernel}}}')

@@ -1,5 +1,6 @@
 """Ring consensus: measures, feasibility certificates, deflated H2."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from locrel.errors import (
     UnstableNonzeroMode,
 )
 from locrel.graphs import StructurePattern, ring_graph
-from locrel.statespace import StateSpace
+from locrel.statespace import StateSpace, tf_of
 from locrel.structure import check_realization_structure
 
 
@@ -149,8 +150,9 @@ def test_problem_validation():
         ConsensusProblem(n=6, b=3, gamma=1.0, c=C)  # b must stay below n/2
     with pytest.raises(ValueError):
         ConsensusProblem(n=6, b=0, gamma=1.0, c=C)
-    with pytest.raises(ValueError):
-        ConsensusProblem(n=6, b=1, gamma=-0.5, c=C)
+    for gamma in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="control weight"):
+            ConsensusProblem(n=6, b=1, gamma=gamma, c=C)
     with pytest.raises(ValueError):
         ConsensusProblem(n=6, b=1, gamma=1.0, c=np.eye(6))  # row sums not zero
     with pytest.raises(NotCirculant):
@@ -348,6 +350,25 @@ def test_h2_rejects_unstable_modes():
         h2_deflated(prob, -static_consensus_gain(4))  # positive feedback
     with pytest.raises(UnstableNonzeroMode):
         h2_deflated(prob, np.zeros((4, 4)))  # no consensus drive at all
+
+
+def test_h2_rejects_a_controller_of_the_wrong_size():
+    # numpy used to broadcast a 2-agent gain against the 4-agent measure
+    prob = ave_problem(4, 1, 1.0)
+    Ka = proper_approximation(4, -10.0)
+    pair = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    wrong = [
+        pair,
+        static_consensus_gain(3),
+        StateSpace.static(pair),
+        StateSpace(Ka.A[:2, :2], Ka.B[:2], Ka.C[:, :2], Ka.D),  # 2 states for 4 agents
+    ]
+    for K in wrong:
+        with pytest.raises(ValueError, match="4 x 4"):
+            h2_deflated(prob, K)
+    for K in (static_consensus_gain(4).tolist(), tf_of(Ka)):
+        with pytest.raises(ValueError, match="gain array or a StateSpace"):
+            h2_deflated(prob, K)
 
 
 def test_gap_demonstration_report():

@@ -21,7 +21,7 @@ from locrel.errors import (
     NotTFStructured,
     SingularPhiX,
 )
-from locrel.consensus import proper_approximation, static_consensus_gain
+from locrel.consensus import proper_approximation, static_consensus_gain, static_gain_realization
 from locrel.graphs import (
     Graph,
     Partition,
@@ -419,6 +419,40 @@ def test_output_feedback_loops_of_minus_identity_implement_and_recover():
         for got in (impl.evaluate(s), K.evaluate(s), sf_impl.evaluate(s)):
             assert np.max(np.abs(got + np.eye(2))) < 1e-9
         assert np.max(np.abs(recover_controller_sf(pair).evaluate(s) + np.eye(2))) < 1e-9
+
+
+@pytest.mark.parametrize("n", (4, 7))
+def test_integrator_loops_are_the_resolvent_of_the_controller(n):
+    # the gap report's loops: phi_x of dx = u + w, u = K x is (sI - K(s))^-1,
+    # for the static ring gain and its low-pass version -a/(s - a) K_s
+    plant = Plant(np.zeros((n, n)), np.eye(n), np.eye(n))
+    Ks, a = static_consensus_gain(n), -10.0
+    controllers = (
+        (static_gain_realization(n), lambda s: Ks),
+        (proper_approximation(n, a), lambda s: -a / (s - a) * Ks),
+    )
+    for K, gain in controllers:
+        phi_x = closed_loops_of(plant, K).phi_x
+        for s in PROBES:
+            want = np.linalg.inv(s * np.eye(n) - gain(s))
+            assert np.max(np.abs(phi_x.evaluate(s) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_states", (0, 1, 2))
+@pytest.mark.parametrize("node_states", (1, 2))
+def test_state_feedback_loops_are_output_feedback_loops_with_identity_c2(rng, n_states, node_states):
+    # phi_x and phi_u read y = x with no product; the output-feedback loops
+    # multiply by C2 = I, which leaves every entry as it was
+    n = 3 * node_states
+    A, B2, part = stable_matrix(rng, n), rng.standard_normal((n, n)), Partition((node_states,) * 3)
+    plant = Plant(A, np.eye(n), B2, C2=np.eye(n), node_partition=part)
+    K = random_controller(rng, n_states * node_states, n, n)
+    cl, cl4 = closed_loops_of(plant, K), output_feedback_closed_loops(plant, K)
+    for got, want in ((cl.phi_x, cl4.phi_xx), (cl.phi_u, cl4.phi_ux)):
+        for name in "ABCD":
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    # both state-feedback views share one A and one B
+    assert cl.phi_x.A is cl.phi_u.A and cl.phi_x.B is cl.phi_u.B
 
 
 def test_sf_and_of_controllers_agree_on_random_loops(rng):

@@ -137,6 +137,17 @@ def test_readme_cli_block_is_the_recorded_corpus():
     assert commands == [case["argv"] for case in corpus]
 
 
+def test_readme_tolerance_table_is_the_policy():
+    # the README's "Tolerances" table lists every constant of
+    # locrel.tolerances, in order, with its value, and nothing else
+    readme = (SRC.parents[1] / "README.md").read_text()
+    section = re.search(r"## Tolerances\n(.*?)\n## ", readme, re.S).group(1)
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, re.M)
+    tolerances = importlib.import_module("locrel.tolerances")
+    policy = [(name, value) for name, value in vars(tolerances).items() if name.isupper()]
+    assert [(name, float(value)) for name, value in rows] == policy
+
+
 def test_thresholds_are_named_in_the_tolerance_policy():
     # every threshold below 1e-5 or above 1e5 is a name of locrel.tolerances,
     # so one place says what each value decides

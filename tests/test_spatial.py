@@ -387,6 +387,18 @@ def test_si_closed_loops_h2_matches_ring_h2():
         assert per_site == pytest.approx(dense / n, abs=1e-9)
 
 
+def test_si_closed_loops_h2_rejects_a_negative_or_non_finite_weight():
+    # the ring gain through a low-pass 2/(s + 2): gamma scales phi_u's share
+    taps = {(0,): -4.0, (1,): 2.0, (-1,): 2.0}
+    kernel = {off: RationalEntry([tap], [2.0, 1.0]) for off, tap in taps.items()}
+    loops = si_closed_loops(ConvKernelArray(1, 8, kernel))
+    assert loops.h2_squared(0.0) == pytest.approx(0.546875, abs=1e-12)
+    assert loops.h2_squared(1.0) == pytest.approx(1.546875, abs=1e-12)
+    for gamma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="control weight"):
+            loops.h2_squared(gamma)
+
+
 def test_si_closed_loops_2d_stencil():
     n, d = 3, 2
     k = ConvKernelArray(d, n)

@@ -7,7 +7,6 @@ import scipy.linalg
 from conftest import approximation_transfer, h2_norm_squared
 
 from locrel.errors import (
-    IllPosedFeedback,
     NonzeroFeedthrough,
     NotHurwitz,
     RationalConversionFailed,
@@ -23,7 +22,6 @@ from locrel.statespace import (
     _root_abscissa,
     batch_h2_squared,
     block_diag,
-    feedback,
     interleave_node_states,
     parallel,
     permute_states,
@@ -185,31 +183,6 @@ def test_block_diag_matches_scipy_bitwise(shapes):
     got = block_diag(*blocks)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-
-
-def test_feedback_against_known_formula():
-    rng = np.random.default_rng(6)
-    G = random_stable_system(rng, 3, 2, 2)
-    H = random_stable_system(rng, 2, 2, 2)
-    cl = feedback(G, H)
-    for s in (0.8, 1.5 - 0.7j):
-        g, h = G.evaluate(s), H.evaluate(s)
-        ref = np.linalg.solve(np.eye(2) - g @ h, g)
-        assert np.allclose(cl.evaluate(s), ref, atol=1e-10)
-
-
-def test_feedback_with_zero_is_identity_map():
-    rng = np.random.default_rng(7)
-    G = random_stable_system(rng, 3, 2, 2)
-    cl = feedback(G, StateSpace.static(np.zeros((2, 2))))
-    for s in (0.5, 2.0 + 1.0j):
-        assert np.allclose(cl.evaluate(s), G.evaluate(s), atol=1e-12)
-
-
-def test_ill_posed_feedback_rejected():
-    G = StateSpace.static(np.eye(2))
-    with pytest.raises(IllPosedFeedback):
-        feedback(G, StateSpace.static(np.eye(2)))
 
 
 def test_h2_norm_of_first_order_lags():

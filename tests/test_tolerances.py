@@ -33,7 +33,7 @@ from locrel.graphs import laplacian, ring_graph
 from locrel.rational import RationalEntry, entry_array, pis_zero
 from locrel.relative import is_relative
 from locrel.sls import _require_unit_feedthrough
-from locrel.statespace import StateSpace, _column_subspaces, batch_h2_squared, feedback, inverse
+from locrel.statespace import StateSpace, _column_subspaces, batch_h2_squared, inverse
 from locrel.structure import transfer_support
 from locrel.tolerances import negligible
 
@@ -238,14 +238,6 @@ def test_circulant_rank_threshold(factor, ok):
 def test_inverse_singular_feedthrough_bound(factor, ok):
     D = np.diag([1.0, 1.0 / (factor * SINGULAR)])  # condition number factor * SINGULAR
     assert passes(lambda: inverse(StateSpace.static(D)), IllPosedFeedback) == ok
-
-
-@pytest.mark.parametrize("factor, ok", HALF_AND_TWICE)
-def test_feedback_singular_loop_bound(factor, ok):
-    # I - Dg Dh = diag(1, 1 / (factor * SINGULAR))
-    Dh = np.diag([0.0, 1.0 - 1.0 / (factor * SINGULAR)])
-    loop = lambda: feedback(StateSpace.static(np.eye(2)), StateSpace.static(Dh))
-    assert passes(loop, IllPosedFeedback) == ok
 
 
 @pytest.mark.parametrize("factor, ok", HALF_AND_TWICE)

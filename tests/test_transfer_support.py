@@ -20,7 +20,6 @@ from locrel.statespace import (
     StateSpace,
     _column_subspaces,
     _invariant_subspace,
-    feedback,
     tf_of,
 )
 from locrel.structure import (
@@ -266,8 +265,15 @@ def test_column_subspaces_of_a_vanishing_krylov_image():
 
 
 def _ring_closed_loops(n):
+    """The gap report's closed loops of K_s and K_a on n integrators, with their 1-hop pattern.
+
+    Each is the ``closed_loops_of`` pair of dx = u + w under the controller;
+    its phi_x is (sI - K(s))^-1.
+    """
     plant = Plant(A=np.zeros((n, n)), B1=np.eye(n), B2=np.eye(n))
-    return closed_loops_of(plant, proper_approximation(n, -10.0))
+    controllers = (static_gain_realization(n), proper_approximation(n, -10.0))
+    pattern = StructurePattern.scalar(b_hops(ring_graph(n), 1))
+    return [closed_loops_of(plant, K) for K in controllers], pattern
 
 
 def test_ring_loops_grow_no_single_column_subspace(monkeypatch):
@@ -281,7 +287,7 @@ def test_ring_loops_grow_no_single_column_subspace(monkeypatch):
 
     monkeypatch.setattr(statespace, "_invariant_subspace", counting)
     monkeypatch.setattr(sls, "_invariant_subspace", counting)
-    cl = _ring_closed_loops(16)
+    cl = _ring_closed_loops(16)[0][1]  # the K_a loop
     assert transfer_support(cl.phi_x).any() and transfer_support(cl.phi_u).any()
     implementation_realization_sf(cl)
     assert not single
@@ -480,13 +486,6 @@ def test_pattern_check_grows_doubling_column_groups(monkeypatch):
         assert widths == want
 
 
-def _integrator_loops(n, b=1):
-    """The gap report's closed loops (sI - K(s))^-1 of K_s and K_a, with their pattern."""
-    integrator = StateSpace(np.zeros((n, n)), np.eye(n), np.eye(n), np.zeros((n, n)))
-    loops = [feedback(integrator, K) for K in (static_gain_realization(n), proper_approximation(n, -10.0))]
-    return loops, StructurePattern.scalar(b_hops(ring_graph(n), b))
-
-
 def test_certificates_decide_the_gap_report_without_krylov(monkeypatch):
     widths = _counting_krylov(monkeypatch)
     n = 32
@@ -495,10 +494,10 @@ def test_certificates_decide_the_gap_report_without_krylov(monkeypatch):
     assert is_tf_structured(proper_approximation(n, -10.0), ring)
     np.testing.assert_array_equal(transfer_support(proper_approximation(n, -10.0)), ring.graph.adjacency)
     # the closed loops have D = 0, so their off-pattern entry is a witness
-    loops, pattern = _integrator_loops(n)
-    for loop in loops:
-        assert not np.any(loop.D)
-        assert not is_tf_structured(loop, pattern)
+    loops, pattern = _ring_closed_loops(n)
+    for cl in loops:
+        assert not np.any(cl.phi_x.D)
+        assert not is_tf_structured(cl.phi_x, pattern)
     assert widths == []
     # the static K_s has no states: its feedthrough decides every entry
     assert is_tf_structured(static_gain_realization(n), ring)
@@ -510,18 +509,18 @@ def test_witness_exponent_matches_the_hop_distance(monkeypatch):
     # path through K_s, the pole, K_s and the pole again: four Markov steps
     # find it, three leave it to Krylov
     widths = _counting_krylov(monkeypatch)
-    loops, pattern = _integrator_loops(16)
+    loops, pattern = _ring_closed_loops(16)
     monkeypatch.setattr(structure, "MARKOV_STEPS", 4)
-    assert not is_tf_structured(loops[1], pattern)
+    assert not is_tf_structured(loops[1].phi_x, pattern)
     assert widths == []
     monkeypatch.setattr(structure, "MARKOV_STEPS", 3)
-    assert not is_tf_structured(loops[1], pattern)
+    assert not is_tf_structured(loops[1].phi_x, pattern)
     assert widths == [1]
 
 
 def test_ring_closed_loop_support_in_column_batches(monkeypatch):
     # batches of one column give the same support as one batch, and as Krylov alone
-    cl = _ring_closed_loops(8)
+    cl = _ring_closed_loops(8)[0][1]  # the K_a loop
     want = [_krylov_support(H) for H in (cl.phi_x, cl.phi_u)]
     for H, support in zip((cl.phi_x, cl.phi_u), want):
         np.testing.assert_array_equal(transfer_support(H), support)
