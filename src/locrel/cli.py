@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import numbers
@@ -126,26 +127,24 @@ def cmd_structure(args):
     return {"system": system.to_json(), "structure": flags}, 0
 
 
+def _gain_from_json(data):
+    if "matrix" in data:
+        return RationalMatrix.from_json(data["matrix"])
+    if "gain" in data:
+        return _reals(data["gain"], "gain")
+    raise LocrelError("relative commands need one of: matrix, gain")
+
+
 def cmd_relative(args):
     doc = _load_input(args.input)
     if args.action == "check":
-        if "matrix" in doc:
-            flag = is_relative(RationalMatrix.from_json(doc["matrix"]))
-        else:
-            flag = is_relative(_reals(doc["gain"], "gain"))
-        return {"relative": bool(flag)}, 0
+        return {"relative": bool(is_relative(_gain_from_json(doc)))}, 0
     graph = graph_from_json(doc["graph"])
-    if "matrix" in doc:
-        form = relative_decompose_rational(
-            RationalMatrix.from_json(doc["matrix"]), graph
-        )
-        return form.to_json(), 0
-    k = _reals(doc["gain"], "gain").reshape(-1)
-    M = relative_decompose(k, graph)
-    return {
-        "m": [[float(v) for v in row] for row in M],
-        "rowSums": [float(v) for v in M.sum(axis=1)],
-    }, 0
+    K = _gain_from_json(doc)
+    if isinstance(K, RationalMatrix):
+        return relative_decompose_rational(K, graph).to_json(), 0
+    M = relative_decompose(K.reshape(-1), graph)
+    return {"m": M.tolist(), "rowSums": M.sum(axis=1).tolist()}, 0
 
 
 def cmd_sls(args):
@@ -317,9 +316,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of ``build_parser``, built at the first call in a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)
     except (LocrelError, KeyError, ValueError, ZeroDivisionError, OSError) as exc:

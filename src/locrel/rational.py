@@ -246,19 +246,8 @@ def distinct_denominators(entries):
     return distinct
 
 
-def common_denominator(entries):
-    """Return (q, nums): one monic polynomial q with entries[i] = nums[i] / q.
-
-    The distinct denominators are taken highest degree first, and each is
-    multiplied into q unless it already divides q, so entries sharing (or
-    dividing) a common characteristic polynomial do not inflate q.  The
-    numerators come from one division of q per bitwise-distinct denominator.
-    Raises ``CommonDenominatorTruncated`` when q spans so many magnitudes
-    that trimming would drop its leading terms.
-    """
-    entries = list(entries)
-    keys = [e.den.tobytes() for e in entries]
-    unique = dict(zip(keys, entries))  # one entry per bitwise-distinct den
+def _denominator_factors(unique):
+    """(q, {key: q / den}) for bitwise-distinct denominators keyed by their bytes."""
     q = np.ones(1)
     for f in sorted(distinct_denominators(unique.values()), key=pdeg, reverse=True):
         if try_exact_divide(q, f, rel_tol=HYPOTHESIS) is None:
@@ -276,17 +265,41 @@ def common_denominator(entries):
     factors = {}
     for key, e in unique.items():
         factor = try_exact_divide(q, e.den, rel_tol=HYPOTHESIS)
-        if factor is None:
-            # den not an exact factor of q (close duplicates); fall back
-            factor, _ = pdiv(q, e.den)
-        factors[key] = factor
-    nums = []
-    for key, e in zip(keys, entries):
-        factor = factors[key]
-        # a real factor 1 leaves num as the product would, zeros unsigned
-        unit = factor.dtype == float and factor.tolist() == [1.0]
-        nums.append(np.zeros(1) if e.is_zero() else e.num + 0.0 if unit else pmul(e.num, factor))
-    return q, nums
+        # a den that is not an exact factor of q (close duplicates) falls back
+        factors[key] = pdiv(q, e.den)[0] if factor is None else factor
+    return q, factors
+
+
+def common_denominators(rows):
+    """(q, nums) for each row of entries in turn: one monic q with row[i] = nums[i] / q.
+
+    The distinct denominators are taken highest degree first, and each is
+    multiplied into q unless it already divides q.  Rows whose ordered tuples
+    of bitwise-distinct denominators are the same share one q and one division
+    of q per denominator; the numerators are formed entry by entry.  The first
+    row that fails raises: ``CommonDenominatorTruncated`` when q spans so many
+    magnitudes that trimming would drop its leading terms.
+    """
+    shared = {}
+    for entries in rows:
+        entries = list(entries)
+        keys = [e.den.tobytes() for e in entries]
+        unique = dict(zip(keys, entries))  # one entry per bitwise-distinct den
+        if tuple(unique) not in shared:
+            shared[tuple(unique)] = _denominator_factors(unique)
+        q, factors = shared[tuple(unique)]
+        nums = []
+        for key, e in zip(keys, entries):
+            factor = factors[key]
+            # a real factor 1 leaves num as the product would, zeros unsigned
+            unit = factor.dtype == float and factor.tolist() == [1.0]
+            nums.append(np.zeros(1) if e.is_zero() else e.num + 0.0 if unit else pmul(e.num, factor))
+        yield q, nums
+
+
+def common_denominator(entries):
+    """The one-row case of ``common_denominators``: (q, nums) with entries[i] = nums[i] / q."""
+    return next(common_denominators([entries]))
 
 
 class RationalEntry:

@@ -21,7 +21,7 @@ from .rational import (
     RationalMatrix,
     _cancellable_rows,
     cancel_common_factors,
-    common_denominator,
+    common_denominators,
     entry_array,
     pis_zero,
 )
@@ -31,10 +31,10 @@ from .tolerances import ZERO, negligible
 
 
 def _row_coefficients(K):
-    """Each row's common denominator and numerators (one per array row), in turn;
-    NotRelative at the first row whose numerators sum above ZERO of their scale."""
-    for row in K.entries:
-        common, nums = common_denominator(row)
+    """Each row's common denominator and numerators (one per array row), from
+    ``common_denominators`` in turn; NotRelative at the first row whose
+    numerators sum above ZERO of their scale, before later rows are divided."""
+    for common, nums in common_denominators(K.entries):
         coeffs = np.zeros((len(nums), max(num.size for num in nums)), dtype=complex)
         for j, num in enumerate(nums):
             coeffs[j, : num.size] = num
@@ -164,9 +164,10 @@ def relative_decompose_rational(K, graph):
 
     Each row is brought over a common denominator; its numerator
     coefficients are decomposed through the static minimum-norm map by
-    Laplacian-pseudoinverse products, and all its edge kernels are built in
-    one batch.  Cancellation runs only where a kernel's numerator may share
-    a root with the row's common denominator.
+    Laplacian-pseudoinverse products.  The edge kernels of all rows that
+    share a common denominator, a numerator width and real or complex
+    coefficients are built in one batch.  Cancellation runs only where a
+    kernel's numerator may share a root with its row's common denominator.
     """
     require_connected(graph)
     m = K.shape[1]
@@ -175,17 +176,23 @@ def relative_decompose_rational(K, graph):
     rows = list(_row_coefficients(K))
     Lp = _laplacian_pinv(graph)
     off = graph.adjacency & ~np.eye(m, dtype=bool)
-    kernels = []
-    for common, coeffs in rows:
+    grids, groups = [], {}
+    for r, (common, coeffs) in enumerate(rows):
         # a complex gain keeps its imaginary parts; a real one is read as real
         coeffs = coeffs if np.any(coeffs.imag) else coeffs.real
         # one matrix-vector product per power: a single matrix-matrix
         # product sums in another order and changes the last bits
         V = 2.0 * np.stack([Lp @ c for c in coeffs.T], axis=-1)
         num_grid = 0.5 * off[:, :, None] * (V[:, None] - V[None, :])
-        grid = entry_array(num_grid, common)
-        live = _cancellable_rows(num_grid, common) & ~pis_zero(num_grid)
-        for i, j in zip(*np.nonzero(live)):
-            grid[i, j] = RationalEntry(*cancel_common_factors(num_grid[i, j], common))
-        kernels.append(grid.tolist())
+        grids.append(num_grid)
+        groups.setdefault((common.tobytes(), num_grid.shape[-1], num_grid.dtype), []).append(r)
+    kernels = [None] * len(rows)
+    for members in groups.values():
+        common, nums = rows[members[0]][0], np.stack([grids[r] for r in members])
+        grid = entry_array(nums, common)
+        live = _cancellable_rows(nums, common) & ~pis_zero(nums)
+        for k, i, j in zip(*np.nonzero(live)):
+            grid[k, i, j] = RationalEntry(*cancel_common_factors(nums[k, i, j], common))
+        for r, kernel in zip(members, grid.tolist()):
+            kernels[r] = kernel
     return PairwiseDifferenceForm(graph, kernels)

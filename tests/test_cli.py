@@ -337,6 +337,50 @@ def test_module_entry_point():
     assert json.loads(result.stdout)["h2Squared"] == pytest.approx(4.625, abs=1e-9)
 
 
+def _fresh_cli(*argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "locrel.cli", *argv],
+        capture_output=True,
+        cwd=str(Path(__file__).parent.parent),
+    )
+    # bytes, decoded as is: csv rows end in \r\n
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+@pytest.mark.parametrize("usage_error", [False, True])
+def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys, usage_error):
+    # main keeps one parser per process; reusing it changes no output, also
+    # after a usage error has exited through _Parser.error
+    first = ["relative", "check", "--input", str(DATA / "ring4_relative_row.json")]
+    second = ["consensus", "h2", "--n", "4", "--gamma", "1", "--output", "csv"]
+    got = [run_cli(capsys, *first)]
+    if usage_error:
+        with pytest.raises(SystemExit) as exc:
+            main(["relative", "destroy"])
+        captured = capsys.readouterr()
+        got.append((exc.value.code, captured.out, captured.err))
+    got.append(run_cli(capsys, *second))
+    argvs = [first] + ([["relative", "destroy"]] if usage_error else []) + [second]
+    assert got == [_fresh_cli(*argv) for argv in argvs]
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    import locrel.cli as cli
+
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        run_cli(capsys, "consensus", "h2", "--n", "4")
+        with pytest.raises(SystemExit):
+            main(["structure", "destroy"])
+        run_cli(capsys, "relative", "check", "--input", str(DATA / "ring4_relative_row.json"))
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
 def _load_oracles():
     spec = importlib.util.spec_from_file_location("perfbench_oracles", PERFBENCH / "oracles.py")
     module = importlib.util.module_from_spec(spec)
@@ -385,6 +429,19 @@ def test_non_finite_coefficients_are_an_error(capsys, tmp_path):
 def test_malformed_graph_is_an_error(capsys, tmp_path, doc):
     # an edge that is not a pair, or a graph with no nodes, used to escape as IndexError
     _cli_error(capsys, tmp_path, "relative decompose", doc)
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("relative check", {"system": {"A": [], "B": [], "C": [], "D": [[1, -1]]}}),
+        ("relative decompose", {"graph": {"n": 3}}),
+    ],
+)
+def test_relative_document_without_a_gain_is_an_error(capsys, tmp_path, command, doc):
+    # these used to print the bare missing key: "error: 'gain'"
+    err = _cli_error(capsys, tmp_path, command, json.dumps(doc))
+    assert "one of: matrix, gain" in err
 
 
 def test_zero_denominator_is_an_error(capsys, tmp_path):

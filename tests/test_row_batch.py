@@ -1,9 +1,11 @@
 """Batched rational rows against the per-entry routes they replaced.
 
-``common_denominator`` divides once per bitwise-distinct denominator and
-``relative_decompose_rational`` builds each row's kernels in one batch.
-The per-entry routes are kept here as oracles: every answer must match
-them bit for bit, and so must the error raised.
+``common_denominator`` divides once per bitwise-distinct denominator,
+``common_denominators`` once per distinct tuple of them across rows, and
+``relative_decompose_rational`` builds the kernels of rows sharing a common
+denominator in one batch.  The per-entry and per-row routes are kept here as
+oracles: every answer must match them bit for bit, and so must the error
+raised, at the same row.
 """
 
 import numpy as np
@@ -12,15 +14,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import locrel.rational as rational
+import locrel.relative as relative
 from locrel.errors import CommonDenominatorTruncated, DegreeCapExceeded, NotRelative
 from locrel.graphs import Graph, laplacian, path_graph, require_connected, ring_graph
 from locrel.rational import (
     DEGREE_CAP,
     RationalEntry,
     RationalMatrix,
+    _cancellable_rows,
     cancel_common_factors,
     common_denominator,
+    common_denominators,
     distinct_denominators,
+    entry_array,
+    padd,
     pdeg,
     pdiv,
     pis_zero,
@@ -30,10 +37,12 @@ from locrel.rational import (
 )
 from locrel.relative import (
     _laplacian_pinv,
+    _row_coefficients,
     edge_sum_adjoint,
     is_relative,
     relative_decompose_rational,
 )
+from locrel.tolerances import ZERO, negligible
 
 
 # -- per-entry oracles -----------------------------------------------------------
@@ -309,18 +318,22 @@ def relative_gains(draw, graph):
     return RationalMatrix(rows)
 
 
+def assert_same_kernels(form, want):
+    assert not isinstance(form, type), form
+    assert len(form.kernels) == len(want)
+    for grid_got, grid_want in zip(form.kernels, want):
+        for row_got, row_want in zip(grid_got, grid_want):
+            for a, b in zip(row_got, row_want):
+                assert same_bits(a.num, b.num) and same_bits(a.den, b.den)
+
+
 def assert_same_decomposition(K, graph):
     want = outcome(per_entry_decompose, K, graph)
     got = outcome(relative_decompose_rational, K, graph)
     if isinstance(want, type):
         assert got is want
         return
-    assert not isinstance(got, type), got
-    assert len(got.kernels) == len(want)
-    for grid_got, grid_want in zip(got.kernels, want):
-        for row_got, row_want in zip(grid_got, grid_want):
-            for a, b in zip(row_got, row_want):
-                assert same_bits(a.num, b.num) and same_bits(a.den, b.den)
+    assert_same_kernels(got, want)
     assert is_relative(K) == per_entry_is_relative(K)
 
 
@@ -390,3 +403,234 @@ def test_decomposition_rejects_nonrelative_like_per_entry_route():
     with pytest.raises(NotRelative):
         relative_decompose_rational(K, path_graph(2))
     assert_same_decomposition(K, path_graph(2))
+
+
+# -- rows over shared denominators ----------------------------------------------
+
+
+def per_row_common_denominator(entries):
+    """One row on its own: the single-row routine before rows shared their divisions."""
+    entries = list(entries)
+    keys = [e.den.tobytes() for e in entries]
+    unique = dict(zip(keys, entries))
+    q = np.ones(1)
+    for f in sorted(distinct_denominators(unique.values()), key=pdeg, reverse=True):
+        if try_exact_divide(q, f, rel_tol=1e-9) is None:
+            q = np.convolve(q, f)
+            if q.size - 1 > DEGREE_CAP:
+                raise DegreeCapExceeded(f"common denominator degree exceeds the cap {DEGREE_CAP}")
+    if ptrim(q).size < q.size:
+        raise CommonDenominatorTruncated(
+            f"the common denominator has degree {q.size - 1} and a largest "
+            f"coefficient of {np.max(np.abs(q)):.2e}; trimming at "
+            f"{ZERO:g} of it would drop its leading 1"
+        )
+    factors = {}
+    for key, e in unique.items():
+        factor = try_exact_divide(q, e.den, rel_tol=1e-9)
+        if factor is None:
+            factor, _ = pdiv(q, e.den)
+        factors[key] = factor
+    nums = []
+    for key, e in zip(keys, entries):
+        factor = factors[key]
+        unit = factor.dtype == float and factor.tolist() == [1.0]
+        nums.append(np.zeros(1) if e.is_zero() else e.num + 0.0 if unit else pmul(e.num, factor))
+    return q, nums
+
+
+def per_row_coefficients(K):
+    for row in K.entries:
+        common, nums = per_row_common_denominator(row)
+        coeffs = np.zeros((len(nums), max(num.size for num in nums)), dtype=complex)
+        for j, num in enumerate(nums):
+            coeffs[j, : num.size] = num
+        if not negligible(coeffs.sum(axis=0), coeffs, ZERO):
+            raise NotRelative("rational gain rows must sum to the zero function")
+        yield common, coeffs
+
+
+def per_row_decompose(K, graph):
+    """Edge kernels row by row: one entry_array and one _cancellable_rows per row."""
+    require_connected(graph)
+    rows = list(per_row_coefficients(K))
+    Lp = _laplacian_pinv(graph)
+    off = graph.adjacency & ~np.eye(graph.n, dtype=bool)
+    kernels = []
+    for common, coeffs in rows:
+        coeffs = coeffs if np.any(coeffs.imag) else coeffs.real
+        V = 2.0 * np.stack([Lp @ c for c in coeffs.T], axis=-1)
+        num_grid = 0.5 * off[:, :, None] * (V[:, None] - V[None, :])
+        grid = entry_array(num_grid, common)
+        live = _cancellable_rows(num_grid, common) & ~pis_zero(num_grid)
+        for i, j in zip(*np.nonzero(live)):
+            grid[i, j] = RationalEntry(*cancel_common_factors(num_grid[i, j], common))
+        kernels.append(grid.tolist())
+    return kernels
+
+
+def rows_until_error(rows):
+    """The items of an iterator, and the type and message of the error that ended it."""
+    items = []
+    try:
+        for item in rows:
+            items.append(item)
+    except Exception as exc:  # the error and its row are part of the answer
+        return items, (type(exc), str(exc))
+    return items, None
+
+
+def assert_same_rows(got, want):
+    (got_items, got_error), (want_items, want_error) = got, want
+    assert got_error == want_error
+    assert len(got_items) == len(want_items)
+    for (q, nums), (q_want, nums_want) in zip(got_items, want_items):
+        assert same_bits(q, q_want)
+        assert len(nums) == len(nums_want)
+        for a, b in zip(nums, nums_want):
+            assert same_bits(a, b)
+
+
+def assert_rows_match_per_row_route(K, graph):
+    assert_same_rows(
+        rows_until_error(common_denominators(K.entries)),
+        rows_until_error(per_row_common_denominator(row) for row in K.entries),
+    )
+    assert_same_rows(rows_until_error(_row_coefficients(K)), rows_until_error(per_row_coefficients(K)))
+    want = outcome(per_row_decompose, K, graph)
+    got = outcome(relative_decompose_rational, K, graph)
+    assert is_relative(K) == (want is not NotRelative)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert_same_kernels(got, want)
+
+
+# a constant, a pole at 0 (where every kernel is flagged for cancellation),
+# real and complex-conjugate poles
+ROW_DENOMINATORS = [
+    np.array([2.0]),
+    np.array([0.0, 1.0]),
+    np.array([1.0, 1.0]),
+    np.array([2.0, 1.0]),
+    np.array([5.0, 2.0, 1.0]),
+    np.convolve([1.0, 1.0], [2.0, 1.0]),
+    np.convolve([1.0, 1.0], [5.0, 2.0, 1.0]),
+]
+
+
+@st.composite
+def relative_row(draw, width):
+    """A row over 1-3 of ROW_DENOMINATORS whose entries sum to zero per denominator.
+
+    Each denominator owns two or more columns, the last of which carries
+    minus the sum of the others; columns no denominator owns stay zero.
+    The numerators may all carry the factor s + 1, which then divides
+    their kernels and, for most denominators here, the common denominator.
+    """
+    count = draw(st.integers(1, min(3, width // 2)))
+    dens = draw(st.lists(st.sampled_from(ROW_DENOMINATORS), min_size=count, max_size=count, unique_by=lambda d: d.tobytes()))
+    columns = draw(st.permutations(range(width)))
+    owner = [i // 2 if i < 2 * count else draw(st.integers(-1, count - 1)) for i in range(width)]
+    is_complex = draw(st.booleans())
+    shared = np.array([1.0, 1.0]) if draw(st.booleans()) else np.ones(1)
+    row = [RationalEntry.zero() for _ in range(width)]
+    for k, den in enumerate(dens):
+        group = [col for col, who in zip(columns, owner) if who == k]
+        total = np.zeros(1)
+        for col in group[:-1]:
+            num = np.array(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), min_size=1, max_size=2)))
+            if is_complex:
+                num = num + draw(st.sampled_from([0.5j, -0.25j]))
+            num = np.convolve(num, shared)
+            row[col] = RationalEntry(num, den)
+            total = padd(total, num)
+        row[group[-1]] = RationalEntry(-total, den)
+    return row
+
+
+@st.composite
+def relative_matrices(draw):
+    """Rows with different denominator sets on a ring or path, real and complex
+    rows mixed; a later row may repeat an earlier one or be made non-relative."""
+    width = draw(st.integers(4, 7))
+    graph = ring_graph(width) if draw(st.booleans()) else path_graph(width)
+    rows = [draw(relative_row(width)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if len(rows) > 1 and draw(st.booleans()):
+        r = draw(st.integers(1, len(rows) - 1))
+        col = draw(st.integers(0, width - 1))
+        rows[r] = list(rows[r])
+        rows[r][col] = rows[r][col] + RationalEntry([1.0], [3.0, 1.0])
+    return RationalMatrix(rows), graph
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(relative_matrices())
+def test_rows_match_per_row_route(case):
+    assert_rows_match_per_row_route(*case)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(rational_rows(size=4), min_size=1, max_size=4))
+def test_common_denominators_match_per_row_route_where_rows_fail(rows):
+    # rows over near-duplicate and too-wide denominators: the same q, the
+    # same numerators, and the same error at the same row
+    assert_same_rows(
+        rows_until_error(common_denominators(rows)),
+        rows_until_error(per_row_common_denominator(row) for row in rows),
+    )
+
+
+def test_rows_share_divisions_and_batches_in_fixed_cases(monkeypatch):
+    base = np.convolve([1.0, 1.0], [2.0, 1.0])
+    lag, zero = RationalEntry([1.0, 1.0], base), RationalEntry.zero()
+    complex_lag, integrator = RationalEntry([1.0 + 0.5j], [1.0, 1.0]), RationalEntry([1.0], [0.0, 1.0])
+    # rows 0 and 2 share their denominators in the same order, and each of
+    # their kernels has the numerator factor s + 1 of the common denominator;
+    # row 1 is complex, row 3 has a pole at 0
+    rows = [
+        [lag, -1.0 * lag, zero, zero],
+        [complex_lag, zero, -1.0 * complex_lag, zero],
+        [2.0 * lag, zero, -2.0 * lag, zero],
+        [integrator, zero, zero, -1.0 * integrator],
+    ]
+    K, graph = RationalMatrix(rows), ring_graph(4)
+    assert_rows_match_per_row_route(K, graph)
+    calls = {"divide": 0, "entry_array": 0, "cancel": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(rational, "try_exact_divide", counting("divide", rational.try_exact_divide))
+    monkeypatch.setattr(relative, "entry_array", counting("entry_array", entry_array))
+    monkeypatch.setattr(relative, "cancel_common_factors", counting("cancel", cancel_common_factors))
+    form = relative_decompose_rational(K, graph)
+    # three denominator tuples, (base, 1), ((s + 1), 1) and (s, 1), with four
+    # divisions each: two while q is built and one factor per denominator
+    # (four rows on their own would take sixteen); one batch of kernels each
+    assert calls["divide"] == 12
+    assert calls["entry_array"] == 3
+    assert calls["cancel"] > 0
+    # the shared factor cancels in the kernels of rows 0 and 2
+    assert form.kernels[0][0][1].den.tolist() == [2.0, 1.0]
+    assert form.kernels[2][0][1].den.tolist() == [2.0, 1.0]
+    # a non-relative row after relative ones: NotRelative, after the rows before it
+    broken = RationalMatrix(rows[:2] + [[lag, zero, zero, zero]] + rows[3:])
+    assert_rows_match_per_row_route(broken, graph)
+    assert len(rows_until_error(_row_coefficients(broken))[0]) == 2
+
+
+def test_rows_with_the_same_denominators_in_another_order_keep_their_own_q():
+    # q is the product in order of appearance, so the order changes its last
+    # bits: rows share a q only when their denominators come in the same order
+    lags = [RationalEntry([1.0], [pole, 1.0]) for pole in (1.95, 0.88, 0.22)]
+    rows = [lags, lags[::-1], lags[1:] + lags[:1], lags]
+    got, error = rows_until_error(common_denominators(rows))
+    assert_same_rows((got, error), rows_until_error(per_row_common_denominator(row) for row in rows))
+    assert got[0][0].tobytes() != got[1][0].tobytes()

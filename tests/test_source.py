@@ -30,6 +30,23 @@ for case in corpus:
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
+# Counts the argparse parsers alive in a fresh interpreter after
+# ``import locrel, locrel.cli``, then after one cli.main call.
+PARSER_COUNT_SCRIPT = """
+import argparse, contextlib, gc, io, json
+import locrel, locrel.cli
+
+
+def parsers():
+    return sum(isinstance(obj, argparse.ArgumentParser) for obj in gc.get_objects())
+
+
+at_import = parsers()
+with contextlib.redirect_stdout(io.StringIO()):
+    locrel.cli.main(["consensus", "h2", "--n", "4"])
+print(json.dumps([at_import, parsers()]))
+"""
+
 
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so checks must raise typed errors
@@ -122,6 +139,23 @@ def test_package_and_cli_run_on_numpy_alone():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_cli_import_builds_no_parser():
+    # the start-up time of the CLI includes its import, so main builds its
+    # parser at the first call, not when the module loads
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PARSER_COUNT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    at_import, after_main = json.loads(done.stdout)
+    assert at_import == 0
+    assert after_main > 0
 
 
 def test_readme_cli_block_is_the_recorded_corpus():
