@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import Partition, StructurePattern, b_hops, laplacian, ring_graph
 from .sls import Plant, closed_loops_of
-from .statespace import StateSpace, batch_h2_squared
+from .statespace import StateSpace, _root_abscissa, batch_h2_squared
 from .structure import check_realization_structure, is_tf_structured
 from .tolerances import HYPOTHESIS, MATCH, ZERO, negligible
 
@@ -37,7 +37,8 @@ DENSE_WITNESS_MAX_N = 64
 
 
 def _check_circulant(C):
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    if type(C) is not np.ndarray or C.ndim != 2 or C.dtype != float:
+        C = np.atleast_2d(np.asarray(C, dtype=float))
     n = C.shape[0]
     if C.shape != (n, n):
         raise NotCirculant("matrix is not square")
@@ -45,13 +46,15 @@ def _check_circulant(C):
     if not np.isfinite(scale):
         raise ValueError("a circulant must have finite entries")
     # row i of a circulant is row 0 shifted right by i, which is the window
-    # starting at n - i of row 0 written twice
-    shifts = np.lib.stride_tricks.sliding_window_view(np.tile(C[0], 2), n)[n:0:-1]
-    gap = C - shifts
+    # starting at n - i of row 0 written twice: a view that steps back one
+    # entry per row
+    twice = np.concatenate((C[0], C[0]))
+    step = twice.itemsize
+    gap = C - np.ndarray((n, n), float, twice, n * step, (-step, step))
     np.abs(gap, out=gap)
-    bad = np.flatnonzero(gap.max(axis=1) > HYPOTHESIS * scale)
-    if bad.size:
-        raise NotCirculant(f"row {bad[0]} is not a cyclic shift of row 0")
+    if gap.max() > HYPOTHESIS * scale:
+        bad = np.argmax(gap.max(axis=1) > HYPOTHESIS * scale)
+        raise NotCirculant(f"row {bad} is not a cyclic shift of row 0")
     return C
 
 
@@ -298,17 +301,9 @@ def static_gain_realization(n):
     return StateSpace.static(static_consensus_gain(n), part, part)
 
 
-def proper_approximation(n, a):
-    """Strictly proper network-realizable relaxation of the static ring gain.
-
-    Realization (aI, K_s, -aI, 0): the transfer is -a/(s - a) * K_s, a
-    low-pass version of the static gain with DC gain exactly K_s; a must
-    be negative and larger magnitudes approach the static design.
-    """
-    if a >= 0:
-        raise NonNegativeA("the approximation pole must be strictly negative")
-    Ks = static_consensus_gain(n)
-    part = Partition.scalar(n)
+def _approximation(Ks, part, a):
+    """Realization (aI, K_s, -aI, 0) on the scalar partition ``part``."""
+    n = Ks.shape[0]
     return StateSpace(
         a * np.eye(n),
         Ks,
@@ -320,8 +315,16 @@ def proper_approximation(n, a):
     )
 
 
-def _symbols_of_circulant(M):
-    return np.fft.fft(_check_circulant(M)[0])
+def proper_approximation(n, a):
+    """Strictly proper network-realizable relaxation of the static ring gain.
+
+    Realization (aI, K_s, -aI, 0): the transfer is -a/(s - a) * K_s, a
+    low-pass version of the static gain with DC gain exactly K_s; a must
+    be negative and larger magnitudes approach the static design.
+    """
+    if a >= 0:
+        raise NonNegativeA("the approximation pole must be strictly negative")
+    return _approximation(static_consensus_gain(n), Partition.scalar(n), a)
 
 
 def h2_deflated(prob, K):
@@ -335,9 +338,12 @@ def h2_deflated(prob, K):
     is circulant with zero row sums, so its symbol vanishes at mode 0.
     K is an n x n gain array or a realization with n x n blocks; anything
     else raises ValueError.
+
+    One FFT over the first rows of C and of the checked blocks gives every
+    symbol.  A realization's modes are Hurwitz when the roots of their loop
+    denominators det(sI - A_cl) are, which ``_root_abscissa`` decides.
     """
     n, gamma = prob.n, prob.gamma
-    c_sym = np.fft.fft(prob.c[0])
     if isinstance(K, StateSpace) and K.n_states == 0:
         K = K.D  # a realization with no states is its static gain
     if not isinstance(K, (StateSpace, np.ndarray)):
@@ -346,11 +352,9 @@ def h2_deflated(prob, K):
     bad = [M.shape for M in blocks if M.shape != (n, n)]
     if bad:
         raise ValueError(f"the controller of {n} agents needs {n} x {n} blocks, not {bad[0]}")
+    symbols = np.fft.fft(np.stack([prob.c[0]] + [_check_circulant(M)[0] for M in blocks]))
     if isinstance(K, StateSpace):
-        a_sym = _symbols_of_circulant(K.A)
-        b_sym = _symbols_of_circulant(K.B)
-        k_sym = _symbols_of_circulant(K.C)
-        d_sym = _symbols_of_circulant(K.D)
+        c_sym, a_sym, b_sym, k_sym, d_sym = symbols
         k_ref = max(np.abs(K.B).max(), np.abs(K.D).max())
         if not negligible(max(abs(b_sym[0]), abs(d_sym[0])), k_ref, HYPOTHESIS):
             raise ModeZeroDetectable(
@@ -360,13 +364,12 @@ def h2_deflated(prob, K):
         # den = s^2 - (a + d) s + (a d - k b), x = (s - a)/den w and
         # u = (d (s - a) + k b)/den w
         a, b, k, d = (sym[1:] for sym in (a_sym, b_sym, k_sym, d_sym))
-        A_cl = np.stack((np.stack((d, k), -1), np.stack((b, a), -1)), -2)
-        unstable = np.max(np.linalg.eigvals(A_cl).real, axis=1) >= -HYPOTHESIS
+        den = np.stack((a * d - k * b, -(a + d), np.ones_like(a)), axis=1)
+        unstable = _root_abscissa(den) >= -HYPOTHESIS
         if np.any(unstable):
             mode = 1 + int(np.argmax(unstable))
             raise UnstableNonzeroMode(f"closed-loop mode {mode} is not Hurwitz")
         c = c_sym[1:]
-        den = np.stack((a * d - k * b, -(a + d), np.ones_like(a)), axis=1)
         num = np.stack(
             (
                 np.stack((-c * a, c), axis=1),
@@ -375,7 +378,7 @@ def h2_deflated(prob, K):
             axis=1,
         )
         return float(np.sum(batch_h2_squared(num, den)))
-    lam = _symbols_of_circulant(K)
+    c_sym, lam = symbols
     if not negligible(lam[0], lam, HYPOTHESIS):
         raise ModeZeroDetectable("static controller is not relative")
     lam, c = lam[1:], c_sym[1:]
@@ -422,19 +425,26 @@ def gap_demonstration(n, b, gamma):
     For the average-deviation measure: certify that no b-local relative
     design exists, then score the static ring gain and its proper
     network-realizable approximations, which are perfectly implementable
-    once the locality constraint is dropped.
+    once the locality constraint is dropped.  The ring, its gain K_s and
+    each approximation are built once: the approximation with the first
+    pole is both scored and checked for structure.
     """
     measures = consensus_measures(n, kinds=("ave",))
     prob = ConsensusProblem(n=n, b=b, gamma=gamma, c=measures["ave"])
     certificate = sls_relative_feasibility(prob)
-    Ks = static_consensus_gain(n)
-    ks_value = h2_deflated(prob, Ks)
-    ka_values = {a: h2_deflated(prob, proper_approximation(n, a)) for a in _APPROXIMATION_POLES}
     ring = ring_graph(n)
-    pattern = StructurePattern.scalar(ring)
-    cl_pattern = StructurePattern.scalar(b_hops(ring, b))
-    ks_real = static_gain_realization(n)
-    ka_real = proper_approximation(n, _APPROXIMATION_POLES[0])
+    part = Partition.scalar(n)
+    Ks = -laplacian(ring)
+    ks_value = h2_deflated(prob, Ks)
+    # K_a(-10) is also checked for structure; the others are dropped once scored
+    ka_real = _approximation(Ks, part, _APPROXIMATION_POLES[0])
+    ka_values = {
+        a: h2_deflated(prob, _approximation(Ks, part, a) if i else ka_real)
+        for i, a in enumerate(_APPROXIMATION_POLES)
+    }
+    pattern = StructurePattern(ring, part, part)
+    cl_pattern = StructurePattern(b_hops(ring, b), part, part)
+    ks_real = StateSpace.static(Ks, part, part)
     ks_struct = check_realization_structure(ks_real, pattern)
     ka_struct = check_realization_structure(ka_real, pattern)
     # the state closed loop of dx = u + w, u = K x is phi_x = (sI - K(s))^-1

@@ -276,24 +276,27 @@ def common_denominators(rows):
     The distinct denominators are taken highest degree first, and each is
     multiplied into q unless it already divides q.  Rows whose ordered tuples
     of bitwise-distinct denominators are the same share one q and one division
-    of q per denominator; the numerators are formed entry by entry.  The first
-    row that fails raises: ``CommonDenominatorTruncated`` when q spans so many
-    magnitudes that trimming would drop its leading terms.
+    of q per denominator, zero entries over a constant left out of both; the
+    numerators are formed entry by entry.  The first row that fails raises:
+    ``CommonDenominatorTruncated`` when q spans so many magnitudes that
+    trimming would drop its leading terms.
     """
     shared = {}
     for entries in rows:
         entries = list(entries)
         keys = [e.den.tobytes() for e in entries]
-        unique = dict(zip(keys, entries))  # one entry per bitwise-distinct den
+        zero = [e.is_zero() for e in entries]
+        # one entry per bitwise-distinct den, less zeros over a constant, which never enters q
+        unique = {k: e for k, e, z in zip(keys, entries, zero) if not (z and e.den.size == 1)}
         if tuple(unique) not in shared:
             shared[tuple(unique)] = _denominator_factors(unique)
         q, factors = shared[tuple(unique)]
         nums = []
-        for key, e in zip(keys, entries):
-            factor = factors[key]
+        for key, e, z in zip(keys, entries, zero):
+            factor = factors.get(key)  # a zero needs none
             # a real factor 1 leaves num as the product would, zeros unsigned
-            unit = factor.dtype == float and factor.tolist() == [1.0]
-            nums.append(np.zeros(1) if e.is_zero() else e.num + 0.0 if unit else pmul(e.num, factor))
+            unit = not z and factor.dtype == float and factor.tolist() == [1.0]
+            nums.append(np.zeros(1) if z else e.num + 0.0 if unit else pmul(e.num, factor))
         yield q, nums
 
 
@@ -423,7 +426,7 @@ def entry_array(nums, dens):
     num = (num / lead).reshape(-1, num.shape[-1])
     den = (den / lead).reshape(-1, den.shape[-1])
     entries = []
-    new = RationalEntry.__new__
+    new, one = RationalEntry.__new__, np.ones(1)
     for row, (zero, k, m) in enumerate(
         zip(
             num_zero.reshape(-1).tolist(),
@@ -433,7 +436,7 @@ def entry_array(nums, dens):
     ):
         entry = new(RationalEntry)
         if zero:
-            entry.num, entry.den = np.zeros(1), np.ones(1)
+            entry.num, entry.den = np.zeros(1), one.copy()
         else:
             entry.num, entry.den = num[row, :k].copy(), den[row, :m].copy()
         entries.append(entry)

@@ -611,10 +611,11 @@ def test_rows_share_divisions_and_batches_in_fixed_cases(monkeypatch):
     monkeypatch.setattr(relative, "entry_array", counting("entry_array", entry_array))
     monkeypatch.setattr(relative, "cancel_common_factors", counting("cancel", cancel_common_factors))
     form = relative_decompose_rational(K, graph)
-    # three denominator tuples, (base, 1), ((s + 1), 1) and (s, 1), with four
-    # divisions each: two while q is built and one factor per denominator
-    # (four rows on their own would take sixteen); one batch of kernels each
-    assert calls["divide"] == 12
+    # three denominator tuples, (base,), (s + 1,) and (s,), since a zero entry
+    # over 1 stays out of them, with two divisions each: one while q is built
+    # and one factor (four rows on their own would take eight); one batch of
+    # kernels each
+    assert calls["divide"] == 6
     assert calls["entry_array"] == 3
     assert calls["cancel"] > 0
     # the shared factor cancels in the kernels of rows 0 and 2
@@ -634,3 +635,50 @@ def test_rows_with_the_same_denominators_in_another_order_keep_their_own_q():
     got, error = rows_until_error(common_denominators(rows))
     assert_same_rows((got, error), rows_until_error(per_row_common_denominator(row) for row in rows))
     assert got[0][0].tobytes() != got[1][0].tobytes()
+
+
+def test_rows_share_q_wherever_their_zero_entries_fall(monkeypatch):
+    # a zero entry over 1 stays out of a row's denominators, so rows that
+    # differ only in where their zeros fall share one q and one division per
+    # denominator; a numerator that is zero only after normalization keeps
+    # its denominator (s + 0.1), which enters q as it does row by row
+    lag, zero = RationalEntry([1.0], [2.0, 1.0]), RationalEntry.zero()
+    tiny = RationalEntry([5e-10], [1.0, 10.0])
+    assert tiny.is_zero() and tiny.den.size == 2
+    rows = [
+        [zero, lag, -1.0 * lag],
+        [lag, zero, -1.0 * lag],
+        [lag, -1.0 * lag, zero],
+        [zero, zero, zero],
+        [tiny, lag, -1.0 * lag],
+        [lag, tiny, -1.0 * lag],
+    ]
+    assert_rows_match_per_row_route(RationalMatrix(rows), ring_graph(3))
+    calls = []
+    divide = rational.try_exact_divide
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(rational, "try_exact_divide", counting)
+    got = [q for q, _ in common_denominators(rows[:3])]
+    # one tuple, (s + 2,): one division while q is built and one factor
+    assert len(calls) == 2
+    assert all(same_bits(q, [2.0, 1.0]) for q in got)
+    # the rows of the benchmark's ring gain -p/(s + p) L_w form one group too
+    calls.clear()
+    K = benchmark_ring_gain(8, np.random.default_rng(3))
+    assert_rows_match_per_row_route(K, ring_graph(8))
+    calls.clear()
+    list(common_denominators(K.entries))
+    assert len(calls) == 2
+
+
+def test_entry_array_zero_entries_own_their_arrays():
+    grid = entry_array(np.zeros((3, 2)), np.array([2.0, 1.0]))
+    for i, entry in enumerate(grid):
+        assert same_bits(entry.num, np.zeros(1)) and same_bits(entry.den, np.ones(1))
+        for other in grid[i + 1 :]:
+            assert not np.shares_memory(entry.den, other.den)
+            assert not np.shares_memory(entry.num, other.num)
