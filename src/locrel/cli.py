@@ -250,10 +250,13 @@ def _flatten(value, prefix, out):
         out[prefix] = value
 
 
-def _emit(payload, fmt):
+def _render(payload, fmt):
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise LocrelError("the result holds a number that is not finite") from None
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return
+        return text
     flat = {}
     _flatten(payload, "", flat)
     buf = io.StringIO()
@@ -261,7 +264,7 @@ def _emit(payload, fmt):
     writer.writerow(["key", "value"])
     for key in sorted(flat):
         writer.writerow([key, flat[key]])
-    sys.stdout.write(buf.getvalue())
+    return buf.getvalue()
 
 
 def build_parser():
@@ -325,11 +328,13 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        payload, code = args.func(args)
+        with np.errstate(all="ignore"):
+            payload, code = args.func(args)
+        text = _render(payload, args.output)
     except (LocrelError, KeyError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.output)
+    sys.stdout.write(text)
     return code
 
 

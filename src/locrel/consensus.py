@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import Partition, StructurePattern, b_hops, laplacian, ring_graph
 from .sls import Plant, closed_loops_of
-from .statespace import StateSpace, _root_abscissa, batch_h2_squared
+from .statespace import StateSpace, _batch_h2_squared, _root_abscissa
 from .structure import check_realization_structure, is_tf_structured
 from .tolerances import HYPOTHESIS, MATCH, ZERO, negligible
 
@@ -341,7 +341,7 @@ def h2_deflated(prob, K):
 
     One FFT over the first rows of C and of the checked blocks gives every
     symbol.  A realization's modes are Hurwitz when the roots of their loop
-    denominators det(sI - A_cl) are, which ``_root_abscissa`` decides.
+    denominators det(sI - A_cl) are, which one ``_root_abscissa`` decides.
     """
     n, gamma = prob.n, prob.gamma
     if isinstance(K, StateSpace) and K.n_states == 0:
@@ -365,7 +365,8 @@ def h2_deflated(prob, K):
         # u = (d (s - a) + k b)/den w
         a, b, k, d = (sym[1:] for sym in (a_sym, b_sym, k_sym, d_sym))
         den = np.stack((a * d - k * b, -(a + d), np.ones_like(a)), axis=1)
-        unstable = _root_abscissa(den) >= -HYPOTHESIS
+        abscissa = _root_abscissa(den)
+        unstable = abscissa >= -HYPOTHESIS
         if np.any(unstable):
             mode = 1 + int(np.argmax(unstable))
             raise UnstableNonzeroMode(f"closed-loop mode {mode} is not Hurwitz")
@@ -377,7 +378,7 @@ def h2_deflated(prob, K):
             ),
             axis=1,
         )
-        return float(np.sum(batch_h2_squared(num, den)))
+        return float(np.sum(_batch_h2_squared(num, den, abscissa)))
     c_sym, lam = symbols
     if not negligible(lam[0], lam, HYPOTHESIS):
         raise ModeZeroDetectable("static controller is not relative")

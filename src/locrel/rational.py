@@ -425,23 +425,20 @@ def entry_array(nums, dens):
     lead = np.take_along_axis(den, den_deg[..., None], axis=-1)
     num = (num / lead).reshape(-1, num.shape[-1])
     den = (den / lead).reshape(-1, den.shape[-1])
-    entries = []
-    new, one = RationalEntry.__new__, np.ones(1)
-    for row, (zero, k, m) in enumerate(
-        zip(
-            num_zero.reshape(-1).tolist(),
-            (num_deg + 1).reshape(-1).tolist(),
-            (den_deg + 1).reshape(-1).tolist(),
-        )
-    ):
-        entry = new(RationalEntry)
-        if zero:
-            entry.num, entry.den = np.zeros(1), one.copy()
+    # rows are copied per group of (numerator, denominator) degrees; zero entries are 0 / 1
+    group = np.where(num_zero, -1, num_deg * (DEGREE_CAP + 1) + den_deg).reshape(-1)
+    out, new = np.empty(group.size, dtype=object), RationalEntry.__new__
+    for key in np.unique(group).tolist():
+        rows = np.flatnonzero(group == key)
+        if key < 0:
+            block = np.zeros((rows.size, 1)), np.ones((rows.size, 1))
         else:
-            entry.num, entry.den = num[row, :k].copy(), den[row, :m].copy()
-        entries.append(entry)
-    out = np.empty(len(entries), dtype=object)
-    out[:] = entries
+            k, m = divmod(key, DEGREE_CAP + 1)
+            block = num[rows, : k + 1], den[rows, : m + 1]
+        entries = [new(RationalEntry) for _ in range(rows.size)]
+        for entry, a, b in zip(entries, *(map(np.ndarray.copy, x) for x in block)):
+            entry.num, entry.den = a, b
+        out[rows] = entries
     return out.reshape(shape)
 
 

@@ -134,10 +134,13 @@ def _loop(plant, K, C2=None):
             f"controller maps {K.shape[1]} measurements to {K.shape[0]} inputs; "
             f"plant expects {n_y} -> {n_u}"
         )
-    nk, part, u_part = K.n_states, plant.node_partition, K.out_partition
+    nk, part, u_part, B2 = K.n_states, plant.node_partition, K.out_partition, plant.B2
+    # B2 = I (the agents' plant) drives the states with the controller's blocks as they are
+    unit = B2.shape == (n, n) and np.count_nonzero(B2) == n and np.all(np.diagonal(B2) == 1.0)
+    drive = (lambda M: M) if unit else (lambda M: B2 @ M)
     A_cl = np.empty((n + nk, n + nk))
-    A_cl[:n, :n] = plant.A + read(plant.B2 @ K.D)
-    A_cl[:n, n:] = plant.B2 @ K.C
+    A_cl[:n, :n] = plant.A + read(drive(K.D))
+    A_cl[:n, n:] = drive(K.C)
     A_cl[n:, :n] = read(K.B)
     A_cl[n:, n:] = K.A
     B_x = np.eye(n + nk, n)

@@ -7,7 +7,9 @@ symbol, which decouples H2 norms and closed-loop computations into
 independent scalar problems per frequency.  Those problems are solved
 together: the symbols are one coefficient array of shape (n,)*d + (deg,)
 over the taps' common denominator, and closed loops and per-frequency
-H2 norms are batched array operations on it.  Objects of
+H2 norms are batched array operations on it.  For real taps the H2 sums
+visit one frequency of each conjugate pair (f, -f) with weight 2, and the
+Parseval sum, whose symbols share one denominator, is one Gramian.  Objects of
 ``RationalEntry`` are built only where a caller asks for them:
 ``dft_symbol`` and the ``phi_x_symbols`` and ``phi_u_symbols`` of a
 closed loop, built on first access.  Each such object array comes from
@@ -16,7 +18,6 @@ one batch pass of ``rational.entry_array`` over the coefficient array.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,21 +48,17 @@ from .tolerances import EXACT, MATCH, ZERO
 
 def canonical_offset(offset, n):
     """Map an integer offset tuple into (-floor(n/2), floor(n/2)]^d."""
-    out = []
-    for o in offset:
-        o = int(o) % n
-        if o > n // 2:
-            o -= n
-        out.append(o)
-    return tuple(out)
+    return tuple((int(o) + (n - 1) // 2) % n - (n - 1) // 2 for o in offset)
+
+
+def _offset_grid(n, d):
+    """The canonical offsets of Z_n^d as rows of an int array, in row-major grid order."""
+    return np.indices((n,) * d).reshape(d, -1).T - (n - 1) // 2
 
 
 def canonical_offsets(n, d):
     """All canonical offsets of Z_n^d, in row-major grid order."""
-    half = n // 2
-    lo = -((n - 1) // 2)
-    axis = range(lo, half + 1)
-    return [tuple(o) for o in itertools.product(axis, repeat=d)]
+    return list(map(tuple, _offset_grid(n, d).tolist()))
 
 
 def circular_sup_distance(offset, n):
@@ -175,12 +172,38 @@ def si_h2_squared(kernel):
     return total
 
 
+def _pair_weights(kernel):
+    """Weights that visit each conjugate pair of frequencies once, for real taps.
+
+    Their symbols at f and -f have equal H2 norms: the first of each pair in
+    C order weighs 2, the other 0, and a self-conjugate f (every index 0 or
+    n/2) 1.  A complex tap makes every weight 1.
+    """
+    n, d = kernel.n, kernel.d
+    if not all(np.isreal(c).all() for e in kernel._taps.values() for c in (e.num, e.den)):
+        return np.ones((n,) * d)
+    flat = np.arange(n**d).reshape((n,) * d)
+    return np.sign(flat[np.ix_(*[-np.arange(n) % n] * d)] - flat) + 1.0
+
+
 def si_h2_squared_parseval(kernel):
-    """Same norm computed in frequency: the mean of squared symbol norms."""
+    """Same norm computed in frequency: the mean of squared symbol norms.
+
+    The symbols share the common denominator, so each weight class is the
+    stacked numerators of one ``batch_h2_squared`` entry.  The first nonzero
+    symbol leads alone, so it decides the error as a per-frequency loop would.
+    """
     coeffs, common = _symbol_coeffs(kernel)
     num = coeffs.reshape(-1, coeffs.shape[-1])
-    den = np.broadcast_to(common, (num.shape[0], common.size))
-    return float(np.sum(batch_h2_squared(num, den))) / kernel.n**kernel.d
+    weight = _pair_weights(kernel).reshape(-1)
+    live = np.flatnonzero(weight * np.any(num, axis=1))
+    classes = [live[:1]] + [live[1:][weight[live[1:]] == w] for w in (1.0, 2.0)]
+    stacked = np.zeros((3, live.size, num.shape[1]), dtype=num.dtype)
+    for entry, rows in zip(stacked, classes):
+        entry[: rows.size] = num[rows]
+    norms = batch_h2_squared(stacked, np.broadcast_to(common, (3, common.size)))
+    total = np.sum(weight[live[:1]]) * norms[0] + norms[1] + 2.0 * norms[2]
+    return float(total) / kernel.n**kernel.d
 
 
 def is_relative_si(kernel):
@@ -217,7 +240,8 @@ def spatial_feasibility(d, n, b):
             "no offsets are excluded and the obstruction is void"
         )
     # canonical offsets need no second reduction modulo n
-    excluded = [off for off in canonical_offsets(n, d) if max(map(abs, off)) > b]
+    grid = _offset_grid(n, d)
+    excluded = list(map(tuple, grid[np.abs(grid).max(axis=1) > b].tolist()))
     count = n**d - (2 * b + 1) ** d
     if len(excluded) != count:
         raise ConsistencyCheckFailed(
@@ -263,6 +287,7 @@ class SIClosedLoops:
     cl_den: np.ndarray
     degree: np.ndarray
     _symbols: dict = field(default_factory=dict, init=False, repr=False)
+    _weights: np.ndarray = field(default=None, init=False, repr=False)
 
     def _objects(self, name):
         if name not in self._symbols:
@@ -290,8 +315,8 @@ class SIClosedLoops:
         """Squared deflated H2 norm of (phi_x, gamma phi_u), dropping mode 0.
 
         Both loops share their denominator at each frequency, so one
-        Gramian per frequency serves both.  gamma must be finite and
-        nonnegative (ValueError otherwise).
+        Gramian per frequency, or per conjugate pair for real taps, serves
+        both.  gamma must be finite and nonnegative (ValueError otherwise).
         """
         _require_control_weight(gamma)
         width = self.phi_x_num.shape[-1]
@@ -302,10 +327,11 @@ class SIClosedLoops:
             )
         den = self.cl_den.reshape(-1, self.cl_den.shape[-1])
         degree = self.degree.reshape(-1)
+        weight = np.ones(degree.size) if self._weights is None else self._weights.reshape(-1)
         total = 0.0
         for k in np.unique(degree[1:]):
-            rows = 1 + np.flatnonzero(degree[1:] == k)
-            total += float(np.sum(batch_h2_squared(num[rows], den[rows, : k + 1])))
+            rows = 1 + np.flatnonzero((degree[1:] == k) & (weight[1:] > 0))
+            total += float(weight[rows] @ batch_h2_squared(num[rows], den[rows, : k + 1]))
         return total / self.n**self.d
 
     def affine_residual(self, s):
@@ -350,6 +376,7 @@ def si_closed_loops(controller_kernel):
         cl_den=cl_den / lead,
         degree=degree,
     )
+    loops._weights = _pair_weights(controller_kernel)
     # the identity s phi_x - phi_u = 1 holds by construction; a sampled
     # residual guards against coefficient bookkeeping mistakes
     residual = loops.affine_residual(1.0 + 0.7j)

@@ -331,6 +331,11 @@ def batch_h2_squared(num, den):
     is num P num^H = sum_l g[l] m[l], where g are the coefficients of
     |num(1j w)|^2 in powers of w.
     """
+    return _batch_h2_squared(num, den, None)
+
+
+def _batch_h2_squared(num, den, abscissa):
+    """``batch_h2_squared``, given ``_root_abscissa(den)`` when the caller has it (else None)."""
     den = np.asarray(den)
     num = np.asarray(num)
     if num.ndim == 2:
@@ -347,7 +352,8 @@ def batch_h2_squared(num, den):
     block = max(1, H2_BLOCK_ELEMENTS // max(2 * k - 1, 1) ** 2)
     for lo in range(0, live.size if k else 0, block):
         rows = live[lo : lo + block]
-        unstable[rows] = _root_abscissa(den[rows]) >= -HYPOTHESIS
+        root = _root_abscissa(den[rows]) if abscissa is None else abscissa[rows]
+        unstable[rows] = root >= -HYPOTHESIS
     # the first failing entry decides, as in a loop of one-entry calls
     failing = improper | unstable
     if np.any(failing):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -533,3 +534,20 @@ def test_scalar_tap_offset_is_an_error(capsys, tmp_path):
     kernel = '{"d": 1, "n": 8, "taps": [{"offset": 0, "num": [1], "den": [1, 1]}]}'
     err = _cli_error(capsys, tmp_path, "spatial h2", f'{{"kernel": {kernel}}}')
     assert "offset" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("value", [1e308, 1e200])
+def test_a_non_finite_result_is_an_error_not_output(tmp_path, capsys, value, fmt):
+    # a tap this large overflows the H2 sums to inf and NaN, which JSON
+    # cannot hold: the command fails with one error line and prints nothing
+    doc = json.loads((DATA / "kernel_ring8.json").read_text())
+    doc["kernel"]["taps"][1]["num"][0] = value
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spatial", "h2", "--input", str(path), "--output", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: the result holds a number that is not finite"]

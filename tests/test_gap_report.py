@@ -270,3 +270,26 @@ def test_gap_report_builds_two_graphs(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "__init__", counting)
     gap_demonstration(16, 2, 1.0)
     assert len(calls) == 2
+
+
+def test_h2_deflated_decides_mode_stability_once(monkeypatch):
+    # the mode check and the batched H2 solve share one _root_abscissa call
+    import locrel.consensus as consensus
+    import locrel.statespace as statespace
+
+    calls = []
+    original = statespace._root_abscissa
+
+    def counting(den):
+        calls.append(den.shape[0])
+        return original(den)
+
+    monkeypatch.setattr(consensus, "_root_abscissa", counting)
+    monkeypatch.setattr(statespace, "_root_abscissa", counting)
+    for n in (8, 32):
+        prob = ConsensusProblem(n=n, b=1, gamma=1.0, c=consensus_measures(n, kinds=("ave",))["ave"])
+        K = proper_approximation(n, -10.0)
+        calls.clear()
+        value = h2_deflated(prob, K)
+        assert calls == [n - 1]
+        assert value == reference_h2_deflated(prob, K)

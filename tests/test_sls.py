@@ -790,3 +790,19 @@ def test_output_feedback_maps_match_dense_oracle(rng):
                     assert np.max(dense[:, side]) > 1e-4 * floor
                 else:
                     assert np.max(dense[:, side]) < 1e-9
+
+
+def test_loop_drives_the_states_with_b2_only_when_it_is_not_the_identity():
+    # B2 = I takes the controller's D and C as they are; any other B2,
+    # a permutation among them, multiplies them
+    rng = np.random.default_rng(12)
+    n, nk = 5, 3
+    A = rng.standard_normal((n, n))
+    K = StateSpace(*(rng.standard_normal(shape) for shape in ((nk, nk), (nk, n), (n, nk), (n, n))))
+    swap = np.eye(n)[[1, 0, 2, 3, 4]]
+    for B2, unit in ((np.eye(n), True), (2.0 * np.eye(n), False), (swap, False)):
+        _, phi_xx, phi_ux = sls._loop(Plant(A, np.eye(n), B2), K)
+        D, C = (K.D, K.C) if unit else (B2 @ K.D, B2 @ K.C)
+        assert np.array_equal(phi_xx.A[:n, :n], A + D)
+        assert np.array_equal(phi_xx.A[:n, n:], C)
+        assert np.array_equal(phi_ux.C, np.hstack([K.D, K.C]))

@@ -158,6 +158,45 @@ def test_cli_import_builds_no_parser():
     assert after_main > 0
 
 
+# Prints the modules loaded in a fresh interpreter after the statement in argv[1].
+MODULES_SCRIPT = """
+import sys
+exec(sys.argv[1])
+print(" ".join(sorted(sys.modules)))
+"""
+
+# The standard-library modules the package imports; each may load further modules.
+STARTUP_STDLIB = (
+    "__future__ argparse csv dataclasses functools io itertools json math numbers sys typing"
+)
+
+
+def test_cli_import_loads_only_what_numpy_and_the_named_stdlib_load():
+    # setup_s times `import locrel, locrel.cli` in a fresh interpreter: it
+    # may load locrel itself and nothing beyond numpy and STARTUP_STDLIB
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def loaded(statement):
+        done = subprocess.run(
+            [sys.executable, "-c", MODULES_SCRIPT, statement],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    baseline = loaded(f"import numpy, {', '.join(STARTUP_STDLIB.split())}")
+    extra = {
+        name
+        for name in loaded("import locrel, locrel.cli") - baseline
+        if name.split(".")[0] != "locrel"
+    }
+    assert not extra, f"import locrel, locrel.cli also loads {sorted(extra)}"
+
+
 def test_readme_cli_block_is_the_recorded_corpus():
     # the README's commands are the ones whose outputs the benchmark records
     readme = (SRC.parents[1] / "README.md").read_text()
