@@ -100,11 +100,7 @@ def pscale(a, alpha):
 
 def pval(c, s):
     """Evaluate at a (possibly complex) point, ascending coefficients."""
-    c = _as_coeffs(c)
-    result = 0.0 + 0.0j
-    for coeff in c[::-1]:
-        result = result * s + coeff
-    return result
+    return _horner(_as_coeffs(c)[None], complex(s))[0]
 
 
 def pdeg(c):
@@ -361,11 +357,8 @@ class RationalEntry:
             )
 
     def evaluate(self, s):
-        dval = pval(self.den, s)
-        scale = max(np.max(np.abs(self.den)), 1.0) * max(1.0, abs(s)) ** pdeg(self.den)
-        if abs(dval) <= EXACT * scale:
-            raise SingularAtS(f"rational entry has a pole at s = {s}")
-        return pval(self.num, s) / dval
+        """The value at s: the one-entry case of ``RationalMatrix.evaluate``."""
+        return _values(self.num[None], self.den[None], s)[0]
 
     def __add__(self, other):
         other = _coerce_entry(other)
@@ -442,6 +435,24 @@ def entry_array(nums, dens):
     return out.reshape(shape)
 
 
+def _horner(rows, z):
+    """Values at z of the ascending rows by Horner's rule, rounded as Python's complex type does."""
+    re = im = np.zeros(rows.shape[0])  # apart: numpy's complex product may round otherwise
+    for c in rows.T[::-1]:
+        re, im = re * z.real - im * z.imag + c.real, re * z.imag + im * z.real + c.imag
+    return np.stack((re, im), axis=1).view(complex)[:, 0]
+
+
+def _values(nums, dens, s):
+    """nums[i] / dens[i] at s; a pole where |den(s)| <= EXACT max(max|den|, 1) max(1, |s|)^deg."""
+    z = complex(s)
+    den = _horner(dens, z)
+    scale = np.maximum(np.max(np.abs(dens), axis=1), 1.0) * max(1.0, abs(z)) ** trim_rows(dens)[1]
+    if np.any(np.abs(den) <= EXACT * scale):
+        raise SingularAtS(f"rational entry has a pole at s = {s}")
+    return _horner(nums, z) / den
+
+
 def _coerce_entry(value):
     if isinstance(value, RationalEntry):
         return value
@@ -482,19 +493,26 @@ class RationalMatrix:
         i, j = key
         return self.entries[i][j]
 
+    def _rows(self):
+        """Numerators and denominators in row-major order, as rows zero-padded to one width."""
+        flat = [e for row in self.entries for e in row]
+        sizes = np.array([e.num.size for e in flat] + [e.den.size for e in flat], dtype=int)
+        coeffs = np.concatenate([e.num for e in flat] + [e.den for e in flat] + [np.zeros(0)])
+        rows = np.zeros((sizes.size, sizes.max(initial=1)), dtype=coeffs.dtype)
+        rows[np.arange(rows.shape[1]) < sizes[:, None]] = coeffs
+        return rows[: len(flat)], rows[len(flat) :]
+
     def evaluate(self, s):
-        p, m = self.shape
-        out = np.zeros((p, m), dtype=complex)
-        for i in range(p):
-            for j in range(m):
-                out[i, j] = self.entries[i][j].evaluate(s)
-        return out
+        """Values at s; SingularAtS where an entry has a pole there."""
+        return _values(*self._rows(), s).reshape(self.shape)
 
     def is_strictly_proper(self):
-        return all(e.is_strictly_proper() for row in self.entries for e in row)
+        nums, dens = self._rows()
+        return bool(np.all(pis_zero(nums) | (trim_rows(nums)[1] < trim_rows(dens)[1])))
 
     def is_proper(self):
-        return all(e.is_proper() for row in self.entries for e in row)
+        nums, dens = self._rows()
+        return bool(np.all(trim_rows(nums)[1] <= trim_rows(dens)[1]))
 
     def matmul(self, other):
         if self.shape[1] != other.shape[0]:

@@ -134,7 +134,7 @@ def _symbol_coeffs(kernel):
     Returns (coeffs, common): coeffs has shape (n,)*d + (deg,), and
     coeffs[f] holds the ascending numerator of the symbol at frequency f
     over the monic polynomial ``common``, trimmed as ``RationalEntry``
-    stores it (a vanishing symbol is exactly zero).
+    stores it (a vanishing symbol is exactly zero); ValueError if they overflow.
     """
     taps = kernel.taps()
     common, numerators = common_denominator(entry for _, entry in taps)
@@ -143,7 +143,10 @@ def _symbol_coeffs(kernel):
     for (offset, _), num in zip(taps, numerators):
         idx = tuple(o % kernel.n for o in offset)
         coeff_grid[idx][: len(num)] = num
-    coeffs, _ = trim_rows(np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d))))
+    coeffs = np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d)))
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("kernel symbol coefficients must be finite")
+    coeffs, _ = trim_rows(coeffs)
     coeffs[pis_zero(coeffs)] = 0.0
     return coeffs, common
 

@@ -16,9 +16,10 @@ entries left the reachable (Krylov) subspaces grown here (MATCH).
 Rational conversion (``tf_of``) has one path for every system: each entry
 comes from its own minimal (reachable, then observable) part, whose
 numerator and denominator share no root, so nothing is cancelled after
-the fact; the result is checked against the frequency response.  The
-reverse direction (``realize_rational``) realizes each entry in
-controllable canonical form.
+the fact; the parts of one minimal dimension are converted together (one
+stacked ``char_poly``), and the result is checked against the frequency
+response.  ``realize_rational`` places every entry's controllable
+canonical form by index, for the whole matrix at once.
 
 Subspaces grown from one vector each, one per column of B or row of C,
 grow together in ``_column_subspaces``: one product with A per Krylov
@@ -31,8 +32,6 @@ reachable step) use ``_invariant_subspace``.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import (
@@ -43,7 +42,7 @@ from .errors import (
     SingularAtS,
 )
 from .graphs import Partition
-from .rational import RationalEntry, RationalMatrix, padd, pdeg, pscale, ptrim
+from .rational import RationalMatrix, entry_array, trim_rows
 from .tolerances import HYPOTHESIS, SINGULAR, TINY, VERIFY, ZERO, negligible
 
 
@@ -363,28 +362,31 @@ def _batch_h2_squared(num, den, abscissa):
     out = np.zeros(N)
     width = min(k, num.shape[2])
     powers_of_i = 1j ** np.arange(k + 1)
-    for lo in range(0, live.size if k else 0, block):
-        rows = live[lo : lo + block]
-        d = den[rows]
-        count = rows.size
-        sigma = np.abs(d[:, 0]) ** (1.0 / k)
-        scale = sigma[:, None] ** (np.arange(k + 1) - k)
-        e = d * scale * powers_of_i
-        R = np.zeros((count, 2 * k - 1, 2 * k - 1))
-        for j in range(k - 1):
-            R[:, 2 * j, j : j + k + 1] = e.real
-            R[:, 2 * j + 1, j : j + k + 1] = e.imag
-        R[:, -1, k - 1 :] = (e[:, :k] * 1j ** (1 - k)).real
-        rhs = np.zeros((count, 2 * k - 1))
-        rhs[:, -1] = 0.5
-        m = np.linalg.solve(R, rhs[..., None])[..., 0]
-        m = m + np.linalg.solve(R, _residual(R, m, rhs)[..., None])[..., 0]
-        a = num[rows, :, :width] * (scale[:, None, :width] * powers_of_i[:width])
-        outer = np.einsum("nri,nrj->nij", a, a.conj())
-        g = np.zeros((count, 2 * k - 1), dtype=outer.dtype)
-        for i in range(width):
-            g[:, i : i + width] += outer[:, i, :]
-        out[rows] = sigma * np.einsum("nl,nl->n", g, m).real
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, if not finite
+        for lo in range(0, live.size if k else 0, block):
+            rows = live[lo : lo + block]
+            d = den[rows]
+            count = rows.size
+            sigma = np.abs(d[:, 0]) ** (1.0 / k)
+            scale = sigma[:, None] ** (np.arange(k + 1) - k)
+            e = d * scale * powers_of_i
+            R = np.zeros((count, 2 * k - 1, 2 * k - 1))
+            for j in range(k - 1):
+                R[:, 2 * j, j : j + k + 1] = e.real
+                R[:, 2 * j + 1, j : j + k + 1] = e.imag
+            R[:, -1, k - 1 :] = (e[:, :k] * 1j ** (1 - k)).real
+            rhs = np.zeros((count, 2 * k - 1))
+            rhs[:, -1] = 0.5
+            m = np.linalg.solve(R, rhs[..., None])[..., 0]
+            m = m + np.linalg.solve(R, _residual(R, m, rhs)[..., None])[..., 0]
+            a = num[rows, :, :width] * (scale[:, None, :width] * powers_of_i[:width])
+            outer = np.einsum("nri,nrj->nij", a, a.conj())
+            g = np.zeros((count, 2 * k - 1), dtype=outer.dtype)
+            for i in range(width):
+                g[:, i : i + width] += outer[:, i, :]
+            out[rows] = sigma * np.einsum("nl,nl->n", g, m).real
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the result holds a number that is not finite")
     return out
 
 
@@ -394,24 +396,23 @@ def scalar_h2_squared(entry):
 
 
 def char_poly(A):
-    """Characteristic polynomial and resolvent adjugate coefficients.
+    """(q, mats): characteristic polynomials and resolvent adjugates of a stack.
 
-    Uses the Faddeev-LeVerrier recursion.  Returns (q, mats) where q is
-    the ascending coefficient array of det(sI - A) and mats[k] is the
+    Faddeev-LeVerrier on every matrix of A (..., n, n) at once: q[...] holds
+    the ascending coefficients of det(sI - A), and mats[k] (..., n, n) the
     coefficient of s^(n-1-k) in adj(sI - A).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    coeffs_desc = [1.0]
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    q = np.ones(A.shape[:-2] + (n + 1,))
     mats = []
-    N = np.eye(n)
+    N = np.broadcast_to(np.eye(n), A.shape)
     for k in range(1, n + 1):
         mats.append(N)
         AN = A @ N
-        a = -np.trace(AN) / k
-        coeffs_desc.append(a)
-        N = AN + a * np.eye(n)
-    q = np.array(coeffs_desc[::-1], dtype=float)
+        a = -np.trace(AN, axis1=-2, axis2=-1) / k
+        q[..., n - k] = a
+        N = AN + a[..., None, None] * np.eye(n)
     return q, mats
 
 
@@ -534,23 +535,18 @@ def minimal_realization(sys):
     )
 
 
-def _siso_entry(A, b, c, d):
-    """Rational entry c (sI - A)^-1 b + d of a minimal SISO realization.
+def _transfer_rows(A, b, c, width):
+    """Numerators c adj(sI - A) b and denominators det(sI - A) as (N, width) rows, zero above s^k.
 
-    A minimal realization leaves no root shared by the numerator and
-    det(sI - A), so the entry is built as it stands.
+    A (N, k, k), b and c (N, k) hold N realizations of one dimension k.
     """
-    k = A.shape[0]
-    if k == 0:
-        return RationalEntry([float(d)]) if d != 0.0 else RationalEntry([])
+    k = A.shape[-1]
     q, mats = char_poly(A)
-    num = np.zeros(k)
+    num, den = np.zeros((2, b.shape[0], width))
+    den[:, : k + 1] = q
     for idx, Nk in enumerate(mats):
-        num[k - 1 - idx] = c @ Nk @ b
-    num = ptrim(num)
-    if d != 0.0:
-        num = padd(num, pscale(q, d))
-    return RationalEntry(num, q)
+        num[:, k - 1 - idx] = (c[:, None, :] @ Nk @ b[:, :, None])[:, 0, 0]
+    return num, den
 
 
 _TF_CHECK_POINTS = (0.83 + 1.37j, 2.21 - 0.59j, 1.49 + 2.73j)
@@ -563,17 +559,30 @@ def _reduced_entries(sys):
     per column, the observable subspaces of all output rows on that
     column's reduced system grow in one more, judged against the norms
     of A and of each row of C, as ``minimal_realization`` judges its
-    observable step.
+    observable step.  The parts of each minimal dimension are converted
+    together.  They leave no root shared by a numerator and det(sI - A),
+    so each entry is built as it stands: by the rules of ``ptrim`` and
+    ``padd``, the numerator trimmed plus d det(sI - A) for a nonzero d.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     a_norm, c_norms = np.linalg.norm(A), np.linalg.norm(C, axis=1)
-    entries = [[None] * sys.n_inputs for _ in range(sys.n_outputs)]
+    parts = {}  # minimal dimension: [(rows, cols, A, b, c, d) of a row group]
     for cols, Q in _column_subspaces(A, B):
         for j, Qj in zip(cols, Q):
             Aj, bj, Cj = Qj.T @ A @ Qj, Qj.T @ B[:, j], C @ Qj
             for rows, P in _column_subspaces(Aj.T, Cj.T, v_norms=c_norms, a_norm=a_norm):
-                for i, Pi in zip(rows, P):
-                    entries[i][j] = _siso_entry(Pi.T @ Aj @ Pi, Pi.T @ bj, Cj[i] @ Pi, D[i, j])
+                Pt, cj = P.transpose(0, 2, 1), (Cj[rows, None] @ P)[:, 0]
+                part = (rows, np.full(rows.size, j), Pt @ Aj @ P, Pt @ bj, cj, D[rows, j])
+                parts.setdefault(P.shape[2], []).append(part)
+    width = max(parts) + 1
+    groups = [tuple(map(np.concatenate, zip(*group))) for group in parts.values()]
+    rows, cols, d = (np.concatenate([g[i] for g in groups]) for i in (0, 1, 5))
+    num, den = map(np.concatenate, zip(*(_transfer_rows(*g[2:5], width) for g in groups)))
+    num = trim_rows(num)[0]
+    fed = d != 0.0
+    num[fed] = trim_rows((0.0 + num[fed]) + trim_rows(den[fed] * d[fed, None])[0])[0]
+    entries = np.empty(sys.shape, dtype=object)
+    entries[rows, cols] = entry_array(num, den)
     return entries
 
 
@@ -583,7 +592,7 @@ def tf_of(sys):
     Every entry is built from its own minimal part (``_reduced_entries``),
     and the result is checked against the original frequency response.
     """
-    if sys.n_states == 0:
+    if sys.n_states == 0 or 0 in sys.shape:
         return RationalMatrix.from_real(sys.D, sys.out_partition, sys.in_partition)
     result = RationalMatrix(_reduced_entries(sys), sys.out_partition, sys.in_partition)
     for s in _TF_CHECK_POINTS:
@@ -598,42 +607,13 @@ def tf_of(sys):
     return result
 
 
-def realize_entry(entry):
-    """Controllable canonical realization of one proper rational entry.
-
-    Returns (A, B, C, D) with state dimension equal to the denominator
-    degree of the entry.
-    """
-    entry.require_proper()
-    if np.iscomplexobj(entry.num) and not negligible(entry.num.imag, entry.num, HYPOTHESIS):
-        raise ValueError("cannot realize an entry with complex coefficients")
-    den = ptrim(entry.den)
-    k = pdeg(den)
-    if k == 0:
-        d = entry.num[0] / den[0] if not entry.is_zero() else 0.0
-        return (
-            np.zeros((0, 0)),
-            np.zeros((0, 1)),
-            np.zeros((1, 0)),
-            np.array([[float(np.real(d))]]),
-        )
-    num = np.zeros(k + 1)
-    nn = ptrim(entry.num)
-    num[: nn.size] = np.real(nn)
-    d = num[k]  # denominator is monic, so the feedthrough is the top ratio
-    strictly = num[:k] - d * np.real(den[:k])
-    A = np.zeros((k, k))
-    A[:-1, 1:] = np.eye(k - 1)
-    A[-1, :] = -np.real(den[:k])
-    B = np.zeros((k, 1))
-    B[-1, 0] = 1.0
-    C = strictly.reshape(1, k)
-    D = np.array([[d]])
-    return A, B, C, D
-
-
 def realize_rational(H, orientation="rows"):
     """Entry-wise canonical realization of a proper rational matrix.
+
+    Each entry of denominator degree k gets k states in controllable
+    canonical form, placed by index.  Every entry must be proper
+    (ImproperEntry) with numerator and denominator real up to HYPOTHESIS
+    (ValueError); the first failing entry in row-major order decides.
 
     ``rows`` groups the states of all entries belonging to a row block of
     the matrix on that block's node, making A and C block diagonal with
@@ -644,39 +624,38 @@ def realize_rational(H, orientation="rows"):
     if orientation not in ("rows", "columns"):
         raise ValueError("orientation must be 'rows' or 'columns'")
     p, m = H.shape
-    pieces = [[realize_entry(H[i, j]) for j in range(m)] for i in range(p)]
-    dims = np.array([[piece[0].shape[0] for piece in row] for row in pieces], dtype=int)
-    by_rows = orientation == "rows"
-    part = H.row_partition if by_rows else H.col_partition
+    nums, dens = H._rows()
+    (num, num_deg), (den, k) = trim_rows(nums), trim_rows(dens)
+    unreal = [np.abs(x.imag).max(axis=1) > HYPOTHESIS * np.abs(x).max(axis=1, initial=1.0)
+              for x in (nums, dens)]  # the rule of negligible, on each part
+    failing = (num_deg > k) | unreal[0] | unreal[1]
+    if np.any(failing):
+        i, j = divmod(int(np.argmax(failing)), m)
+        H[i, j].require_proper()
+        raise ValueError("cannot realize an entry with complex coefficients")
+    num, den = num.real, den.real
+    d = num[np.arange(k.size), k]  # the feedthrough, over a monic denominator
     # blocks are contiguous, so grouping by row blocks keeps the entries in
     # row-major order and grouping by column blocks in column-major order
-    order = list(itertools.product(range(p), range(m)))
-    if not by_rows:
-        order.sort(key=lambda ij: ij[1])
-    line_dims = dims.sum(axis=1 if by_rows else 0)
-    group_sizes = [int(line_dims[part.block_slice(b)].sum()) for b in range(part.n_blocks)]
-    total = sum(group_sizes)
-    A = np.zeros((total, total))
-    B = np.zeros((total, m))
-    C = np.zeros((p, total))
-    D = np.zeros((p, m))
-    pos = 0
-    for i, j in order:
-        Aij, Bij, Cij, Dij = pieces[i][j]
-        k = Aij.shape[0]
-        A[pos : pos + k, pos : pos + k] = Aij
-        B[pos : pos + k, j : j + 1] = Bij
-        C[i : i + 1, pos : pos + k] = Cij
-        D[i, j] = Dij[0, 0]
-        pos += k
+    by_rows = orientation == "rows"
+    order = np.arange(p * m).reshape(p, m)
+    order = (order if by_rows else order.T).reshape(-1)
+    dims = k[order]
+    state = np.arange(dims.sum())
+    entry = np.repeat(order, dims)  # the entry each state belongs to
+    local = state - np.repeat(np.cumsum(dims) - dims, dims)
+    last = state - local + k[entry] - 1
+    A, B, C = np.zeros((state.size,) * 2), np.zeros((state.size, m)), np.zeros((p, state.size))
+    chain = local < k[entry] - 1
+    A[state[chain], state[chain] + 1] = 1.0
+    A[last, state] = -den[entry, local]
+    B[last, entry % m] = 1.0
+    C[entry // m, state] = num[entry, local] - d[entry] * den[entry, local]
+    part = H.row_partition if by_rows else H.col_partition
+    line_ends = np.cumsum(k.reshape(p, m).sum(axis=1 if by_rows else 0))
+    sizes = np.diff(np.concatenate(([0], line_ends))[part.offsets()])
     return StateSpace(
-        A,
-        B,
-        C,
-        D,
-        state_partition=Partition(tuple(group_sizes)),
-        in_partition=H.col_partition,
-        out_partition=H.row_partition,
+        A, B, C, d.reshape(p, m), Partition(tuple(sizes.tolist())), H.col_partition, H.row_partition
     )
 
 

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -677,3 +679,26 @@ def test_dft_symbol_builds_no_entry_through_the_constructor(monkeypatch):
     loops = si_closed_loops(kernel)
     assert loops.phi_x_symbols.shape == loops.phi_u_symbols.shape == (17, 17, 17)
     assert calls == []
+
+
+@pytest.mark.parametrize("value", [1e308, 1e200])
+def test_overflowing_taps_raise_value_error_without_a_warning(value):
+    # a tap this large overflows the symbol coefficients (1e308) or the
+    # squared H2 norms (both sizes): each is refused where it first
+    # appears, rather than returned as inf or NaN
+    doc = json.loads((Path(__file__).parent / "data" / "kernel_ring8.json").read_text())
+    doc["kernel"]["taps"][1]["num"][0] = value
+    kernel = ConvKernelArray.from_json(doc["kernel"])
+    symbols, result = "kernel symbol coefficients must be finite", "the result holds a number that is not finite"
+    expected = {si_h2_squared: result, si_h2_squared_parseval: result}
+    if value == 1e308:
+        expected.update({si_h2_squared_parseval: symbols, dft_symbol: symbols, si_closed_loops: symbols})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in expected.items():
+            with pytest.raises(ValueError) as info:
+                call(kernel)
+            assert str(info.value) == message
+        if value == 1e200:
+            assert all(np.isfinite(e.num).all() for e in dft_symbol(kernel).flat)
+            assert np.isfinite(si_closed_loops(kernel).cl_den).all()

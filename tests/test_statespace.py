@@ -14,7 +14,7 @@ from locrel.errors import (
 )
 from locrel.consensus import proper_approximation
 from locrel.graphs import Partition
-from locrel.rational import RationalEntry, RationalMatrix, pdeg, pmul
+from locrel.rational import RationalEntry, RationalMatrix, pdeg, pmul, ptrim
 from locrel.sls import Plant, closed_loops_of, recover_controller_sf
 import locrel.statespace as statespace
 from locrel.statespace import (
@@ -25,13 +25,13 @@ from locrel.statespace import (
     interleave_node_states,
     parallel,
     permute_states,
-    realize_entry,
     realize_rational,
     scalar_h2_squared,
     series,
     tf_of,
 )
 from locrel.structure import tridiag_counterexample
+from locrel.tolerances import HYPOTHESIS, negligible
 
 
 def random_stable_system(rng, n_states, n_in=None, n_out=None):
@@ -103,12 +103,19 @@ def test_conversion_is_verified(monkeypatch):
     def perturbed(A):
         q, mats = exact(A)
         q = q.copy()
-        q[1] *= 1.0 + 1e-4
+        q[..., 1] *= 1.0 + 1e-4
         return q, mats
 
     monkeypatch.setattr(statespace, "char_poly", perturbed)
     with pytest.raises(RationalConversionFailed):
         tf_of(sys)
+
+
+def test_tf_of_refuses_the_26_state_chain():
+    # the degree-25 coefficient form loses accuracy there; the frequency
+    # check refuses it rather than return an unverified matrix
+    with pytest.raises(RationalConversionFailed):
+        tf_of(tridiag_counterexample(26).system)
 
 
 @pytest.mark.parametrize("n", range(8, 21))
@@ -391,10 +398,40 @@ def test_realize_rational_groups_states_by_orientation():
     assert cols.state_partition.block_sizes == (1, 2)
 
 
+def _realize_entry(entry):
+    """Controllable canonical realization of one proper rational entry, entry by entry."""
+    entry.require_proper()
+    if np.iscomplexobj(entry.num) and not negligible(entry.num.imag, entry.num, HYPOTHESIS):
+        raise ValueError("cannot realize an entry with complex coefficients")
+    den = ptrim(entry.den)
+    k = pdeg(den)
+    if k == 0:
+        d = entry.num[0] / den[0] if not entry.is_zero() else 0.0
+        return (
+            np.zeros((0, 0)),
+            np.zeros((0, 1)),
+            np.zeros((1, 0)),
+            np.array([[float(np.real(d))]]),
+        )
+    num = np.zeros(k + 1)
+    nn = ptrim(entry.num)
+    num[: nn.size] = np.real(nn)
+    d = num[k]  # denominator is monic, so the feedthrough is the top ratio
+    strictly = num[:k] - d * np.real(den[:k])
+    A = np.zeros((k, k))
+    A[:-1, 1:] = np.eye(k - 1)
+    A[-1, :] = -np.real(den[:k])
+    B = np.zeros((k, 1))
+    B[-1, 0] = 1.0
+    C = strictly.reshape(1, k)
+    D = np.array([[d]])
+    return A, B, C, D
+
+
 def _realize_rational_reference(H, orientation):
     """realize_rational as two mirrored branches, one per orientation."""
     p, m = H.shape
-    pieces = [[realize_entry(H[i, j]) for j in range(m)] for i in range(p)]
+    pieces = [[_realize_entry(H[i, j]) for j in range(m)] for i in range(p)]
     dims = [[pieces[i][j][0].shape[0] for j in range(m)] for i in range(p)]
     if orientation == "rows":
         off = H.row_partition.offsets()
