@@ -16,6 +16,7 @@ from .errors import (
     ConstraintViolated,
     DegreeCapExceeded,
     DisconnectedGraph,
+    DocumentError,
     FeasibilityPreconditionError,
     HypothesisViolated,
     IllPosedFeedback,

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Commands read a JSON document (``--input``, ``-`` for stdin) or, for the
-consensus and spatial analyses, plain numeric flags.  Results print to
-stdout as deterministic JSON (sorted keys) or as flattened ``key,value``
-CSV rows.  Exit codes: 0 on success, 1 on any error, 2 when the computed
-verdict is Infeasible.
+consensus and spatial analyses, plain numeric flags; every document value
+is read by the rules of ``locrel.graphs``.  Results print to stdout as
+deterministic JSON (sorted keys) or as flattened ``key,value`` CSV rows.
+Exit codes: 0 on success, 2 when the computed verdict is Infeasible, and
+1 on any error, with nothing on stdout and one ``error:`` line on stderr
+that names the path of a wrong document value, such as ``$.plant.a[0]``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import numbers
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import consensus as cons
 from . import sls, spatial
 from .errors import LocrelError
-from .graphs import Partition, StructurePattern, _integer, graph_from_json
+from .graphs import array, count, graph_from_json, member, number, pattern_from_json
 from .rational import RationalMatrix
 from .relative import is_relative, relative_decompose, relative_decompose_rational
 from .statespace import StateSpace, tf_of
@@ -57,29 +58,6 @@ def _load_input(path):
         return json.load(fh)
 
 
-def _real(value, name):
-    """A number read from a document as a float; a bool or "3" raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    return float(value)
-
-
-def _reals(value, name):
-    """An array of numbers read from a document; a bool or string entry raises ValueError."""
-    for entry in np.asarray(value, dtype=object).flat:
-        _real(entry, f"every entry of {name}")
-    return np.asarray(value, dtype=float)
-
-
-def _pattern_from_json(data):
-    graph = graph_from_json(data["graph"])
-    rp = data.get("rowPartition")
-    cp = data.get("colPartition")
-    row = Partition(tuple(rp)) if rp else Partition.scalar(graph.n)
-    col = Partition(tuple(cp)) if cp else Partition.scalar(graph.n)
-    return StructurePattern(graph, row, col)
-
-
 def _structure_flags(result):
     return {
         "structured": result.structured,
@@ -89,58 +67,44 @@ def _structure_flags(result):
     }
 
 
-def _controller_from_json(data):
-    if "static" in data:
-        return _reals(data["static"], "static")
-    if "system" in data:
-        return StateSpace.from_json(data["system"])
-    if "matrix" in data:
-        return RationalMatrix.from_json(data["matrix"])
-    raise LocrelError("controller needs one of: static, system, matrix")
+def _operator(doc, path, *keys):
+    """The first of ``keys`` set in doc: a "static" or "gain" array, a "system", else a matrix."""
+    value, where = member(doc, path, *keys)
+    if where.endswith((".static", ".gain")):
+        return array(value, where, 2)
+    if where.endswith(".system"):
+        return StateSpace.from_json(value, where)
+    return RationalMatrix.from_json(value, where)
 
 
-def _plant_from_json(data):
-    A = _reals(data["a"], "a")
-    n = A.shape[0]
-    B2 = _reals(data["b2"], "b2") if "b2" in data else np.eye(n)
-    return sls.Plant(A=A, B1=np.eye(n), B2=B2)
-
-
-def _cl_from_json(data):
-    phi_x = RationalMatrix.from_json(data["phiX"])
-    phi_u = RationalMatrix.from_json(data["phiU"])
-    return sls.ClosedLoopPair(phi_x, phi_u)
+def _plant(doc, path):
+    """The agents' plant dx = A x + w + B2 u; B2 defaults to the identity."""
+    A = np.atleast_2d(array(*member(doc, path, "a"), 2))
+    identity = np.eye(A.shape[0])
+    return sls.Plant(A, identity, array(*member(doc, path, "b2", default=identity.tolist()), 2))
 
 
 def cmd_structure(args):
     doc = _load_input(args.input)
-    pattern = _pattern_from_json(doc["pattern"])
+    pattern = pattern_from_json(*member(doc, "$", "pattern"))
     if args.action == "check":
-        system = StateSpace.from_json(doc["system"])
+        system = StateSpace.from_json(*member(doc, "$", "system"))
         flags = _structure_flags(check_realization_structure(system, pattern))
         flags["tfStructured"] = bool(is_tf_structured(system, pattern))
         return flags, 0
-    matrix = RationalMatrix.from_json(doc["matrix"])
-    orientation = doc.get("orientation", "rows")
+    matrix = RationalMatrix.from_json(*member(doc, "$", "matrix"))
+    orientation = member(doc, "$", "orientation", default="rows")[0]
     system = build_structured_realization(matrix, pattern, orientation)
     flags = _structure_flags(check_realization_structure(system, pattern))
     return {"system": system.to_json(), "structure": flags}, 0
 
 
-def _gain_from_json(data):
-    if "matrix" in data:
-        return RationalMatrix.from_json(data["matrix"])
-    if "gain" in data:
-        return _reals(data["gain"], "gain")
-    raise LocrelError("relative commands need one of: matrix, gain")
-
-
 def cmd_relative(args):
     doc = _load_input(args.input)
+    K = _operator(doc, "$", "matrix", "gain")
     if args.action == "check":
-        return {"relative": bool(is_relative(_gain_from_json(doc)))}, 0
-    graph = graph_from_json(doc["graph"])
-    K = _gain_from_json(doc)
+        return {"relative": bool(is_relative(K))}, 0
+    graph = graph_from_json(*member(doc, "$", "graph"))
     if isinstance(K, RationalMatrix):
         return relative_decompose_rational(K, graph).to_json(), 0
     M = relative_decompose(K.reshape(-1), graph)
@@ -150,8 +114,8 @@ def cmd_relative(args):
 def cmd_sls(args):
     doc = _load_input(args.input)
     if args.action in ("closed-loops", "check"):
-        plant = _plant_from_json(doc["plant"])
-        K = _controller_from_json(doc["controller"])
+        plant = _plant(*member(doc, "$", "plant"))
+        K = _operator(*member(doc, "$", "controller"), "static", "system", "matrix")
         cl = sls.closed_loops_of(plant, K)
         residual = sls.check_affine_constraint(cl, plant)
         if args.action == "check":
@@ -165,11 +129,13 @@ def cmd_sls(args):
             "phiU": tf_of(cl.phi_u).to_json(),
             "affineResidual": residual,
         }, 0
-    cl = _cl_from_json(doc["closedLoops"])
+    loops = member(doc, "$", "closedLoops")
+    cl = sls.ClosedLoopPair(_operator(*loops, "phiX"), _operator(*loops, "phiU"))
     if args.action == "recover":
         K = sls.recover_controller_sf(cl)
         return {"controller": {"matrix": tf_of(K).to_json()}}, 0
-    pattern = _pattern_from_json(doc["pattern"]) if "pattern" in doc else None
+    value, path = member(doc, "$", "pattern", default=None)
+    pattern = None if value is None else pattern_from_json(value, path)
     impl, witness = sls.implementation_realization_sf(cl, pattern)
     out = {"system": impl.to_json()}
     out["structure"] = _structure_flags(witness) if witness is not None else None
@@ -178,41 +144,39 @@ def cmd_sls(args):
 
 def _measure_for(n, flag, doc):
     """The --measure flag, else the document's "c" or "measure", else ave."""
-    if flag is None and "c" in doc:
-        return _reals(doc["c"], "c")
-    name = flag or doc.get("measure", "ave")
-    return cons.consensus_measures(n, kinds=(name,))[name]
+    value, path = (flag, "--measure") if flag else member(doc, "$", "c", "measure", default="ave")
+    if path == "$.c":
+        return array(value, path, 2)
+    return cons.consensus_measures(n, kinds=(value,))[value]
 
 
 def _setting(args, doc, name, read, missing=None, default=None):
     """The --name flag, else the document's "name" or ``default``, through ``read``."""
-    value = getattr(args, name)
+    value, path = getattr(args, name), f"--{name}"
     if value is None:
-        value = doc.get(name, default)
-    if value is None and missing is not None:
+        value, path = member(doc, "$", name, default=default)
+    if value is None:
         raise LocrelError(missing)
-    return read(value, name)
+    return read(value, path)
 
 
 def cmd_consensus(args):
     doc = _load_input(args.input) if args.input else {}
-    n = _setting(args, doc, "n", _integer, "consensus commands need n (flag or input document)")
-    gamma = _setting(args, doc, "gamma", _real, default=0.0)
+    n = _setting(args, doc, "n", count, "consensus commands need n (flag or input document)")
+    gamma = _setting(args, doc, "gamma", number, default=0.0)
     if args.action == "h2":
         C = _measure_for(n, args.measure, doc)
         prob = cons.ConsensusProblem(n=n, b=1, gamma=gamma, c=C)
-        choice = args.controller or doc.get("controller", "ks")
+        choice = args.controller or member(doc, "$", "controller", default="ks")[0]
         if choice == "ka":
-            a = _setting(args, doc, "a", _real, "controller ka needs its pole (--a)")
+            a = _setting(args, doc, "a", number, "controller ka needs its pole (--a)")
             K = cons.proper_approximation(n, a)
         elif choice == "ks":
             K = cons.static_consensus_gain(n)
-        elif isinstance(choice, dict):
-            K = _controller_from_json(choice)
         else:
-            raise LocrelError(f"unknown controller {choice!r}")
+            K = _operator(choice, "$.controller", "static", "system", "matrix")
         return {"h2Squared": cons.h2_deflated(prob, K)}, 0
-    b = _setting(args, doc, "b", _integer, f"{args.action} needs the locality radius b")
+    b = _setting(args, doc, "b", count, f"{args.action} needs the locality radius b")
     if args.action == "feasibility":
         C = _measure_for(n, args.measure, doc)
         cert = cons.sls_relative_feasibility(cons.ConsensusProblem(n=n, b=b, gamma=gamma, c=C))
@@ -225,12 +189,12 @@ def cmd_spatial(args):
     doc = _load_input(args.input) if args.input else {}
     if args.action == "feasibility":
         d, n, b = (
-            _setting(args, doc, name, _integer, "spatial feasibility needs d, n and b")
+            _setting(args, doc, name, count, "spatial feasibility needs d, n and b")
             for name in ("d", "n", "b")
         )
         cert = spatial.spatial_feasibility(d, n, b)
         return cert.to_json(), (2 if cert.infeasible else 0)
-    kernel = spatial.ConvKernelArray.from_json(doc["kernel"])
+    kernel = spatial.ConvKernelArray.from_json(*member(doc, "$", "kernel"))
     squared = spatial.si_h2_squared(kernel)
     return {
         "h2Squared": squared,
@@ -331,7 +295,7 @@ def main(argv=None):
         with np.errstate(all="ignore"):
             payload, code = args.func(args)
         text = _render(payload, args.output)
-    except (LocrelError, KeyError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (LocrelError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

@@ -343,7 +343,7 @@ def h2_deflated(prob, K):
     symbol.  A realization's modes are Hurwitz when the roots of their loop
     denominators det(sI - A_cl) are, which one ``_root_abscissa`` decides.
     """
-    n, gamma = prob.n, prob.gamma
+    n, gamma = prob.n, np.float64(prob.gamma)  # gamma**2 is inf, not OverflowError, past 1e154
     if isinstance(K, StateSpace) and K.n_states == 0:
         K = K.D  # a realization with no states is its static gain
     if not isinstance(K, (StateSpace, np.ndarray)):
@@ -387,8 +387,12 @@ def h2_deflated(prob, K):
     if np.any(unstable):
         mode = 1 + int(np.argmax(unstable))
         raise UnstableNonzeroMode(f"closed-loop mode {mode} is not Hurwitz")
-    cost = (np.abs(c) ** 2 + gamma**2 * np.abs(lam) ** 2) / (2.0 * np.abs(lam.real))
-    return float(np.sum(cost))
+    with np.errstate(over="ignore"):  # refused below, if not finite
+        cost = (np.abs(c) ** 2 + gamma**2 * np.abs(lam) ** 2) / (2.0 * np.abs(lam.real))
+    total = float(np.sum(cost))
+    if not np.isfinite(total):
+        raise ValueError("the result holds a number that is not finite")
+    return total
 
 
 @dataclass

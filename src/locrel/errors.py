@@ -5,6 +5,10 @@ class LocrelError(Exception):
     """Base class for all toolkit errors."""
 
 
+class DocumentError(LocrelError, ValueError):
+    """A document value is missing or of the wrong kind; the message names its path."""
+
+
 class SingularAtS(LocrelError):
     """A transfer matrix or resolvent was evaluated at one of its poles."""
 

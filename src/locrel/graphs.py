@@ -1,31 +1,80 @@
-"""Undirected interaction graphs and block-sparsity patterns.
+"""Undirected interaction graphs, block-sparsity patterns, and document reading.
 
 A graph here always carries self-loops: node dynamics may depend on the
 node's own state, so the diagonal of the adjacency matrix is forced to
 True.  Sparsity patterns pair a graph with row/column block partitions so
 that matrix-level structure checks can work block-wise.
+
+Every reader of a JSON document reads its values through the rules
+``member``, ``count``, ``number``, ``array``, ``items`` and ``partition``.
+A rule takes a value with its path, such as ``$.matrix.entries[1][2].num``,
+and refuses a wrong one with a ``DocumentError`` that names the path.
 """
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraph
+from .errors import DisconnectedGraph, DocumentError
+
+_REQUIRED = object()
 
 
-def _integer(value, name):
-    """A count read from a document as an int; a bool, 3.9 or "3" raises ValueError."""
+def member(doc, path, *keys, default=_REQUIRED):
+    """(value, path) of the first of ``keys`` the object ``doc`` sets, null counting as unset.
+
+    With none set, ``default`` stands in for the last key; with no default that is an error.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{path} must be an object, not {doc!r}")
+    key = next((key for key in keys if doc.get(key) is not None), None)
+    if key is None and default is _REQUIRED:
+        one = f"{path}.{keys[0]} is missing"
+        raise DocumentError(one if len(keys) == 1 else f"{path} needs one of: {', '.join(keys)}")
+    return (default, f"{path}.{keys[-1]}") if key is None else (doc[key], f"{path}.{key}")
+
+
+def count(value, path):
+    """An integer as an int; a bool, 3.9, "3" or a float past 2**53 (no exact count) is an error."""
     if type(value) is int:
-        # the common case, without the slower abstract-base-class check
-        return value
-    whole = isinstance(value, float) and value.is_integer()
-    if whole or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, not {value!r}")
+        return value  # the common case, without the slower abstract-base-class check
+    whole = isinstance(value, numbers.Integral) and type(value) is not bool
+    if not (whole or isinstance(value, float) and value.is_integer() and abs(value) <= 2**53):
+        raise DocumentError(f"{path} must be an integer, not {value!r}")
+    return int(value)
+
+
+def number(value, path):
+    """A number as a float; a bool, a string or any other value is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DocumentError(f"{path} must be a number, not {value!r}")
+    return float(value)
+
+
+def array(value, path, dims):
+    """A number, or rectangular nested lists of numbers at most ``dims`` deep, as a float array."""
+    if not (isinstance(value, list) and dims):
+        return np.array(number(value, path))
+    rows = [array(item, f"{path}[{i}]", dims - 1) for i, item in enumerate(value)]
+    if len({row.shape for row in rows}) > 1:
+        raise DocumentError(f"{path} must be a rectangular array, not {value!r}")
+    return np.array(rows) if rows else np.zeros(0)
+
+
+def items(value, path):
+    """(item, path) of every item of a list."""
+    if not isinstance(value, list):
+        raise DocumentError(f"{path} must be a list, not {value!r}")
+    return [(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+def partition(doc, path, key):
+    """A Partition from the block sizes the object ``doc`` lists at ``key``; None if unset."""
+    value, path = member(doc, path, key, default=None)
+    return None if value is None else Partition(tuple(count(*size) for size in items(value, path)))
 
 
 class Graph:
@@ -64,7 +113,7 @@ class Partition:
     block_sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(_integer(s, "a block size") for s in self.block_sizes)
+        sizes = tuple(count(s, "a block size") for s in self.block_sizes)
         if len(sizes) == 0:
             raise ValueError("a partition needs at least one block")
         if any(s < 0 for s in sizes):
@@ -269,20 +318,27 @@ def graph_to_json(graph):
     return {"n": graph.n, "edges": edges}
 
 
-def graph_from_json(data):
+def graph_from_json(data, path="$.graph"):
     """Parse the {"n", "edges"} format: n >= 1, edges as node pairs, duplicates tolerated."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    n = _integer(data["n"], "n")
+    n = count(*member(data, path, "n"))
     if n < 1:
         raise ValueError(f"a graph needs at least 1 node, not n={n}")
     adj = np.eye(n, dtype=bool)
-    for edge in data.get("edges", []):
-        if np.shape(edge) != (2,):
-            raise ValueError(f"edge {edge!r} is not a pair of nodes")
-        i, j = (_integer(node, "a node") for node in edge)
+    for edge in items(*member(data, path, "edges", default=[])):
+        nodes = items(*edge)
+        if len(nodes) != 2:
+            raise DocumentError(f"{edge[1]} must be a pair of nodes, not {edge[0]!r}")
+        i, j = (count(*node) for node in nodes)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         adj[i, j] = True
         adj[j, i] = True
     return Graph(adj)
+
+
+def pattern_from_json(data, path="$.pattern"):
+    """Parse {"graph", "rowPartition", "colPartition"}; a partition defaults to a node a block."""
+    graph = graph_from_json(*member(data, path, "graph"))
+    scalar = Partition.scalar(graph.n)
+    row, col = (partition(data, path, key) or scalar for key in ("rowPartition", "colPartition"))
+    return StructurePattern(graph, row, col)

@@ -19,7 +19,7 @@ from .errors import (
     ImproperEntry,
     SingularAtS,
 )
-from .graphs import Partition
+from .graphs import Partition, array, items, member, partition
 from .tolerances import EXACT, HYPOTHESIS, MATCH, TINY, ZERO
 
 DEGREE_CAP = 128
@@ -55,16 +55,16 @@ def pis_zero(c):
     return np.abs(c).max(axis=-1) <= ZERO
 
 
-def trim_rows(coeffs):
+def trim_rows(coeffs, scale=None):
     """Rows along the last axis as ptrim leaves them, with their degrees.
 
     The rule of ptrim for every row at once: a leading coefficient is
-    dropped while its magnitude is at most ZERO of the row's
-    largest, down to one coefficient.  Coefficients above each row's
-    degree become zero.
+    dropped while its magnitude is at most ZERO of its ``scale``, by
+    default the row's largest, down to one coefficient.  Coefficients
+    above each row's degree become zero.
     """
     magnitude = np.abs(coeffs)
-    scale = np.max(magnitude, axis=-1, keepdims=True)
+    scale = np.max(magnitude, axis=-1, keepdims=True) if scale is None else scale
     kept = ~(magnitude <= ZERO * scale)
     kept[..., 0] = True
     degree = coeffs.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
@@ -381,8 +381,8 @@ class RationalEntry:
         return {"num": [float(c) for c in self.num], "den": [float(c) for c in self.den]}
 
     @staticmethod
-    def from_json(data):
-        return RationalEntry(data["num"], data["den"])
+    def from_json(data, path="$"):
+        return RationalEntry(*(array(*member(data, path, key), 1) for key in ("num", "den")))
 
     def __repr__(self):
         return f"RationalEntry(num={list(self.num)}, den={list(self.den)})"
@@ -567,11 +567,11 @@ class RationalMatrix:
         }
 
     @staticmethod
-    def from_json(data):
-        grid = [[RationalEntry.from_json(e) for e in row] for row in data["entries"]]
-        rp = Partition(tuple(data["rowPartition"])) if "rowPartition" in data else None
-        cp = Partition(tuple(data["colPartition"])) if "colPartition" in data else None
-        return RationalMatrix(grid, rp, cp)
+    def from_json(data, path="$.matrix"):
+        rows = items(*member(data, path, "entries"))
+        grid = [[RationalEntry.from_json(*entry) for entry in items(*row)] for row in rows]
+        parts = (partition(data, path, key) for key in ("rowPartition", "colPartition"))
+        return RationalMatrix(grid, *parts)
 
 
 def _poly_det(grid):

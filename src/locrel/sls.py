@@ -60,8 +60,9 @@ from .tolerances import HYPOTHESIS, UNIT_FEEDTHROUGH, ZERO, negligible
 class Plant:
     """State-space plant with distinct disturbance and control channels.
 
-    dx = A x + B1 w + B2 u,  y = C2 x.  The measurement matrix C2 is
-    optional; omit it for state feedback.
+    dx = A x + w + B2 u,  y = C2 x.  The disturbance enters every state
+    directly, so B1 must be the identity (ValueError otherwise).  The
+    measurement matrix C2 is optional; omit it for state feedback.
     """
 
     A: np.ndarray
@@ -72,15 +73,16 @@ class Plant:
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B1 = np.atleast_2d(np.asarray(self.B1, dtype=float))
         self.B2 = np.atleast_2d(np.asarray(self.B2, dtype=float))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
         if self.C2 is not None:
             self.C2 = np.atleast_2d(np.asarray(self.C2, dtype=float))
-        if self.B1.shape[0] != n or self.B2.shape[0] != n:
-            raise ValueError("B1/B2 must have one row per state")
+        if not np.array_equal(self.B1, np.eye(n)):
+            raise ValueError(f"B1 must be the {n} x {n} identity: w enters dx directly")
+        if self.B2.shape[0] != n:
+            raise ValueError("B2 must have one row per state")
 
     @property
     def n(self):

@@ -32,7 +32,7 @@ from .errors import (
     UnstableKernelEntry,
 )
 from .consensus import FeasibilityCertificate, _require_control_weight
-from .graphs import _integer
+from .graphs import count, items, member
 from .rational import (
     RationalEntry,
     RationalMatrix,
@@ -88,7 +88,7 @@ class ConvKernelArray:
     def _grid_index(self, offset):
         if np.ndim(offset) != 1 or len(offset) != self.d:
             raise ValueError(f"offset {offset!r} is not a sequence of length {self.d}")
-        return tuple(_integer(o, "an offset") % self.n for o in offset)
+        return tuple(count(o, "an offset") % self.n for o in offset)
 
     def set_tap(self, offset, entry):
         if not isinstance(entry, RationalEntry):
@@ -121,10 +121,11 @@ class ConvKernelArray:
         }
 
     @classmethod
-    def from_json(cls, data):
-        kernel = cls(_integer(data["d"], "d"), _integer(data["n"], "n"))
-        for tap in data.get("taps", []):
-            kernel.set_tap(tap["offset"], RationalEntry(tap["num"], tap["den"]))
+    def from_json(cls, data, path="$.kernel"):
+        kernel = cls(*(count(*member(data, path, key)) for key in ("d", "n")))
+        for tap in items(*member(data, path, "taps", default=[])):
+            offset = [count(*o) for o in items(*member(*tap, "offset"))]
+            kernel.set_tap(offset, RationalEntry.from_json(*tap))
         return kernel
 
 
@@ -369,7 +370,8 @@ def si_closed_loops(controller_kernel):
         raise SymbolPoleClash(
             f"closed-loop denominator vanishes identically at frequency {idx}"
         )
-    cl_den, degree = trim_rows(cl_den)
+    # a leading coefficient is judged against the larger of the terms that formed it
+    cl_den, degree = trim_rows(cl_den, np.maximum(np.abs(s_den), np.abs(num)))
     lead = np.take_along_axis(cl_den, degree[..., None], axis=-1)
     loops = SIClosedLoops(
         d=d,

@@ -41,7 +41,7 @@ from .errors import (
     RationalConversionFailed,
     SingularAtS,
 )
-from .graphs import Partition
+from .graphs import Partition, array, member, partition
 from .rational import RationalMatrix, entry_array, trim_rows
 from .tolerances import HYPOTHESIS, SINGULAR, TINY, VERIFY, ZERO, negligible
 
@@ -118,39 +118,18 @@ class StateSpace:
         return self.C @ X + self.D
 
     def to_json(self):
-        data = {
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.D.tolist(),
-        }
-        parts = {}
-        if self.state_partition is not None:
-            parts["state"] = list(self.state_partition.block_sizes)
-        if self.in_partition is not None:
-            parts["in"] = list(self.in_partition.block_sizes)
-        if self.out_partition is not None:
-            parts["out"] = list(self.out_partition.block_sizes)
+        data = {key: M.tolist() for key, M in zip("ABCD", (self.A, self.B, self.C, self.D))}
+        named = {"state": self.state_partition, "in": self.in_partition, "out": self.out_partition}
+        parts = {key: list(p.block_sizes) for key, p in named.items() if p is not None}
         if parts:
             data["partitions"] = parts
         return data
 
     @staticmethod
-    def from_json(data):
-        parts = data.get("partitions", {})
-
-        def get(name):
-            return Partition(tuple(parts[name])) if name in parts else None
-
-        return StateSpace(
-            data["A"],
-            data["B"],
-            data["C"],
-            data["D"],
-            state_partition=get("state"),
-            in_partition=get("in"),
-            out_partition=get("out"),
-        )
+    def from_json(data, path="$.system"):
+        matrices = (array(*member(data, path, key), 2) for key in "ABCD")
+        parts = member(data, path, "partitions", default={})
+        return StateSpace(*matrices, *(partition(*parts, key) for key in ("state", "in", "out")))
 
     def __repr__(self):
         return (
@@ -550,6 +529,8 @@ def _transfer_rows(A, b, c, width):
 
 
 _TF_CHECK_POINTS = (0.83 + 1.37j, 2.21 - 0.59j, 1.49 + 2.73j)
+# where a check point is a pole of the system, the next of these stands in for it
+_TF_SPARE_POINTS = (3.07 + 0.41j, 0.57 - 3.11j, 2.63 + 1.93j)
 
 
 def _reduced_entries(sys):
@@ -590,12 +571,14 @@ def tf_of(sys):
     """Rational transfer matrix of a state-space system.
 
     Every entry is built from its own minimal part (``_reduced_entries``),
-    and the result is checked against the original frequency response.
+    and the result is checked against the original frequency response at
+    three points, spare points standing in for check points that are poles.
     """
     if sys.n_states == 0 or 0 in sys.shape:
         return RationalMatrix.from_real(sys.D, sys.out_partition, sys.in_partition)
     result = RationalMatrix(_reduced_entries(sys), sys.out_partition, sys.in_partition)
-    for s in _TF_CHECK_POINTS:
+    checked = 0
+    for s in _TF_CHECK_POINTS + _TF_SPARE_POINTS:
         try:
             want = sys.evaluate(s)
         except SingularAtS:
@@ -604,7 +587,10 @@ def tf_of(sys):
             raise RationalConversionFailed(
                 f"{sys.n_states}-state system lost accuracy during rational conversion"
             )
-    return result
+        checked += 1
+        if checked == len(_TF_CHECK_POINTS):
+            return result
+    raise RationalConversionFailed(f"{sys.n_states}-state system has poles at the check points")
 
 
 def realize_rational(H, orientation="rows"):

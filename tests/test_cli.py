@@ -551,3 +551,48 @@ def test_a_non_finite_result_is_an_error_not_output(tmp_path, capsys, value, fmt
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: the result holds a number that is not finite"]
+
+
+@pytest.mark.parametrize("gamma", ["1e200", "1e308"])
+@pytest.mark.parametrize(
+    "command", ["consensus h2 --n 4", "consensus gap-demo --n 8 --b 1", "consensus h2 --n 4 --controller ka --a -10"]
+)
+def test_a_control_weight_past_the_float_range_is_an_error(capsys, command, gamma):
+    # the static gain's cost used to end in an OverflowError traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *command.split(), "--gamma", gamma)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: the result holds a number that is not finite"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("structure check", {"pattern": {"graph": {"n": 3}}}, "error: $.system is missing"),
+        ("sls check", {"plant": {"a": [[0]]}, "controller": []}, "error: $.controller must be an object, not []"),
+        ("sls check", {"plant": {"a": [[0]]}, "controller": {}}, "error: $.controller needs one of: static, system, matrix"),
+        ("sls recover", {"closedLoops": {"phiX": {"entries": [[{"num": [1], "den": [1, 1]}]]}}}, "error: $.closedLoops.phiU is missing"),
+        ("sls closed-loops", {"plant": {"a": [[0]]}, "controller": {"static": [[-1, 1], [1]]}}, "error: $.controller.static must be a rectangular array"),
+        ("consensus h2", {"n": 4, "controller": "kb"}, "error: $.controller must be an object, not 'kb'"),
+        ("consensus h2", {"n": 4, "c": [[1, 0], [0, "x"]]}, "error: $.c[1][1] must be a number, not 'x'"),
+        ("spatial h2", {"kernel": {"d": 1, "n": 8, "taps": {}}}, "error: $.kernel.taps must be a list, not {}"),
+        ("relative decompose", {"gain": [1, -1], "graph": {"n": 2, "edges": [[0, 1e308]]}}, "error: $.graph.edges[0][1] must be an integer"),
+    ],
+)
+def test_a_reading_error_names_the_path_of_the_value(capsys, tmp_path, command, doc, message):
+    err = _cli_error(capsys, tmp_path, command, json.dumps(doc))
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def test_a_null_optional_value_reads_as_unset(capsys, tmp_path):
+    # null stands for an unset field: the plant's B2 is the identity, and so on
+    path = tmp_path / "doc.json"
+    doc = json.loads((DATA / "chain3_plant_controller.json").read_text())
+    _, want = run_json(capsys, "sls", "check", "--input", str(DATA / "chain3_plant_controller.json"))
+    doc["plant"]["b2"] = None
+    path.write_text(json.dumps(doc))
+    assert run_json(capsys, "sls", "check", "--input", str(path))[1] == want
+    path.write_text(json.dumps({"n": 4, "gamma": None, "measure": None, "controller": None}))
+    _, got = run_json(capsys, "consensus", "h2", "--input", str(path))
+    assert got == run_json(capsys, "consensus", "h2", "--n", "4")[1]

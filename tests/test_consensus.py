@@ -1,6 +1,7 @@
 """Ring consensus: measures, feasibility certificates, deflated H2."""
 
 import math
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -663,3 +664,19 @@ def test_feasibility_memory_is_bounded_at_4096_agents(kind):
     assert cert.verdict == want
     assert peak <= 3 * 8 * n**2
     assert cert.witness.shape == (n, n)
+
+
+@pytest.mark.parametrize("gamma", [1e200, 1e308])
+def test_a_static_cost_past_the_float_range_is_an_error(gamma):
+    # gamma**2 of a Python float raised OverflowError here; the static
+    # branch now refuses the cost as the dynamic one does, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: h2_deflated(ave_problem(4, 1, gamma), static_consensus_gain(4)),
+            lambda: gap_demonstration(8, 1, gamma),
+        ):
+            with pytest.raises(ValueError, match="^the result holds a number that is not finite$"):
+                call()
+    # a large but representable cost is returned
+    assert h2_deflated(ave_problem(4, 1, 1e150), static_consensus_gain(4)) == pytest.approx(4.0e300)

@@ -160,7 +160,7 @@ def test_weighted_spectrum_matches_the_full_grid(case, gamma):
 def test_the_property_reaches_values_and_every_error_class():
     seen = set()
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(kernels(), st.sampled_from([0.0, 1.0]))
     def record(case, gamma):
         kernel, is_complex = case

@@ -806,3 +806,14 @@ def test_loop_drives_the_states_with_b2_only_when_it_is_not_the_identity():
         assert np.array_equal(phi_xx.A[:n, :n], A + D)
         assert np.array_equal(phi_xx.A[:n, n:], C)
         assert np.array_equal(phi_ux.C, np.hstack([K.D, K.C]))
+
+
+def test_a_plant_refuses_a_disturbance_map_that_is_not_the_identity():
+    # the loops take w into dx directly, so B1 = 5 I and B1 = 0 used to give
+    # the same phi_x as B1 = I
+    A = np.array([[0.0, 1.0], [-1.0, -1.0]])
+    for B1 in (5.0 * np.eye(2), np.zeros((2, 2)), np.eye(3), [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match="B1 must be the 2 x 2 identity"):
+            Plant(A, B1, np.eye(2))
+    plant = Plant(A, [[1, 0], [0, 1]], np.eye(2))
+    assert closed_loops_of(plant, -np.eye(2)).phi_x.n_states == 2

@@ -249,3 +249,18 @@ def test_no_tolerance_parameters():
                 if arg.arg in ("tol", "rtol", "rel_tol") and getattr(node, "name", "") != "try_exact_divide":
                     found.append(f"{path.name}:{arg.lineno}: {arg.arg}")
     assert not found, f"tolerance parameters in the package: {found}"
+
+
+def test_cli_main_catches_no_reading_slip():
+    # every document value is read by a rule that raises DocumentError, so
+    # main need not catch the errors of an unchecked read; catching one would
+    # hide a reader that skips the rules
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {
+        ast.unparse(name)
+        for handler in ast.walk(main)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in (handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type])
+    }
+    assert caught and not caught & {"KeyError", "TypeError", "AttributeError", "IndexError"}, caught

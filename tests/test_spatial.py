@@ -702,3 +702,22 @@ def test_overflowing_taps_raise_value_error_without_a_warning(value):
         if value == 1e200:
             assert all(np.isfinite(e.num).all() for e in dft_symbol(kernel).flat)
             assert np.isfinite(si_closed_loops(kernel).cl_den).all()
+
+
+@pytest.mark.parametrize("v", [-3e9, -5e9, -1e10, -1e12, -1e20])
+def test_a_large_stable_tap_keeps_the_leading_power_of_its_loop(v):
+    # with the offset-0 tap at v/(s + 1) the loop is stable and strictly
+    # proper; its denominator's s^k, small beside the tap, was trimmed
+    # against the largest coefficient and raised NonzeroFeedthrough from -5e9
+    doc = json.loads((Path(__file__).parent / "data" / "kernel_ring8.json").read_text())
+    kernel = ConvKernelArray.from_json(doc["kernel"])
+    kernel.set_tap((0,), RationalEntry([v], [1.0, 1.0]))
+    assert si_closed_loops(kernel).h2_squared(1.0) == pytest.approx(0.4375 * (abs(v) + 1.0), rel=1e-14)
+
+
+def test_a_large_positive_tap_is_positive_feedback():
+    doc = json.loads((Path(__file__).parent / "data" / "kernel_ring8.json").read_text())
+    kernel = ConvKernelArray.from_json(doc["kernel"])
+    kernel.set_tap((0,), RationalEntry([1e200], [1.0, 1.0]))
+    with pytest.raises(NotHurwitz):
+        si_closed_loops(kernel).h2_squared(1.0)

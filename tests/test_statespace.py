@@ -534,3 +534,39 @@ def test_state_space_json_round_trip():
     assert back.state_partition.block_sizes == (1, 2)
     for s in (0.9, 1.4 - 0.6j):
         assert np.allclose(back.evaluate(s), sys.evaluate(s), atol=1e-14)
+
+
+def poles_at(points):
+    """One input, one output and a 2 x 2 block with the poles p and conj(p) for each point p."""
+    n = 2 * len(points)
+    A = np.zeros((n, n))
+    for i, p in enumerate(points):
+        A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[p.real, p.imag], [-p.imag, p.real]]
+    return StateSpace(A, np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "points, checked",
+    [
+        # every check point a pole: tf_of used to return this conversion unchecked
+        (statespace._TF_CHECK_POINTS, statespace._TF_SPARE_POINTS),
+        (statespace._TF_CHECK_POINTS[:1], statespace._TF_CHECK_POINTS[1:] + statespace._TF_SPARE_POINTS[:1]),
+    ],
+)
+def test_tf_of_checks_three_points_that_are_not_poles(monkeypatch, points, checked):
+    sys = poles_at(points)
+    calls = []
+    evaluate = RationalMatrix.evaluate
+    monkeypatch.setattr(RationalMatrix, "evaluate", lambda self, s: calls.append(s) or evaluate(self, s))
+    H = tf_of(sys)
+    assert calls == list(checked)
+    assert pdeg(H[0, 0].den) == sys.n_states
+    for s in (0.3 + 0.2j, -2.0):
+        assert np.allclose(evaluate(H, s), sys.evaluate(s), rtol=1e-9)
+
+
+def test_tf_of_refuses_a_system_with_too_few_points_to_check():
+    spares = statespace._TF_SPARE_POINTS
+    for points in (statespace._TF_CHECK_POINTS + spares, statespace._TF_CHECK_POINTS + spares[1:]):
+        with pytest.raises(RationalConversionFailed, match="poles at the check points"):
+            tf_of(poles_at(points))
