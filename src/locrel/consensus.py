@@ -86,6 +86,7 @@ def consensus_measures(n, kinds=None):
       ``lr``  -- long-range deviation, row i reads x_i - x_{i-n/2}
                  (requires even n).
     """
+    _require_agents(n)
     if kinds is None:
         kinds = ("le", "ave", "lr") if n % 2 == 0 else ("le", "ave")
     out = {}
@@ -105,6 +106,12 @@ def consensus_measures(n, kinds=None):
         else:
             raise ValueError(f"unknown measure kind {kind!r}")
     return out
+
+
+def _require_agents(n):
+    """Raise ValueError unless there are at least 3 agents."""
+    if n < 3:
+        raise ValueError("need at least 3 agents")
 
 
 def _require_control_weight(gamma):
@@ -139,8 +146,7 @@ class ConsensusProblem:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need at least 3 agents")
+        _require_agents(self.n)
         if not (1 <= self.b < self.n / 2):
             raise ValueError("locality radius must satisfy 1 <= b < n/2")
         _require_control_weight(self.gamma)

@@ -58,6 +58,9 @@ def array(value, path, dims):
     """A number, or rectangular nested lists of numbers at most ``dims`` deep, as a float array."""
     if not (isinstance(value, list) and dims):
         return np.array(number(value, path))
+    whole = np.array(value, dtype=object)  # the common case at once, else a walk naming paths
+    if whole.ndim <= dims and set(map(type, whole.flat)) <= {int, float}:
+        return whole.astype(float)
     rows = [array(item, f"{path}[{i}]", dims - 1) for i, item in enumerate(value)]
     if len({row.shape for row in rows}) > 1:
         raise DocumentError(f"{path} must be a rectangular array, not {value!r}")

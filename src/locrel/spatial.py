@@ -1,19 +1,19 @@
 """Spatially invariant analysis on the d-dimensional discrete torus.
 
 Controllers and closed loops are convolution operators: a sparse set of
-rational taps indexed by spatial offset acts on signals over Z_n^d.
-The spatial DFT turns convolution into multiplication by a frequency
-symbol, which decouples H2 norms and closed-loop computations into
-independent scalar problems per frequency.  Those problems are solved
-together: the symbols are one coefficient array of shape (n,)*d + (deg,)
-over the taps' common denominator, and closed loops and per-frequency
-H2 norms are batched array operations on it.  For real taps the H2 sums
-visit one frequency of each conjugate pair (f, -f) with weight 2, and the
-Parseval sum, whose symbols share one denominator, is one Gramian.  Objects of
-``RationalEntry`` are built only where a caller asks for them:
-``dft_symbol`` and the ``phi_x_symbols`` and ``phi_u_symbols`` of a
-closed loop, built on first access.  Each such object array comes from
-one batch pass of ``rational.entry_array`` over the coefficient array.
+rational taps indexed by spatial offset acts on signals over Z_n^d.  The
+spatial DFT turns convolution into multiplication by a frequency symbol,
+which decouples H2 norms and closed-loop computations into independent
+scalar problems per frequency.  Those problems are solved together: the
+symbols are one coefficient array of shape (n,)*d + (deg,) over the taps'
+common denominator, and closed loops and per-frequency H2 norms are batched
+array operations on it.  The H2 sums visit one frequency of each orbit of
+the reflections f -> s f (s a sign vector) that fix the taps, weighted by
+its size; the Parseval sum is one Gramian, the kernel sum one per degree.
+Objects of ``RationalEntry`` are built only where a caller asks for them:
+``dft_symbol`` and the ``phi_x_symbols`` and ``phi_u_symbols`` of a closed
+loop, built on first access.  Each such object array comes from one batch
+pass of ``rational.entry_array`` over the coefficient array.
 """
 
 from __future__ import annotations
@@ -164,50 +164,71 @@ def dft_symbol(kernel):
 
 
 def si_h2_squared(kernel):
-    """Squared H2 norm: the sum of squared scalar H2 norms over all taps."""
-    total = 0.0
-    for offset, entry in kernel.taps():
-        try:
-            total += scalar_h2_squared(entry)
-        except LocrelError as exc:
-            raise UnstableKernelEntry(
-                f"tap at offset {offset} has no finite H2 norm: {exc}"
-            ) from exc
-    return total
+    """Squared H2 norm: the sum of squared scalar H2 norms over all taps, in canonical order.
+
+    The taps of each denominator degree are one ``batch_h2_squared`` call.
+    """
+    taps = kernel.taps()
+    if not taps:
+        return 0.0
+    nums, dens = RationalMatrix([[entry for _, entry in taps]])._rows()
+    sizes = np.array([entry.den.size for _, entry in taps])
+    norms = np.zeros(len(taps))
+    try:
+        for k in np.unique(sizes):
+            norms[sizes == k] = batch_h2_squared(nums[sizes == k], dens[sizes == k, :k])
+    except (LocrelError, ValueError):
+        # a batch names no tap: the first failing one in canonical order decides
+        for offset, entry in taps:
+            try:
+                scalar_h2_squared(entry)
+            except LocrelError as exc:
+                raise UnstableKernelEntry(
+                    f"tap at offset {offset} has no finite H2 norm: {exc}"
+                ) from exc
+        raise
+    return float(np.cumsum(norms)[-1])  # added one at a time, as a loop over the taps
 
 
-def _pair_weights(kernel):
-    """Weights that visit each conjugate pair of frequencies once, for real taps.
+def _orbit_weights(kernel):
+    """Weights that visit once each orbit of the reflections that fix the taps.
 
-    Their symbols at f and -f have equal H2 norms: the first of each pair in
-    C order weighs 2, the other 0, and a self-conjugate f (every index 0 or
-    n/2) 1.  A complex tap makes every weight 1.
+    A reflection f -> s f (mod n), s a sign vector, that maps each tap to a
+    bit-for-bit equal tap fixes every symbol, and for real taps so does -s.
+    An orbit's symbols have equal H2 norms: its size weighs its first index.
     """
     n, d = kernel.n, kernel.d
-    if not all(np.isreal(c).all() for e in kernel._taps.values() for c in (e.num, e.den)):
-        return np.ones((n,) * d)
-    flat = np.arange(n**d).reshape((n,) * d)
-    return np.sign(flat[np.ix_(*[-np.arange(n) % n] * d)] - flat) + 1.0
+    taps = {i: [(c.dtype, c.tobytes()) for c in (e.num, e.den)] for i, e in kernel._taps.items()}
+    signs = 1 - 2 * np.indices((2,) * d).reshape(d, -1).T  # -signs[j] is signs[-1 - j]
+    mirrors = (np.array(list(taps), dtype=int).reshape(-1, d) * signs[:, None] % n).tolist()
+    fixes = np.array([dict(zip(map(tuple, m), taps.values())) == taps for m in mirrors])
+    if not any(c.imag.any() for e in kernel._taps.values() for c in (e.num, e.den)):
+        fixes |= fixes[::-1]
+    # axes[g, i, f_i]: axis i's term of the C-order flat index of s f, for the g-th fixing s
+    axes = np.arange(n) * signs[fixes, :, None] % n * n ** np.arange(d - 1, -1, -1)[:, None]
+    axes = axes.astype(np.min_scalar_type(n**d))  # the narrowest integers add fastest
+    flat = sum(axes[:, i].reshape((-1,) + (1,) * i + (n,) + (1,) * (d - 1 - i)) for i in range(d))
+    return np.bincount(flat.min(axis=0).reshape(-1), minlength=n**d).astype(float).reshape((n,) * d)
 
 
 def si_h2_squared_parseval(kernel):
     """Same norm computed in frequency: the mean of squared symbol norms.
 
-    The symbols share the common denominator, so each weight class is the
-    stacked numerators of one ``batch_h2_squared`` entry.  The first nonzero
-    symbol leads alone, so it decides the error as a per-frequency loop would.
+    The symbols share the common denominator, so each weight class, in
+    ascending weight, is the stacked numerators of one ``batch_h2_squared``
+    entry.  The first nonzero symbol leads alone, so it decides the error.
     """
     coeffs, common = _symbol_coeffs(kernel)
     num = coeffs.reshape(-1, coeffs.shape[-1])
-    weight = _pair_weights(kernel).reshape(-1)
+    weight = _orbit_weights(kernel).reshape(-1)
     live = np.flatnonzero(weight * np.any(num, axis=1))
-    classes = [live[:1]] + [live[1:][weight[live[1:]] == w] for w in (1.0, 2.0)]
-    stacked = np.zeros((3, live.size, num.shape[1]), dtype=num.dtype)
+    weights = np.r_[np.sum(weight[live[:1]]), np.unique(weight[live[1:]])]
+    classes = [live[:1]] + [live[1:][weight[live[1:]] == w] for w in weights[1:]]
+    stacked = np.zeros((len(classes), live.size, num.shape[1]), dtype=num.dtype)
     for entry, rows in zip(stacked, classes):
         entry[: rows.size] = num[rows]
-    norms = batch_h2_squared(stacked, np.broadcast_to(common, (3, common.size)))
-    total = np.sum(weight[live[:1]]) * norms[0] + norms[1] + 2.0 * norms[2]
-    return float(total) / kernel.n**kernel.d
+    norms = batch_h2_squared(stacked, np.broadcast_to(common, (len(classes), common.size)))
+    return float(np.cumsum(weights * norms)[-1]) / kernel.n**kernel.d
 
 
 def is_relative_si(kernel):
@@ -381,7 +402,7 @@ def si_closed_loops(controller_kernel):
         cl_den=cl_den / lead,
         degree=degree,
     )
-    loops._weights = _pair_weights(controller_kernel)
+    loops._weights = _orbit_weights(controller_kernel)
     # the identity s phi_x - phi_u = 1 holds by construction; a sampled
     # residual guards against coefficient bookkeeping mistakes
     residual = loops.affine_residual(1.0 + 0.7j)

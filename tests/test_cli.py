@@ -596,3 +596,11 @@ def test_a_null_optional_value_reads_as_unset(capsys, tmp_path):
     path.write_text(json.dumps({"n": 4, "gamma": None, "measure": None, "controller": None}))
     _, got = run_json(capsys, "consensus", "h2", "--input", str(path))
     assert got == run_json(capsys, "consensus", "h2", "--n", "4")[1]
+
+
+@pytest.mark.parametrize("n", ["-1", "0", "1", "2"])
+def test_consensus_h2_refuses_fewer_than_three_agents(capsys, n):
+    # the measure used to be built first, and numpy's own error was printed
+    code, out, err = run_cli(capsys, "consensus", "h2", "--n", n)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: need at least 3 agents"]
