@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,7 +78,12 @@ def items(value, path):
 def partition(doc, path, key):
     """A Partition from the block sizes the object ``doc`` lists at ``key``; None if unset."""
     value, path = member(doc, path, key, default=None)
-    return None if value is None else Partition(tuple(count(*size) for size in items(value, path)))
+    if value is None:
+        return None
+    for size, at in items(value, path):
+        if count(size, at) < 0:
+            raise DocumentError(f"{at} must be a nonnegative integer, not {size!r}")
+    return Partition(tuple(count(*size) for size in items(value, path)))
 
 
 class Graph:
@@ -133,10 +139,7 @@ class Partition:
 
     def offsets(self):
         """Start index of every block plus the final end index."""
-        out = [0]
-        for s in self.block_sizes:
-            out.append(out[-1] + s)
-        return out
+        return list(accumulate(self.block_sizes, initial=0))
 
     def block_slice(self, i):
         off = self.offsets()

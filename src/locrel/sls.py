@@ -37,7 +37,7 @@ from .relative import is_relative
 from .statespace import (
     StateSpace,
     _column_subspaces,
-    _invariant_subspace,
+    _invariant_subspaces,
     block_diag,
     interleave_node_states,
     inverse,
@@ -227,7 +227,7 @@ def _affine_residual(Hx, Hu, A, B2, rhs):
     parameter |C_R[i] B_j|, however a realization splits that product
     between C and B.
     """
-    if np.array_equal(Hx.A, Hu.A) and np.array_equal(Hx.B, Hu.B):
+    if _shares_realization(Hx, Hu):
         A_c, B_c, C_x, C_u = Hx.A, Hx.B, Hx.C, Hu.C
     else:
         A_c = block_diag(Hx.A, Hu.A)
@@ -260,46 +260,79 @@ def check_affine_constraint(cl, plant):
     )
 
 
-def _row_realization(H, name, strict=True, support=None):
-    """Realization of a closed-loop map, states grouped by row.
+def _shares_realization(G, H):
+    """True when two realizations have equal A and B, as the views of one loop do."""
+    return np.array_equal(G.A, H.A) and np.array_equal(G.B, H.B)
 
-    A and C are block diagonal over the output rows, and B is zero on
-    every entry that ``transfer_support`` calls zero, so the realization
-    is structured wherever the map is.  A rational map is realized entry
-    by entry.  A state-space map is restricted, row by row, to the
-    observable subspace of that row (grown for all rows in one batched
-    pass) and then to the reachable subspace of the inputs the row
-    responds to; its feedthrough is kept.  The map must be strictly
-    proper, or, when not ``strict``, proper.  A caller that has already
-    computed ``transfer_support(H)`` passes it as ``support``.
+
+def _row_realizations(maps):
+    """(R, support) of closed-loop maps given as (H, name, strict), states grouped by row.
+
+    A map must be strictly proper, or, when not ``strict``, proper; the
+    first that fails decides the error.  A rational map is realized entry
+    by entry (support None), the maps that share A and B together.
     """
-    R = _realization(H, name, strict)
-    if isinstance(H, RationalMatrix):
-        return R
-    row_part, col_part = _transfer_partitions(H)
-    if support is None:
-        support = transfer_support(H)
-    blocks = [None] * H.n_outputs
-    # the observable subspaces of all rows grow in one batched pass
-    for rows, Q in _column_subspaces(H.A.T, H.C.T):
-        for i, Qi in zip(rows, Q):
-            A, B, c = Qi.T @ H.A @ Qi, Qi.T @ H.B, H.C[i : i + 1] @ Qi
-            B[:, ~support[i]] = 0.0
-            P = _invariant_subspace(A, B)
-            blocks[i] = (P.T @ A @ P, P.T @ B, c @ P)
-    sizes = np.array([A.shape[0] for A, _, _ in blocks], dtype=int)
-    offsets = row_part.offsets()
-    return StateSpace(
-        block_diag(*(A for A, _, _ in blocks)),
-        np.vstack([B for _, B, _ in blocks]),
-        block_diag(*(c for _, _, c in blocks)),
-        H.D,
-        state_partition=Partition(
-            tuple(int(sizes[lo:hi].sum()) for lo, hi in zip(offsets, offsets[1:]))
-        ),
-        in_partition=col_part,
-        out_partition=row_part,
-    )
+    out, groups = [], {}  # the first map of each shared realization: all its maps
+    for i, (H, name, strict) in enumerate(maps):
+        out.append((_realization(H, name, strict), None))
+        if isinstance(H, StateSpace):
+            _transfer_partitions(H)
+            first = next((j for j in groups if _shares_realization(maps[j][0], H)), i)
+            groups.setdefault(first, []).append(i)
+    for group in groups.values():
+        for i, pair in zip(group, _shared_row_realizations([maps[i][0] for i in group])):
+            out[i] = pair
+    return out
+
+
+def _shared_row_realizations(maps):
+    """(R, support) of state-space maps sharing A and B; R has A and C block diagonal by row.
+
+    The support is decided once, on the stacked rows, and B is zero on
+    every entry it calls zero.  Each row is restricted to its observable
+    subspace, then to the reachable subspace of the inputs it responds to
+    (every row in one ``_invariant_subspaces`` call); its feedthrough is kept.
+    """
+    A, B = maps[0].A, maps[0].B
+    C = np.vstack([H.C for H in maps])
+    support = transfer_support(StateSpace(A, B, C, np.vstack([H.D for H in maps])))
+    starts = np.cumsum([0] + [H.n_outputs for H in maps])
+    # one observable pass per map: a pass over the stacked rows would change
+    # the row count of its products with A, and with it their rounding
+    found = {}
+    for H, lo in zip(maps, starts):
+        for rows, Q in _column_subspaces(A.T, H.C.T):
+            found.setdefault(Q.shape[2], []).append((rows + lo, Q))
+    stacks = []  # one per observable dimension
+    for parts in found.values():
+        rows, Q = (np.concatenate(x) for x in zip(*parts))
+        Qt = Q.transpose(0, 2, 1)
+        B_rows = np.where(support[rows][:, None], Qt @ B, 0.0)
+        stacks.append((rows, Qt @ A @ Q, B_rows, C[rows][:, None] @ Q))
+    sizes, blocks = np.zeros(C.shape[0], dtype=int), []
+    for j, items, P in _invariant_subspaces([stack[1:3] for stack in stacks]):
+        rows, A_r, B_r, c = (X[items] for X in stacks[j])
+        Pt = P.transpose(0, 2, 1)
+        sizes[rows] = P.shape[2]
+        blocks.append((rows, Pt @ A_r @ P, Pt @ B_r, c @ P))
+    # one realization block diagonal over all rows; each map's is a diagonal block of it
+    ends = np.concatenate([[0], np.cumsum(sizes)])
+    A_all, B_all = np.zeros((ends[-1], ends[-1])), np.zeros((ends[-1], B.shape[1]))
+    C_all = np.zeros((C.shape[0], ends[-1]))
+    for rows, A_r, B_r, c in blocks:
+        states = ends[rows][:, None] + np.arange(A_r.shape[1])
+        A_all[states[:, :, None], states[:, None, :]] = A_r
+        B_all[states], C_all[rows[:, None], states] = B_r, c[:, 0]
+    out = []
+    for H, lo, hi in zip(maps, starts, starts[1:]):
+        row_part, col_part = _transfer_partitions(H)
+        span, state_ends = slice(ends[lo], ends[hi]), ends[lo + np.array(row_part.offsets())]
+        R = StateSpace(
+            A_all[span, span].copy(), B_all[span].copy(), C_all[lo:hi, span].copy(), H.D,
+            Partition(tuple(np.diff(state_ends).tolist())), col_part, row_part,
+        )
+        out.append((R, support[lo:hi]))
+    return out
 
 
 def _derivative(R):
@@ -353,15 +386,15 @@ def implementation_realization_sf(cl, pattern=None):
     """Internal realization of the controller acting on the closed loops.
 
     Implements the update v = x + (I - s phi_x) v, u = s phi_u v as one
-    state-space system from row-grouped realizations of both maps,
-    preserving transfer sparsity: when the closed loops conform to
+    state-space system from row-grouped realizations of both maps (made
+    together when they share A and B, as the views of ``closed_loops_of``
+    do), preserving transfer sparsity: when the closed loops conform to
     ``pattern`` the returned realization is structured node by node.
 
     Returns (system, witness) where witness is the structure check result
     against ``pattern`` (None when no pattern is given).
     """
-    Rx = _row_realization(cl.phi_x, "phi_x")
-    Ru = _row_realization(cl.phi_u, "phi_u")
+    (Rx, _), (Ru, _) = _row_realizations([(cl.phi_x, "phi_x", True), (cl.phi_u, "phi_u", True)])
     _require_unit_feedthrough(Rx, "phi_x")
     impl = interleave_node_states(
         _sf_cascade(Rx, Ru), [Rx.state_partition, Ru.state_partition]
@@ -375,9 +408,9 @@ def implementation_realization_sf(cl, pattern=None):
 _OF_MAPS = ("phi_xx", "phi_xy", "phi_ux", "phi_uy")
 
 
-def _of_realizations(cl4, realize):
-    """The four output-feedback maps through ``realize``; only phi_uy may be proper."""
-    return [realize(getattr(cl4, name), name, name != "phi_uy") for name in _OF_MAPS]
+def _of_maps(cl4):
+    """(H, name, strict) of the four output-feedback maps; only phi_uy may be proper."""
+    return [(getattr(cl4, name), name, name != "phi_uy") for name in _OF_MAPS]
 
 
 def check_of_constraints(cl4, plant):
@@ -391,7 +424,7 @@ def check_of_constraints(cl4, plant):
     if plant.C2 is None:
         raise ValueError("plant needs a measurement channel C2 for output feedback")
     A, B2, C2 = plant.A, plant.B2, plant.C2
-    xx, xy, ux, uy = _of_realizations(cl4, _realization)
+    xx, xy, ux, uy = (_realization(*m) for m in _of_maps(cl4))
     n = plant.n
     return max(
         _affine_residual(xx, ux, A, B2, np.eye(n)),
@@ -424,35 +457,30 @@ def _of_controller(xx, xy, ux, uy):
 
 def recover_controller_of(cl4):
     """Output-feedback controller phi_uy - phi_ux phi_xx^-1 phi_xy, minimally realized."""
-    return minimal_realization(_of_controller(*_of_realizations(cl4, _realization)))
+    return minimal_realization(_of_controller(*(_realization(*m) for m in _of_maps(cl4))))
 
 
 def of_structured_implementation(cl4, pattern):
     """Structured internal realization of the output-feedback controller.
 
     The cascade of ``_of_controller`` on row-grouped realizations of the
-    four maps, with its states regrouped by node.  All blocks of the
-    cascade have block-diagonal output maps, so the interconnection stays
-    inside the pattern sparsity.
+    four maps, with its states regrouped by node; each map's pattern
+    check reads the support its realization was made with (one per
+    shared A and B).  All blocks of the cascade have block-diagonal output
+    maps, so the interconnection stays inside the pattern sparsity.
 
     Returns (system, witness).
     """
-    maps = {name: getattr(cl4, name) for name in _OF_MAPS}
-    # a state-space map's support serves its row realization and its pattern check
-    supports = {
-        name: transfer_support(H) for name, H in maps.items() if isinstance(H, StateSpace)
-    }
-    xx, xy, ux, uy = _of_realizations(
-        cl4, lambda H, name, strict: _row_realization(H, name, strict, supports.get(name))
-    )
-    for name, H in maps.items():
+    realized = _row_realizations(_of_maps(cl4))
+    for (H, name, _), (_, support) in zip(_of_maps(cl4), realized):
         map_pattern = _pattern_for(pattern, H)
-        if name in supports:
-            conforms = not np.any(supports[name] & ~_entry_pattern(map_pattern))
+        if support is not None:
+            conforms = not np.any(support & ~_entry_pattern(map_pattern))
         else:
             conforms = is_tf_structured(H, map_pattern)
         if not conforms:
             raise NotTFStructured(f"{name} does not conform to the pattern")
+    xx, xy, ux, uy = (R for R, _ in realized)
     groups = [xy.state_partition, xx.state_partition, xx.out_partition]
     groups += [ux.state_partition, uy.state_partition]
     impl = interleave_node_states(_of_controller(xx, xy, ux, uy), groups)

@@ -25,9 +25,10 @@ Subspaces grown from one vector each, one per column of B or row of C,
 grow together in ``_column_subspaces``: one product with A per Krylov
 step for every column, in batches of bounded memory.  That serves the
 last stage of ``transfer_support``, the per-entry conversion in ``tf_of``
-and the per-row observable step of ``sls._row_realization``.  Subspaces grown
-from a block of vectors (``minimal_realization`` and the per-row
-reachable step) use ``_invariant_subspace``.
+and the per-row observable step of ``sls._row_realizations``.  Subspaces
+grown from blocks of vectors grow a stack at a time in
+``_invariant_subspaces`` (one stacked SVD per step): every row's reachable
+step of ``sls._row_realizations``, and ``minimal_realization``.
 """
 
 from __future__ import annotations
@@ -395,45 +396,55 @@ def char_poly(A):
     return q, mats
 
 
-def _invariant_subspace(A, V, norms=None):
-    """Orthonormal basis of the smallest A-invariant subspace holding range(V).
+def _frobenius(X):
+    """``np.linalg.norm`` of every matrix of a stack, bit for bit: a dot product in memory order."""
+    if X.strides[1] < X.strides[2]:
+        X = X.transpose(0, 2, 1)
+    flat = X.reshape(X.shape[0], 1, -1)
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
 
-    Grows the basis one Krylov block at a time.  Each block is projected
-    off the basis, and its rank is the number of singular values above
-    ZERO of the block norm; the left singular vectors behind them join
-    the basis.  (Unpivoted QR is not rank revealing: a small leading
-    column hides the later ones.)  Once the blocks are images A @ Q, a
-    singular value at most ZERO times the norm of A is captured too: an
-    image that vanishes in exact arithmetic leaves rounding of the size
-    of A, not a new direction.
 
-    When A and V are projections of larger maps, ``norms`` gives the
-    norms of those maps: the rounding a projection leaves is of their
-    size, so directions are judged against them rather than against
-    what the projection left (which is itself rounding on a part that
-    vanishes).
+def _invariant_subspaces(stacks, norms=None):
+    """Orthonormal bases of the smallest A-invariant subspaces holding range(V), item by item.
+
+    ``stacks`` holds (A, V) stacks, A (g, n, n) and V (g, n, w).  Yields
+    (j, items, Q): items of stack j whose subspaces share a dimension k,
+    and their bases as a (len(items), n, k) array.  Each step projects a
+    Krylov block off the basis for a group of items; its rank is the
+    number of singular values above ZERO of the block norm (one stacked
+    SVD; unpivoted QR is not rank revealing), the left singular vectors
+    behind them join the basis, and the group splits by that rank.
+    After the first step a singular value at most ZERO times the norm of
+    A is rounding, not a direction.  For projections of larger maps,
+    ``norms`` gives their norms (a, v): the rounding a projection leaves
+    is of their size.  The products are those of one item alone.
     """
-    n = A.shape[0]
-    Q = np.zeros((n, 0))
-    W = np.atleast_2d(V)
-    a_norm, v_norm = norms if norms is not None else (np.linalg.norm(A), 0.0)
-    floor, image_floor = ZERO * v_norm, ZERO * a_norm
-    while W.shape[1] and Q.shape[1] < n:
-        # threshold against the block before orthogonalization, so that a
-        # block already inside span(Q) up to rounding terminates the loop
-        scale = np.linalg.norm(W)
-        if scale <= max(floor, TINY):
-            break
-        W = W - Q @ (Q.T @ W)
-        W = W - Q @ (Q.T @ W)
+    pending = []
+    for j, (A, V) in enumerate(stacks):
+        a_norm, v_norm = norms if norms is not None else (_frobenius(A), 0.0)
+        floors = (np.full(len(V), ZERO * x) for x in (v_norm, a_norm))
+        pending.append((j, np.arange(len(V)), A, np.zeros(V.shape[:2] + (0,)), V, *floors))
+    while pending:
+        j, items, A, Q, W, floor, image_floor = pending.pop()
+        # the block before orthogonalization decides whether the item stops,
+        # so that a block already inside span(Q) up to rounding stops it
+        scale = _frobenius(W)
+        for _ in range(2 if Q.shape[2] else 0):
+            W = W - Q @ (Q.transpose(0, 2, 1) @ W)
         U, sv, _ = np.linalg.svd(W, full_matrices=False)
-        fresh = U[:, sv > max(ZERO * scale, floor)]
-        if not fresh.shape[1]:
-            break
-        Q = np.hstack([Q, fresh])
-        W = A @ fresh
-        floor = image_floor
-    return Q
+        rank = (sv > np.maximum(ZERO * scale, floor)[:, None]).sum(axis=1)
+        rank *= scale > np.maximum(floor, TINY)
+        ranks = rank.tolist()
+        for r in set(ranks):
+            take = (lambda X: X) if ranks.count(r) == len(ranks) else (lambda X: X[rank == r])
+            # column-major items, as U[:, mask] is for one item, round alike in products
+            fresh = np.ascontiguousarray(take(U)[:, :, :r].transpose(0, 2, 1)).transpose(0, 2, 1)
+            Q_r = np.concatenate([take(Q), fresh], axis=2)
+            if r == 0 or Q_r.shape[2] == Q.shape[1]:
+                yield j, take(items), Q_r
+            else:
+                A_r = take(A)
+                pending.append((j, take(items), A_r, Q_r, A_r @ fresh, *(take(image_floor),) * 2))
 
 
 # Basis elements per batch of Krylov columns: a batch of g columns at step
@@ -443,17 +454,17 @@ KRYLOV_BLOCK_ELEMENTS = 1 << 18
 
 
 def _column_subspaces(A, V, v_norms=None, a_norm=None):
-    """``_invariant_subspace(A, V[:, [j]])`` for every column j of V at once.
+    """``_invariant_subspaces`` of (A, V[:, [j]]) for every column j of V at once.
 
     Yields (cols, Q), in no fixed order: column indices whose subspaces
     share a dimension k, and their orthonormal bases stacked as a
     (len(cols), n, k) array.  Each Krylov step is one product with A for
-    every live column.  The rank rule is ``_invariant_subspace``'s, with
+    every live column.  The rank rule is ``_invariant_subspaces``', with
     the SVD of a one-column block read as its norm: a vector joins when
     its norm after projection is above max(ZERO * scale, floor), and its
     column stops once the scale is at most max(floor, TINY).
     ``v_norms`` (one per column) and ``a_norm`` play the part of
-    ``_invariant_subspace``'s ``norms``.
+    ``_invariant_subspaces``' ``norms``.
     """
     n, m = A.shape[0], V.shape[1]
     image_floor = ZERO * (np.linalg.norm(A) if a_norm is None else a_norm)
@@ -470,7 +481,7 @@ def _column_subspaces(A, V, v_norms=None, a_norm=None):
                 scale = np.sqrt(np.einsum("ij,ij->i", W, W))
                 norm = scale
                 if k:
-                    # projected off the basis twice, as in _invariant_subspace
+                    # projected off the basis twice, as in _invariant_subspaces
                     for _ in range(2):
                         W = W - np.matmul(Q, np.matmul(W[:, None, :], Q)[:, 0, :, None])[:, :, 0]
                     norm = np.sqrt(np.einsum("ij,ij->i", W, W))
@@ -500,10 +511,10 @@ def minimal_realization(sys):
     of Van Dooren, IEEE TAC 26(1), 1981).  The transfer matrix and the
     input and output partitions are kept; the state partition is not.
     """
-    Q = _invariant_subspace(sys.A, sys.B)
+    ((_, _, (Q,)),) = _invariant_subspaces([(sys.A[None], sys.B[None])])
     norms = np.linalg.norm(sys.A), np.linalg.norm(sys.C)
     A, B, C = Q.T @ sys.A @ Q, Q.T @ sys.B, sys.C @ Q
-    Q = _invariant_subspace(A.T, C.T, norms=norms)
+    ((_, _, (Q,)),) = _invariant_subspaces([(A.T[None], C.T[None])], norms)
     return StateSpace(
         Q.T @ A @ Q,
         Q.T @ B,
@@ -668,18 +679,13 @@ def interleave_node_states(sys, groups):
     permuted to node-major order and the state partition becomes the
     per-node totals.
     """
-    counts = [list(g.block_sizes) for g in groups]
-    n_nodes = len(counts[0])
-    if any(len(c) != n_nodes for c in counts):
+    n_nodes = groups[0].n_blocks
+    if any(g.n_blocks != n_nodes for g in groups):
         raise ValueError("all groups must partition over the same node count")
-    sub_offsets = np.concatenate([[0], np.cumsum([sum(c) for c in counts])]).astype(int)
-    perm = []
-    for node in range(n_nodes):
-        for k, c in enumerate(counts):
-            start = sub_offsets[k] + sum(c[:node])
-            perm.extend(range(start, start + c[node]))
-    node_sizes = tuple(sum(c[node] for c in counts) for node in range(n_nodes))
-    out = permute_states(sys, perm)
-    out.state_partition = Partition(node_sizes)
+    counts = np.array([g.block_sizes for g in groups], dtype=int)
+    # the node of every stacked state; a stable sort keeps subsystem order within a node
+    nodes = np.repeat(np.tile(np.arange(n_nodes), len(groups)), counts.ravel())
+    out = permute_states(sys, np.argsort(nodes, kind="stable"))
+    out.state_partition = Partition(tuple(counts.sum(axis=0).tolist()))
     return out
 

@@ -105,6 +105,18 @@ def test_the_readers_name_the_paths_they_were_given():
         pattern_from_json({"graph": {"n": 1}, "colPartition": [True]})
 
 
+def test_a_negative_block_size_is_refused_by_its_path():
+    with pytest.raises(DocumentError, match=r"^\$\.p\[1\] must be a nonnegative integer, not -1$"):
+        partition({"p": [1, -1, 3]}, "$", "p")
+    with pytest.raises(DocumentError, match=r"^\$\.pattern\.rowPartition\[0\] must be a nonnegative integer, not -2\.0$"):
+        pattern_from_json({"graph": {"n": 1}, "rowPartition": [-2.0]})
+    with pytest.raises(DocumentError, match=r"^\$\.system\.partitions\.state\[2\] must be a nonnegative"):
+        StateSpace.from_json(
+            {"A": [[0.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]], "partitions": {"state": [1, 0, -1]}}
+        )
+    assert partition({"p": [0, 2, 0]}, "$", "p") == Partition((0, 2, 0))
+
+
 def test_a_pattern_reads_unset_partitions_as_one_node_a_block():
     pattern = pattern_from_json({"graph": {"n": 3, "edges": [[0, 1]]}, "rowPartition": None})
     assert pattern.row_partition == pattern.col_partition == Partition.scalar(3)
@@ -120,6 +132,17 @@ def run_on(words, doc):
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def test_a_negative_block_size_is_refused_by_its_path_in_the_cli():
+    doc = json.loads((DATA / "tridiag3.json").read_text())
+    doc["system"]["partitions"]["state"] = [1, -1, 3]
+    # this used to print "error: block sizes must be nonnegative", with no path
+    assert run_on(["structure", "check"], doc) == (
+        1,
+        "",
+        "error: $.system.partitions.state[1] must be a nonnegative integer, not -1\n",
+    )
 
 
 def test_a_wrong_value_is_refused_by_its_path():

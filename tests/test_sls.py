@@ -36,7 +36,7 @@ from locrel.sls import (
     ClosedLoopPair,
     OutputFeedbackClosedLoops,
     Plant,
-    _row_realization,
+    _row_realizations,
     check_affine_constraint,
     check_of_constraints,
     check_relative_equivalence,
@@ -49,6 +49,12 @@ from locrel.sls import (
 )
 from locrel.statespace import StateSpace, parallel, series, tf_of
 from locrel.structure import is_tf_structured, transfer_support
+
+
+def row_realization(H, name):
+    """The one-map case of ``_row_realizations``."""
+    ((R, _),) = _row_realizations([(H, name, True)])
+    return R
 
 
 def chain_plant():
@@ -355,7 +361,7 @@ def test_implementation_of_state_space_loops(rng):
         impl, witness = implementation_realization_sf(cl, pattern)
         for s in PROBES:
             assert relative_error(impl.evaluate(s), K(s)) < 1e-9
-        for R in (_row_realization(cl.phi_x, "phi_x"), _row_realization(cl.phi_u, "phi_u")):
+        for R in (row_realization(cl.phi_x, "phi_x"), row_realization(cl.phi_u, "phi_u")):
             assert max(R.state_partition.block_sizes) <= cl.phi_x.n_states
         if n <= 6:
             rational = ClosedLoopPair(tf_of(cl.phi_x), tf_of(cl.phi_u))
@@ -369,7 +375,7 @@ def test_implementation_of_chain_design_from_state_space_loops():
     assert witness.structured
     # a row's states are driven only by the inputs that row responds to
     for H in (cl.phi_x, cl.phi_u):
-        R = _row_realization(H, "loop")
+        R = row_realization(H, "loop")
         rows = np.repeat(np.arange(3), R.state_partition.block_sizes)
         assert not np.any(R.B[~transfer_support(H)[rows]])
     for s in PROBES:
@@ -633,7 +639,8 @@ def test_of_implementation_decides_each_support_once(monkeypatch):
     pattern = StructurePattern.scalar(Graph(np.ones((n, n), dtype=bool)))
     _, witness = of_structured_implementation(ring_output_feedback_loops(n), pattern)
     assert witness.structured
-    assert len(supports) == 4 and not verdicts
+    # one support per shared realization: (phi_xx, phi_ux) and (phi_xy, phi_uy)
+    assert len(supports) == 2 and not verdicts
 
 
 def test_row_realization_keeps_a_row_with_no_observable_states():
@@ -643,7 +650,7 @@ def test_row_realization_keeps_a_row_with_no_observable_states():
     C[1] = 0.0
     A = -2.0 * np.eye(3) + 0.3 * rng.standard_normal((3, 3))
     H = StateSpace(A, rng.standard_normal((3, 2)), C, np.zeros((3, 2)))
-    R = _row_realization(H, "loop")
+    R = row_realization(H, "loop")
     assert R.state_partition.block_sizes[1] == 0
     assert R.C.shape == (3, R.n_states) and not np.any(R.C[1])
     for s in PROBES:

@@ -264,3 +264,43 @@ def test_cli_main_catches_no_reading_slip():
         for name in (handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type])
     }
     assert caught and not caught & {"KeyError", "TypeError", "AttributeError", "IndexError"}, caught
+
+
+# Routines that take every column, row or item of a realization in one pass.
+BATCHED = ("transfer_support", "_invariant_subspaces")
+
+
+def _repeated_parts(node):
+    """The parts of a loop or a comprehension that run once per item; [] for other nodes."""
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+        return node.body
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        heads = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        # the first iterable is evaluated once, every later one once per item
+        later = [gen.iter for gen in node.generators[1:]]
+        return heads + later + [cond for gen in node.generators for cond in gen.ifs]
+    return []
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_batched_passes_are_not_called_per_item():
+    # transfer_support decides every entry of a realization at once, and
+    # _invariant_subspaces grows every item of its stacks at once; a call
+    # per item from a loop or a comprehension would undo the batching
+    found, called = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                called.add(_called_name(node))
+            for part in _repeated_parts(node):
+                found |= {
+                    f"{path.name}:{call.lineno}: {_called_name(call)}"
+                    for call in ast.walk(part)
+                    if isinstance(call, ast.Call) and _called_name(call) in BATCHED
+                }
+    assert called >= set(BATCHED)
+    assert not found, f"batched passes called once per item: {sorted(found)}"

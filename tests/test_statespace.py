@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import approximation_transfer, h2_norm_squared
 
 from locrel.errors import (
@@ -482,6 +484,39 @@ def test_realize_rational_matches_mirrored_branches_bitwise():
             assert sys.state_partition.block_sizes == sizes
             for got, want in zip((sys.A, sys.B, sys.C, sys.D), mats):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_interleave_permutation(groups):
+    """The node-major permutation as nested loops over nodes and subsystems."""
+    counts = [list(g.block_sizes) for g in groups]
+    sub_offsets = np.concatenate([[0], np.cumsum([sum(c) for c in counts])]).astype(int)
+    perm = []
+    for node in range(len(counts[0])):
+        for k, c in enumerate(counts):
+            start = sub_offsets[k] + sum(c[:node])
+            perm.extend(range(start, start + c[node]))
+    return perm
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda nodes: st.lists(
+            st.lists(st.integers(0, 3), min_size=nodes, max_size=nodes), min_size=1, max_size=5
+        )
+    )
+)
+def test_interleave_matches_the_nested_loops(sizes):
+    # zero-size blocks included; the states carry their stacked index, so the
+    # permutation can be read off the diagonal of A
+    groups = [Partition(tuple(s)) for s in sizes]
+    total = sum(map(sum, sizes))
+    index = np.arange(total, dtype=float)
+    sys = StateSpace(np.diag(index), index[:, None], index[None, :], np.zeros((1, 1)))
+    merged = interleave_node_states(sys, groups)
+    want = reference_interleave_permutation(groups)
+    assert np.diagonal(merged.A).tolist() == want and merged.B[:, 0].tolist() == want
+    assert merged.state_partition == Partition(tuple(map(sum, zip(*sizes))))
 
 
 def test_interleave_node_states():

@@ -19,7 +19,7 @@ from locrel.sls import Plant, closed_loops_of, implementation_realization_sf
 from locrel.statespace import (
     StateSpace,
     _column_subspaces,
-    _invariant_subspace,
+    _invariant_subspaces,
     tf_of,
 )
 from locrel.structure import (
@@ -171,6 +171,12 @@ def krylov_starts(draw):
     return T @ M @ T.T, T[:, :r] @ V1 * np.array(scales)
 
 
+def _one_subspace(A, V, norms=None):
+    """The basis ``_invariant_subspaces`` grows for one item (A, V)."""
+    ((_, _, Q),) = _invariant_subspaces([(A[None], V[None])], norms)
+    return Q[0]
+
+
 def _krylov_rank(A, V):
     """Numerical rank of [V, A V, ..., A^(n-1) V] with A and V scaled to norm one."""
     A = A / np.linalg.norm(A, 2)
@@ -185,7 +191,7 @@ def _krylov_rank(A, V):
 @given(krylov_starts())
 def test_invariant_subspace_of_a_start_block(case):
     A, V = case
-    Q = _invariant_subspace(A, V)
+    Q = _one_subspace(A, V)
     k = Q.shape[1]
     assert np.max(np.abs(Q.T @ Q - np.eye(k))) < 1e-12
     assert np.linalg.norm(V - Q @ (Q.T @ V)) < 1e-8 * np.linalg.norm(V)
@@ -245,9 +251,7 @@ def test_column_subspaces_match_one_column_subspaces(case):
             found.update(zip(cols.tolist(), Q))
     assert sorted(found) == list(range(V.shape[1]))
     for j, Q in found.items():
-        want = _invariant_subspace(
-            A, V[:, [j]], norms=None if norms is None else (a_norm, v_norms[j])
-        )
+        want = _one_subspace(A, V[:, [j]], norms=None if norms is None else (a_norm, v_norms[j]))
         assert Q.shape == want.shape
         assert np.max(np.abs(Q @ Q.T - want @ want.T), initial=0.0) < 1e-10
         assert np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])), initial=0.0) < 1e-12
@@ -280,13 +284,13 @@ def test_ring_loops_grow_no_single_column_subspace(monkeypatch):
     # every one-vector Krylov start goes through the batched kernel
     single = []
 
-    def counting(A, V, *args, **kwargs):
-        if np.atleast_2d(V).shape[1] == 1:
-            single.append(V)
-        return _invariant_subspace(A, V, *args, **kwargs)
+    def counting(stacks, *args, **kwargs):
+        stacks = list(stacks)
+        single.extend(V for _, V in stacks if V.shape[2] == 1)
+        return _invariant_subspaces(stacks, *args, **kwargs)
 
-    monkeypatch.setattr(statespace, "_invariant_subspace", counting)
-    monkeypatch.setattr(sls, "_invariant_subspace", counting)
+    monkeypatch.setattr(statespace, "_invariant_subspaces", counting)
+    monkeypatch.setattr(sls, "_invariant_subspaces", counting)
     cl = _ring_closed_loops(16)[0][1]  # the K_a loop
     assert transfer_support(cl.phi_x).any() and transfer_support(cl.phi_u).any()
     implementation_realization_sf(cl)
@@ -360,7 +364,7 @@ def test_rounding_in_a_vanishing_krylov_image_is_not_a_direction():
     # rounding behind; C b = 0, so the entry is zero
     A = np.array([[3.0, 0.0, -1.0], [2.0, -1.0, 0.0], [0.0, 3.0, -2.0]])
     b = np.array([[1.0], [2.0], [3.0]])
-    assert _invariant_subspace(A, b).shape[1] == 1
+    assert _one_subspace(A, b).shape[1] == 1
     sys = StateSpace(A, b, np.array([[2.0, -1.0, 0.0]]), np.zeros((1, 1)))
     assert not transfer_support(sys).any()
 
