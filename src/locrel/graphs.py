@@ -80,6 +80,8 @@ def partition(doc, path, key):
     value, path = member(doc, path, key, default=None)
     if value is None:
         return None
+    if value == []:
+        raise DocumentError(f"{path} must list at least one block size, not []")
     for size, at in items(value, path):
         if count(size, at) < 0:
             raise DocumentError(f"{at} must be a nonnegative integer, not {size!r}")
@@ -277,9 +279,8 @@ def path_graph(n):
     if n < 1:
         raise ValueError("a path needs at least 1 node")
     adj = np.eye(n, dtype=bool)
-    for i in range(n - 1):
-        adj[i, i + 1] = True
-        adj[i + 1, i] = True
+    idx = np.arange(n - 1)
+    adj[idx, idx + 1] = adj[idx + 1, idx] = True
     return Graph(adj)
 
 
@@ -293,42 +294,25 @@ def torus_graph(n, d):
         raise ValueError("a torus needs at least 3 points per axis")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    size = n**d
-    adj = np.eye(size, dtype=bool)
-    strides = [n ** (d - 1 - k) for k in range(d)]
-
-    def flat(index):
-        return sum(c * s for c, s in zip(index, strides))
-
-    for node in range(size):
-        index = []
-        rem = node
-        for s in strides:
-            index.append(rem // s)
-            rem %= s
-        for axis in range(d):
-            for step in (-1, 1):
-                other = list(index)
-                other[axis] = (other[axis] + step) % n
-                adj[node, flat(other)] = True
+    nodes = np.arange(n**d).reshape((n,) * d)
+    adj = np.eye(n**d, dtype=bool)
+    for axis in range(d):
+        for step in (-1, 1):
+            adj[nodes.ravel(), np.roll(nodes, -step, axis=axis).ravel()] = True
     return Graph(adj)
 
 
 def graph_to_json(graph):
     """Serialize as {"n": ..., "edges": [[i, j], ...]} without self-loops."""
-    edges = []
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            if graph.adjacency[i, j]:
-                edges.append([i, j])
-    return {"n": graph.n, "edges": edges}
+    edges = np.transpose(np.nonzero(np.triu(graph.adjacency, 1)))
+    return {"n": graph.n, "edges": edges.tolist()}
 
 
 def graph_from_json(data, path="$.graph"):
     """Parse the {"n", "edges"} format: n >= 1, edges as node pairs, duplicates tolerated."""
     n = count(*member(data, path, "n"))
     if n < 1:
-        raise ValueError(f"a graph needs at least 1 node, not n={n}")
+        raise DocumentError(f"{path}.n must be at least 1, not {n}")
     adj = np.eye(n, dtype=bool)
     for edge in items(*member(data, path, "edges", default=[])):
         nodes = items(*edge)
@@ -336,7 +320,7 @@ def graph_from_json(data, path="$.graph"):
             raise DocumentError(f"{edge[1]} must be a pair of nodes, not {edge[0]!r}")
         i, j = (count(*node) for node in nodes)
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+            raise DocumentError(f"{edge[1]} must join nodes 0 to {n - 1}, not {edge[0]!r}")
         adj[i, j] = True
         adj[j, i] = True
     return Graph(adj)

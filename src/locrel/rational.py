@@ -1,21 +1,24 @@
 """Rational transfer-function entries and matrices.
 
-Polynomials are stored as coefficient arrays in ascending powers of s.
-Denominators are normalized to a leading coefficient of one.  Arithmetic
-is plain coefficient convolution with a hard degree cap.  An entry never
-cancels common factors itself; ``cancel_common_factors`` does where a
-caller asks, by stripping shared powers of s exactly and by a
-conservative root-matching test, which batch builders run only on the
-entries that ``_cancellable_rows`` flags.
+Polynomials are stored as coefficient arrays in ascending powers of s;
+``padd`` and ``pmul`` combine them under a hard degree cap.  Denominators
+are normalized to a leading coefficient of one.  An entry has no
+arithmetic of its own and never cancels common factors itself;
+``cancel_common_factors`` does where a caller asks, by stripping shared
+powers of s exactly and by a conservative root-matching test, which batch
+builders run only on the entries that ``_cancellable_rows`` flags.
 """
 
 from __future__ import annotations
+
+from functools import cache, reduce
 
 import numpy as np
 
 from .errors import (
     CommonDenominatorTruncated,
     DegreeCapExceeded,
+    DocumentError,
     ImproperEntry,
     SingularAtS,
 )
@@ -64,7 +67,8 @@ def trim_rows(coeffs, scale=None):
     above each row's degree become zero.
     """
     magnitude = np.abs(coeffs)
-    scale = np.max(magnitude, axis=-1, keepdims=True) if scale is None else scale
+    # the row maxima column by column: np.max along a short last axis loops row by row
+    scale = reduce(np.maximum, np.moveaxis(magnitude, -1, 0))[..., None] if scale is None else scale
     kept = ~(magnitude <= ZERO * scale)
     kept[..., 0] = True
     degree = coeffs.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
@@ -92,10 +96,6 @@ def pmul(a, b):
             f"product degree {out.size - 1} exceeds the cap {DEGREE_CAP}"
         )
     return ptrim(out)
-
-
-def pscale(a, alpha):
-    return ptrim(_as_coeffs(a) * alpha)
 
 
 def pval(c, s):
@@ -360,23 +360,6 @@ class RationalEntry:
         """The value at s: the one-entry case of ``RationalMatrix.evaluate``."""
         return _values(self.num[None], self.den[None], s)[0]
 
-    def __add__(self, other):
-        other = _coerce_entry(other)
-        if self.den.size == other.den.size and np.allclose(
-            self.den, other.den, rtol=EXACT, atol=0.0
-        ):
-            return RationalEntry(padd(self.num, other.num), self.den)
-        num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-        return RationalEntry(num, pmul(self.den, other.den))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return RationalEntry(pscale(self.num, other), self.den)
-        other = _coerce_entry(other)
-        return RationalEntry(pmul(self.num, other.num), pmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
     def to_json(self):
         return {"num": [float(c) for c in self.num], "den": [float(c) for c in self.den]}
 
@@ -436,18 +419,18 @@ def entry_array(nums, dens):
 
 
 def _horner(rows, z):
-    """Values at z of the ascending rows by Horner's rule, rounded as Python's complex type does."""
-    re = im = np.zeros(rows.shape[0])  # apart: numpy's complex product may round otherwise
-    for c in rows.T[::-1]:
+    """Values at z of the ascending rows (last axis) by Horner's rule, rounded as Python's complex type does."""
+    re = im = np.zeros(rows.shape[:-1])  # apart: numpy's complex product may round otherwise
+    for c in np.moveaxis(rows, -1, 0)[::-1]:
         re, im = re * z.real - im * z.imag + c.real, re * z.imag + im * z.real + c.imag
-    return np.stack((re, im), axis=1).view(complex)[:, 0]
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
 
 
 def _values(nums, dens, s):
-    """nums[i] / dens[i] at s; a pole where |den(s)| <= EXACT max(max|den|, 1) max(1, |s|)^deg."""
-    z = complex(s)
+    """nums[..., i, :] / dens[i] at s; a pole where |den(s)| <= EXACT max(max|den|, 1) max(1, |s|)^deg."""
+    z, magnitude = complex(s), np.abs(dens)  # the degrees trim_rows finds depend on magnitudes only
     den = _horner(dens, z)
-    scale = np.maximum(np.max(np.abs(dens), axis=1), 1.0) * max(1.0, abs(z)) ** trim_rows(dens)[1]
+    scale = np.maximum(reduce(np.maximum, magnitude.T), 1.0) * max(1.0, abs(z)) ** trim_rows(magnitude)[1]
     if np.any(np.abs(den) <= EXACT * scale):
         raise SingularAtS(f"rational entry has a pole at s = {s}")
     return _horner(nums, z) / den
@@ -456,9 +439,7 @@ def _values(nums, dens, s):
 def _coerce_entry(value):
     if isinstance(value, RationalEntry):
         return value
-    if isinstance(value, (int, float)):
-        return RationalEntry.constant(float(value))
-    if isinstance(value, complex):
+    if isinstance(value, (int, float, complex)):
         return RationalEntry([value])
     raise TypeError(f"cannot interpret {value!r} as a rational entry")
 
@@ -515,23 +496,14 @@ class RationalMatrix:
         return bool(np.all(trim_rows(nums)[1] <= trim_rows(dens)[1]))
 
     def matmul(self, other):
+        """Entry (i, j) over the common denominators of row i of self and column j of other."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("inner dimension mismatch in rational matmul")
-        p, k = self.shape
-        m = other.shape[1]
-        grid = []
-        for i in range(p):
-            row = []
-            for j in range(m):
-                acc = RationalEntry.zero()
-                for l in range(k):
-                    a = self.entries[i][l]
-                    b = other.entries[l][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            grid.append(row)
+        cols = list(common_denominators(zip(*other.entries)))
+        grid = [
+            [RationalEntry(reduce(padd, map(pmul, a, b), np.zeros(1)), pmul(q, r)) for r, b in cols]
+            for q, a in common_denominators(self.entries)
+        ]
         return RationalMatrix(grid, self.row_partition, other.col_partition)
 
     def inverse(self):
@@ -545,18 +517,17 @@ class RationalMatrix:
         if p != m:
             raise ValueError("only square rational matrices can be inverted")
         q, nums = common_denominator(e for row in self.entries for e in row)
-        n_grid = [nums[i * m : (i + 1) * m] for i in range(m)]
-        det = _poly_det(n_grid)
+        minor = _minors([nums[i * m : (i + 1) * m] for i in range(m)])
+        every = tuple(range(m))
+        det = minor(every, every)
         if pis_zero(det):
             raise ZeroDivisionError("rational matrix is identically singular")
-        adj = _poly_adjugate(n_grid)
-        entries = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                num = pmul(adj[i][j], q)
-                row.append(RationalEntry(num, det))
-            entries.append(row)
+
+        def adjugate(i, j):  # (-1)^(i + j) times the minor without row j and column i
+            adj = minor(every[:j] + every[j + 1 :], every[:i] + every[i + 1 :])
+            return adj if (i + j) % 2 == 0 else -adj
+
+        entries = [[RationalEntry(pmul(adjugate(i, j), q), det) for j in every] for i in every]
         return RationalMatrix(entries, self.col_partition, self.row_partition)
 
     def to_json(self):
@@ -570,51 +541,24 @@ class RationalMatrix:
     def from_json(data, path="$.matrix"):
         rows = items(*member(data, path, "entries"))
         grid = [[RationalEntry.from_json(*entry) for entry in items(*row)] for row in rows]
+        if len({len(row) for row in grid}) != 1 or not grid[0]:
+            raise DocumentError(f"{path}.entries must be a nonempty rectangular array of entries")
         parts = (partition(data, path, key) for key in ("rowPartition", "colPartition"))
         return RationalMatrix(grid, *parts)
 
 
-def _poly_det(grid):
-    """Determinant of a polynomial matrix by minor expansion with memoization."""
-    n = len(grid)
-    if n == 1:
-        return ptrim(grid[0][0])
-    cache = {}
+def _minors(grid):
+    """minor(rows, cols): the memoized determinant of a polynomial submatrix, expanded along rows[0]."""
 
+    @cache
     def minor(rows, cols):
-        key = (rows, cols)
-        if key in cache:
-            return cache[key]
-        if len(rows) == 1:
-            result = ptrim(grid[rows[0]][cols[0]])
-        else:
-            i = rows[0]
-            rest = rows[1:]
-            result = np.zeros(1)
-            for pos, j in enumerate(cols):
-                a = grid[i][j]
-                if pis_zero(a):
-                    continue
-                sub = minor(rest, cols[:pos] + cols[pos + 1 :])
-                term = pmul(a, sub)
+        if len(rows) < 2:
+            return ptrim(grid[rows[0]][cols[0]]) if rows else np.ones(1)
+        result = np.zeros(1)
+        for pos, j in enumerate(cols):
+            if not pis_zero(grid[rows[0]][j]):
+                term = pmul(grid[rows[0]][j], minor(rows[1:], cols[:pos] + cols[pos + 1 :]))
                 result = padd(result, term if pos % 2 == 0 else -term)
-        cache[key] = result
         return result
 
-    return minor(tuple(range(n)), tuple(range(n)))
-
-
-def _poly_adjugate(grid):
-    """Adjugate of a polynomial matrix: adj[i][j] = (-1)^(i+j) M_ji."""
-    n = len(grid)
-    if n == 1:
-        return [[np.ones(1)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows = tuple(r for r in range(n) if r != j)
-            cols = tuple(c for c in range(n) if c != i)
-            sub = [[grid[r][c] for c in cols] for r in rows]
-            m = _poly_det(sub)
-            adj[i][j] = m if (i + j) % 2 == 0 else -_as_coeffs(m)
-    return adj
+    return minor

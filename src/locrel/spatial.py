@@ -19,6 +19,7 @@ pass of ``rational.entry_array`` over the coefficient array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .errors import (
     ConstraintViolated,
     FeasibilityPreconditionError,
     LocrelError,
-    SingularAtS,
     SymbolPoleClash,
     UnstableKernelEntry,
 )
@@ -36,6 +36,7 @@ from .graphs import count, items, member
 from .rational import (
     RationalEntry,
     RationalMatrix,
+    _values,
     common_denominator,
     entry_array,
     pis_zero,
@@ -43,7 +44,7 @@ from .rational import (
 )
 from .relative import is_relative
 from .statespace import batch_h2_squared, scalar_h2_squared
-from .tolerances import EXACT, MATCH, ZERO
+from .tolerances import MATCH, ZERO
 
 
 def canonical_offset(offset, n):
@@ -288,11 +289,6 @@ def spatial_feasibility(d, n, b):
     )
 
 
-def _polyval(coeffs, s):
-    """Values at s of the ascending polynomials along the last axis."""
-    return np.polynomial.polynomial.polyval(s, np.moveaxis(coeffs, -1, 0))
-
-
 @dataclass
 class SIClosedLoops:
     """State and control closed-loop symbols of a spatially invariant loop.
@@ -327,15 +323,6 @@ class SIClosedLoops:
     def phi_u_symbols(self):
         return self._objects("phi_u_num")
 
-    def _values(self, s):
-        """phi_x and phi_u at the point s on the frequency grid."""
-        den = _polyval(self.cl_den, s)
-        scale = np.maximum(np.max(np.abs(self.cl_den), axis=-1), 1.0)
-        scale = scale * max(1.0, abs(s)) ** self.degree
-        if np.any(np.abs(den) <= EXACT * scale):
-            raise SingularAtS(f"closed loop has a pole at s = {s}")
-        return _polyval(self.phi_x_num, s) / den, _polyval(self.phi_u_num, s) / den
-
     def h2_squared(self, gamma):
         """Squared deflated H2 norm of (phi_x, gamma phi_u), dropping mode 0.
 
@@ -361,7 +348,8 @@ class SIClosedLoops:
 
     def affine_residual(self, s):
         """Max over frequencies of |s phi_x - phi_u - 1| at the point s."""
-        px, pu = self._values(s)
+        nums = np.stack((self.phi_x_num, self.phi_u_num)).reshape(2, -1, self.phi_x_num.shape[-1])
+        px, pu = _values(nums, self.cl_den.reshape(-1, self.cl_den.shape[-1]), s)
         return float(np.max(np.abs(s * px - pu - 1.0)))
 
 
@@ -383,9 +371,9 @@ def si_closed_loops(controller_kernel):
     den[~np.any(coeffs, axis=-1)] = np.eye(width)[0]
     s_den = np.concatenate((np.zeros_like(den[..., :1]), den[..., :-1]), axis=-1)
     cl_den = s_den - num
-    largest = np.max(np.abs(cl_den), axis=-1)
-    scale = np.maximum(np.max(np.abs(s_den), axis=-1), np.max(np.abs(num), axis=-1))
-    clash = largest <= ZERO * np.maximum(scale, 1.0)
+    # row maxima column by column, as trim_rows takes them
+    largest, s_top, num_top = (reduce(np.maximum, np.moveaxis(np.abs(c), -1, 0)) for c in (cl_den, s_den, num))
+    clash = largest <= ZERO * np.maximum(np.maximum(s_top, num_top), 1.0)
     if np.any(clash):
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(clash), clash.shape))
         raise SymbolPoleClash(

@@ -6,8 +6,9 @@ import scipy.linalg
 
 from locrel.consensus import static_consensus_gain
 from locrel.graphs import Graph, StructurePattern, laplacian, path_graph
-from locrel.rational import RationalEntry, RationalMatrix, pmul
+from locrel.rational import RationalEntry, RationalMatrix, padd, pmul
 from locrel.relative import edge_sum_adjoint
+from locrel.tolerances import EXACT
 
 
 def h2_norm_squared(sys):
@@ -22,6 +23,22 @@ def h2_norm_squared(sys):
     assert np.max(np.linalg.eigvals(sys.A).real) < 0, "the H2 norm needs a Hurwitz A"
     Q = scipy.linalg.solve_continuous_lyapunov(sys.A.T, -sys.C.T @ sys.C)
     return float(np.trace(sys.B.T @ Q @ sys.B))
+
+
+def entry_sum(a, b):
+    """The rational entry a + b by coefficient arithmetic.
+
+    Over a's denominator where the two denominators agree to a relative
+    EXACT, else over their product, uncancelled.
+    """
+    if a.den.size == b.den.size and np.allclose(a.den, b.den, rtol=EXACT, atol=0.0):
+        return RationalEntry(padd(a.num, b.num), a.den)
+    return RationalEntry(padd(pmul(a.num, b.den), pmul(b.num, a.den)), pmul(a.den, b.den))
+
+
+def scaled(alpha, e):
+    """The rational entry alpha e."""
+    return RationalEntry(alpha * e.num, e.den)
 
 
 def approximation_transfer(n, a):
@@ -113,7 +130,7 @@ def chain3_phi_x():
         for j in range(n):
             e = phi_u[i, j]
             if i == j:
-                e = e + 1.0
+                e = entry_sum(e, RationalEntry([1.0]))
             den_s = np.concatenate(([0.0], e.den))
             row.append(RationalEntry(e.num, den_s))
         grid.append(row)

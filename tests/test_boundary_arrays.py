@@ -23,7 +23,6 @@ from locrel.rational import (
     _as_coeffs,
     padd,
     pdeg,
-    pscale,
     ptrim,
 )
 from locrel.sls import Plant, closed_loops_of
@@ -82,7 +81,7 @@ def reference_siso_entry(A, b, c, d):
         num[k - 1 - idx] = c @ Nk @ b
     num = ptrim(num)
     if d != 0.0:
-        num = padd(num, pscale(q, d))
+        num = padd(num, ptrim(q * d))
     return RationalEntry(num, q)
 
 

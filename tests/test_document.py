@@ -55,6 +55,10 @@ PERFBENCH = Path(__file__).parents[1] / "perfbench"
         (lambda: items({}, "$.edges"), "$.edges must be a list, not {}"),
         (lambda: partition({"p": True}, "$.x", "p"), "$.x.p must be a list, not True"),
         (lambda: partition({"p": [1, 1.5]}, "$.x", "p"), "$.x.p[1] must be an integer"),
+        (lambda: partition({"p": []}, "$.x", "p"), "$.x.p must list at least one block size, not []"),
+        (lambda: graph_from_json({"n": 0}), "$.graph.n must be at least 1, not 0"),
+        (lambda: graph_from_json({"n": 2, "edges": [[0, -1]]}), "$.graph.edges[0] must join nodes 0 to 1, not [0, -1]"),
+        (lambda: RationalMatrix.from_json({"entries": [[]]}), "$.matrix.entries must be a nonempty rectangular"),
     ],
 )
 def test_each_rule_refuses_a_wrong_value_by_its_path(read, message):
@@ -143,6 +147,44 @@ def test_a_negative_block_size_is_refused_by_its_path_in_the_cli():
         "",
         "error: $.system.partitions.state[1] must be a nonnegative integer, not -1\n",
     )
+
+
+@pytest.mark.parametrize(
+    "words, data, mutate, message",
+    [
+        # these printed "a partition needs at least one block", "a graph needs
+        # at least 1 node, not n=-1", "edge (0, 5) out of range for n=3" and
+        # "ragged rational matrix", with no path
+        (
+            ["structure", "check"],
+            "tridiag3.json",
+            lambda doc: doc["system"]["partitions"].update(state=[]),
+            "$.system.partitions.state must list at least one block size, not []",
+        ),
+        (
+            ["structure", "check"],
+            "tridiag3.json",
+            lambda doc: doc["pattern"]["graph"].update(n=-1),
+            "$.pattern.graph.n must be at least 1, not -1",
+        ),
+        (
+            ["structure", "check"],
+            "tridiag3.json",
+            lambda doc: doc["pattern"]["graph"]["edges"].append([0, 5]),
+            "$.pattern.graph.edges[2] must join nodes 0 to 2, not [0, 5]",
+        ),
+        (
+            ["relative", "check"],
+            "ring4_relative_row.json",
+            lambda doc: doc.update(gain=None, matrix={"entries": [[{"num": [1], "den": [1]}] * 2, []]}),
+            "$.matrix.entries must be a nonempty rectangular array of entries",
+        ),
+    ],
+)
+def test_a_value_no_analysis_can_take_is_refused_by_its_path_in_the_cli(words, data, mutate, message):
+    doc = json.loads((DATA / data).read_text())
+    mutate(doc)
+    assert run_on(words, doc) == (1, "", f"error: {message}\n")
 
 
 def test_a_wrong_value_is_refused_by_its_path():

@@ -179,6 +179,48 @@ def test_named_graph_constructors():
         torus_graph(2, 2)
 
 
+def loop_path_graph(n):
+    """The path on n nodes, an edge at a time."""
+    adj = np.eye(n, dtype=bool)
+    for i in range(n - 1):
+        adj[i, i + 1] = True
+        adj[i + 1, i] = True
+    return Graph(adj)
+
+
+def loop_torus_graph(n, d):
+    """The torus, a node at a time: every node joined to its 2d cyclic neighbours."""
+    size = n**d
+    adj = np.eye(size, dtype=bool)
+    strides = [n ** (d - 1 - k) for k in range(d)]
+    for node in range(size):
+        index = [node // s % n for s in strides]
+        for axis in range(d):
+            for step in (-1, 1):
+                other = list(index)
+                other[axis] = (other[axis] + step) % n
+                adj[node, sum(c * s for c, s in zip(other, strides))] = True
+    return Graph(adj)
+
+
+def loop_edges(graph):
+    """The edge list of ``graph_to_json``, a pair at a time."""
+    return [[i, j] for i in range(graph.n) for j in range(i + 1, graph.n) if graph.adjacency[i, j]]
+
+
+def test_graph_builders_match_their_loops():
+    graphs_ = [(path_graph(n), loop_path_graph(n)) for n in range(1, 30)]
+    graphs_ += [(torus_graph(n, d), loop_torus_graph(n, d)) for n in range(3, 9) for d in (1, 2, 3)]
+    rng = np.random.default_rng(17)
+    graphs_ += [(g, g) for g in (random_connected_graph(int(rng.integers(1, 12)), rng) for _ in range(20))]
+    for got, want in graphs_:
+        assert got == want
+        doc = graph_to_json(got)
+        assert doc == {"n": want.n, "edges": loop_edges(want)}
+        assert all(type(i) is int for edge in doc["edges"] for i in edge)
+    assert graph_to_json(Graph(np.eye(3)))["edges"] == []
+
+
 def test_hop_closure_composes():
     # composing closures multiplies the radii; adding radii corresponds
     # to the boolean product of the two closed adjacencies

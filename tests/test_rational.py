@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import entry_sum
 
 from locrel.errors import CommonDenominatorTruncated, DegreeCapExceeded
 from locrel.rational import (
@@ -109,21 +110,10 @@ def test_entry_basics():
     assert e2.evaluate(4.0) == 0.25
 
 
-def test_entry_arithmetic_matches_pointwise():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        a = random_entry(rng)
-        b = random_entry(rng)
-        s = complex(rng.uniform(0.3, 2.0), rng.uniform(-2.0, 2.0))
-        va, vb = a.evaluate(s), b.evaluate(s)
-        assert abs((a + b).evaluate(s) - (va + vb)) < 1e-8 * max(1.0, abs(va + vb))
-        assert abs((a * b).evaluate(s) - va * vb) < 1e-8 * max(1.0, abs(va * vb))
-
-
 def test_degree_cap_guards_runaway_growth():
-    e = RationalEntry([1.0], np.concatenate((np.zeros(DEGREE_CAP // 2 + 1), [1.0])))
+    den = np.concatenate((np.zeros(DEGREE_CAP // 2 + 1), [1.0]))
     with pytest.raises(DegreeCapExceeded):
-        _ = e * e
+        pmul(den, den)
 
 
 def test_json_round_trip():
@@ -169,12 +159,172 @@ def test_matrix_inverse_round_trip():
             for f in factors:
                 if rng.random() < 0.6:
                     den = pmul(den, f)
-            return RationalEntry(num, den) + RationalEntry.constant(3.0 * (i == j))
+            return entry_sum(RationalEntry(num, den), RationalEntry.constant(3.0 * (i == j)))
         A = RationalMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
         inv = A.inverse()
         s = complex(rng.uniform(0.4, 2.2), rng.uniform(-1.5, 1.5))
         prod = A.matmul(inv).evaluate(s)
         assert np.allclose(prod, np.eye(n), atol=1e-7)
+
+
+def poly_det(grid):
+    """Determinant of a polynomial matrix by its own memoized minor expansion."""
+    n = len(grid)
+    if n == 1:
+        return ptrim(grid[0][0])
+    cache = {}
+
+    def minor(rows, cols):
+        key = (rows, cols)
+        if key in cache:
+            return cache[key]
+        if len(rows) == 1:
+            result = ptrim(grid[rows[0]][cols[0]])
+        else:
+            result = np.zeros(1)
+            for pos, j in enumerate(cols):
+                a = grid[rows[0]][j]
+                if pis_zero(a):
+                    continue
+                term = pmul(a, minor(rows[1:], cols[:pos] + cols[pos + 1 :]))
+                result = padd(result, term if pos % 2 == 0 else -term)
+        cache[key] = result
+        return result
+
+    return minor(tuple(range(n)), tuple(range(n)))
+
+
+def poly_adjugate(grid):
+    """adj[i][j] = (-1)^(i+j) M_ji, each minor a determinant of its own submatrix."""
+    n = len(grid)
+    if n == 1:
+        return [[np.ones(1)]]
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[grid[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            m = poly_det(sub)
+            adj[i][j] = m if (i + j) % 2 == 0 else -np.asarray(m)
+    return adj
+
+
+def reference_inverse(A):
+    """Entries adj(N) q / det(N) of A = N / q, by a determinant per minor."""
+    m = A.shape[0]
+    q, nums = common_denominator(e for row in A.entries for e in row)
+    grid = [nums[i * m : (i + 1) * m] for i in range(m)]
+    det = poly_det(grid)
+    if pis_zero(det):
+        raise ZeroDivisionError("rational matrix is identically singular")
+    adj = poly_adjugate(grid)
+    return [[RationalEntry(pmul(adj[i][j], q), det) for j in range(m)] for i in range(m)]
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of one to four rows over a shared pool of denominators.
+
+    Entries may be zero (either sign), complex or improper, with coefficients
+    that round, so that products and sums taken in another order differ in
+    their last bits; a drawn row may repeat another or be zero, which makes
+    the matrix singular.
+    """
+    n = draw(st.integers(1, 4))
+    is_complex = draw(st.booleans())
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = np.ones(1)
+        for k in draw(st.lists(st.sampled_from([0.0, 0.5, 0.7, 1.0, 3.0]), max_size=2)):
+            den = np.convolve(den, [k, 1.0])
+        pool.append(den)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            den = draw(st.sampled_from(pool))
+            num = np.array(draw(st.lists(st.sampled_from([-2.0, -0.3, -0.0, 0.0, 1.0, 1 / 3]), min_size=1, max_size=den.size + 1)))
+            if is_complex and draw(st.booleans()):
+                num = num + 1j * draw(st.sampled_from([0.5, -1.0]))
+            row.append(RationalEntry(num, den))
+        rows.append(row)
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, n - 1))] = list(rows[0]) if draw(st.booleans()) else [RationalEntry.zero()] * n
+    return RationalMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(square_matrices())
+def test_inverse_matches_a_determinant_per_minor_bit_for_bit(A):
+    try:
+        want = reference_inverse(A)
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError, match=f"^{exc}$"):
+            A.inverse()
+        return
+    got = A.inverse()
+    assert got.shape == A.shape
+    assert (got.row_partition, got.col_partition) == (A.col_partition, A.row_partition)
+    for g, w in zip((e for row in got.entries for e in row), (e for row in want for e in row)):
+        assert (_bits(g.num), _bits(g.den)) == (_bits(w.num), _bits(w.den))
+
+
+def test_the_inverse_draws_reach_singular_complex_and_four_row_matrices():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(square_matrices())
+    def record(A):
+        try:
+            reference_inverse(A)
+        except ZeroDivisionError:
+            seen.add("singular")
+        entries = [e for row in A.entries for e in row]
+        seen.update(
+            name
+            for name, reached in (
+                ("complex", any(np.iscomplexobj(e.num) for e in entries)),
+                ("improper", not A.is_proper()),
+                ("zero", any(e.is_zero() for e in entries)),
+                ("four rows", A.shape[0] == 4),
+            )
+            if reached
+        )
+
+    record()
+    assert seen == {"singular", "complex", "improper", "zero", "four rows"}
+
+
+def _exact_entry(e):
+    """An entry with float coefficients of small denominators as an exact sympy expression."""
+    def poly(coeffs):
+        return sum(sympy.Rational(float(c)).limit_denominator(10**6) * _S**k for k, c in enumerate(coeffs))
+
+    return poly(e.num) / poly(e.den)
+
+
+def test_matmul_and_inverse_equal_the_exact_results():
+    rng = np.random.default_rng(29)
+    dens = [np.ones(1), np.array([1.0, 1.0]), np.array([2.0, 1.0]), np.array([0.0, 1.0])]
+    inverted = 0
+    for _ in range(10):
+        n, m = (int(x) for x in rng.integers(1, 4, 2))
+        A, B = (
+            RationalMatrix([[RationalEntry(rng.integers(-3, 4, 2).astype(float), dens[rng.integers(4)]) for _ in range(c)] for _ in range(n)])
+            for c in (n, m)
+        )
+        exact_a, exact_b = (sympy.Matrix([[_exact_entry(e) for e in row] for row in M.entries]) for M in (A, B))
+        product, want = A.matmul(B), exact_a * exact_b
+        assert product.shape == (n, m)
+        assert all(sympy.cancel(_exact_entry(product[i, j]) - want[i, j]) == 0 for i in range(n) for j in range(m))
+        try:
+            inverse = A.inverse()
+        except ZeroDivisionError:
+            assert sympy.simplify(exact_a.det()) == 0
+            continue
+        want = exact_a.inv()
+        assert all(sympy.cancel(_exact_entry(inverse[i, j]) - want[i, j]) == 0 for i in range(n) for j in range(n))
+        inverted += 1
+    assert inverted >= 8
 
 
 def test_common_denominator_absorbs_divisible_factors():

@@ -5,7 +5,9 @@ import pytest
 from conftest import (
     approximation_transfer,
     chain3_controller,
+    entry_sum,
     random_connected_graph,
+    scaled,
     verify_adjoint_identity,
 )
 
@@ -192,14 +194,14 @@ def test_rational_decompose_kernel_skewness():
             for j in range(5):
                 if not g.adjacency[i, j]:
                     assert grid[i][j].is_zero()
-                diff = grid[i][j] + grid[j][i]
+                diff = entry_sum(grid[i][j], grid[j][i])
                 assert diff.is_zero() or abs(diff.evaluate(1.3)) < 1e-10
 
 
 def test_rational_decompose_keeps_complex_gains():
     # the kernels of a complex relative gain reproduce it, imaginary part included
     f = RationalEntry([1.0 + 2.0j], [1.0, 1.0])
-    K = RationalMatrix([[f, -1.0 * f], [-1.0 * f, f]])
+    K = RationalMatrix([[f, scaled(-1.0, f)], [scaled(-1.0, f), f]])
     form = relative_decompose_rational(K, path_graph(2))
     s = 0.7 + 0.3j
     want = K.evaluate(s)

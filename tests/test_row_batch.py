@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import entry_sum, scaled
 
 import locrel.rational as rational
 import locrel.relative as relative
@@ -312,8 +313,8 @@ def relative_gains(draw, graph):
             if is_complex:
                 num = num + 0.5j
             flow = RationalEntry(num, den)
-            row[i] = row[i] + flow
-            row[j] = row[j] + -1.0 * flow
+            row[i] = entry_sum(row[i], flow)
+            row[j] = entry_sum(row[j], scaled(-1.0, flow))
         rows.append(row)
     return RationalMatrix(rows)
 
@@ -369,8 +370,8 @@ def test_decomposition_parity_where_kernels_cancel():
     # on the 3-node path the 0-1 kernel is the flow 1/(s+1): the row's
     # common denominator (s+1)(s+2) cancels down to it
     lag1, lag2 = RationalEntry([1.0], [1.0, 1.0]), RationalEntry([1.0], [2.0, 1.0])
-    row = [lag1, lag2 + -1.0 * lag1, -1.0 * lag2]
-    K = RationalMatrix([row, [-1.0 * e for e in row], [RationalEntry.zero()] * 3])
+    row = [lag1, entry_sum(lag2, scaled(-1.0, lag1)), scaled(-1.0, lag2)]
+    K = RationalMatrix([row, [scaled(-1.0, e) for e in row], [RationalEntry.zero()] * 3])
     assert_same_decomposition(K, path_graph(3))
     kernel = relative_decompose_rational(K, path_graph(3)).kernels[0][0][1]
     assert kernel.den.tolist() == [1.0, 1.0]
@@ -562,7 +563,7 @@ def relative_matrices(draw):
         r = draw(st.integers(1, len(rows) - 1))
         col = draw(st.integers(0, width - 1))
         rows[r] = list(rows[r])
-        rows[r][col] = rows[r][col] + RationalEntry([1.0], [3.0, 1.0])
+        rows[r][col] = entry_sum(rows[r][col], RationalEntry([1.0], [3.0, 1.0]))
     return RationalMatrix(rows), graph
 
 
@@ -591,10 +592,10 @@ def test_rows_share_divisions_and_batches_in_fixed_cases(monkeypatch):
     # their kernels has the numerator factor s + 1 of the common denominator;
     # row 1 is complex, row 3 has a pole at 0
     rows = [
-        [lag, -1.0 * lag, zero, zero],
-        [complex_lag, zero, -1.0 * complex_lag, zero],
-        [2.0 * lag, zero, -2.0 * lag, zero],
-        [integrator, zero, zero, -1.0 * integrator],
+        [lag, scaled(-1.0, lag), zero, zero],
+        [complex_lag, zero, scaled(-1.0, complex_lag), zero],
+        [scaled(2.0, lag), zero, scaled(-2.0, lag), zero],
+        [integrator, zero, zero, scaled(-1.0, integrator)],
     ]
     K, graph = RationalMatrix(rows), ring_graph(4)
     assert_rows_match_per_row_route(K, graph)
@@ -646,12 +647,12 @@ def test_rows_share_q_wherever_their_zero_entries_fall(monkeypatch):
     tiny = RationalEntry([5e-10], [1.0, 10.0])
     assert tiny.is_zero() and tiny.den.size == 2
     rows = [
-        [zero, lag, -1.0 * lag],
-        [lag, zero, -1.0 * lag],
-        [lag, -1.0 * lag, zero],
+        [zero, lag, scaled(-1.0, lag)],
+        [lag, zero, scaled(-1.0, lag)],
+        [lag, scaled(-1.0, lag), zero],
         [zero, zero, zero],
-        [tiny, lag, -1.0 * lag],
-        [lag, tiny, -1.0 * lag],
+        [tiny, lag, scaled(-1.0, lag)],
+        [lag, tiny, scaled(-1.0, lag)],
     ]
     assert_rows_match_per_row_route(RationalMatrix(rows), ring_graph(3))
     calls = []

@@ -12,7 +12,7 @@ first failing map.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import random_proper_entry
+from conftest import entry_sum, random_proper_entry, scaled
 
 import locrel.sls as sls
 from locrel.consensus import proper_approximation, static_consensus_gain
@@ -285,7 +285,7 @@ def _altered(H, feed, scale):
         return H
     if isinstance(H, RationalMatrix):
         entries = [list(row) for row in H.entries]
-        entries[0][0] = entries[0][0] + 1.0 if feed else RationalEntry(1.5 * entries[0][0].num, entries[0][0].den)
+        entries[0][0] = entry_sum(entries[0][0], RationalEntry([1.0])) if feed else scaled(1.5, entries[0][0])
         return RationalMatrix(entries, H.row_partition, H.col_partition)
     D = H.D + (np.eye(*H.D.shape) if feed else 0.0)
     C = 1.5 * H.C if scale else H.C

@@ -10,6 +10,7 @@ from conftest import (
     chain3_phi_u,
     chain3_phi_x,
     chain_pattern,
+    entry_sum,
     random_proper_entry,
 )
 
@@ -98,7 +99,7 @@ def bumped_chain_pair():
     """The chain design with 0.1 / s added to phi_u[0, 1]."""
     phi_u = chain3_phi_u()
     bumped = [[phi_u[i, j] for j in range(3)] for i in range(3)]
-    bumped[0][1] = bumped[0][1] + RationalEntry([0.1], [0.0, 1.0])
+    bumped[0][1] = entry_sum(bumped[0][1], RationalEntry([0.1], [0.0, 1.0]))
     return ClosedLoopPair(chain3_phi_x(), RationalMatrix(bumped))
 
 
@@ -292,7 +293,7 @@ def test_implementation_without_pattern_has_no_witness():
 
 def test_implementation_rejects_violated_constraint():
     # doubling phi_x breaks s * phi_x -> I
-    phi_x = RationalMatrix([[e + e for e in row] for row in chain3_phi_x().entries])
+    phi_x = RationalMatrix([[entry_sum(e, e) for e in row] for row in chain3_phi_x().entries])
     with pytest.raises(ConstraintViolated):
         implementation_realization_sf(ClosedLoopPair(phi_x, chain3_phi_u()))
 
@@ -312,7 +313,7 @@ def test_implementation_agrees_with_recovery_off_unit_feedthrough(rng):
 
 
 def test_implementation_rejects_improper_loops():
-    phi_u = RationalMatrix([[e + 1.0 for e in row] for row in chain3_phi_u().entries])
+    phi_u = RationalMatrix([[entry_sum(e, RationalEntry([1.0])) for e in row] for row in chain3_phi_u().entries])
     with pytest.raises(ConstraintViolated):
         implementation_realization_sf(ClosedLoopPair(chain3_phi_x(), phi_u))
 

@@ -95,10 +95,13 @@ def test_traced_benchmark_names_resolve():
     missing = []
     for name in traced:
         module, _, attr = name.partition(".")
+        owner_name, _, leaf = attr.rpartition(".")
         owner = importlib.import_module(f"locrel.{module}")
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if owner is None:
+        # found as the tracer's install finds it: a method in its own class's
+        # __dict__, not inherited; a function as an attribute of its module
+        if owner_name:
+            owner = getattr(owner, owner_name, None)
+        if leaf not in getattr(owner, "__dict__", {}):
             missing.append(name)
     assert traced and not missing, f"traced names missing from locrel: {missing}"
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import scaled
 
 from locrel.cli import main
 from locrel.consensus import ConsensusProblem, consensus_measures, sls_relative_feasibility
@@ -16,6 +17,7 @@ from locrel.errors import (
     FeasibilityPreconditionError,
     NonzeroFeedthrough,
     NotHurwitz,
+    SingularAtS,
     SymbolPoleClash,
     UnstableKernelEntry,
 )
@@ -278,7 +280,7 @@ def test_relative_si_matches_circulant_check(rng):
         ring_consensus_kernel(n),
         delta_kernel(1, n),
         centering_kernel(1, n),
-        ConvKernelArray(1, n, {(0,): lag, (2,): -1.0 * lag}),
+        ConvKernelArray(1, n, {(0,): lag, (2,): scaled(-1.0, lag)}),
         ConvKernelArray(1, n, {(0,): lag, (2,): RationalEntry([-1.0], [2.0, 1.0])}),
     ]
     for _ in range(4):
@@ -373,6 +375,9 @@ def test_si_closed_loops_ring_controller():
     # the control loop stays relative: its taps sum to the symbol at frequency 0
     assert abs(loops.phi_u_symbols[(0,)].evaluate(s)) < 1e-12
     assert loops.affine_residual(0.8 + 1.3j) < 1e-12
+    # phi_x at frequency 0 is 1/s: the pole rule of a rational entry refuses s = 0
+    with pytest.raises(SingularAtS, match=r"^rational entry has a pole at s = 0\.0$"):
+        loops.affine_residual(0.0)
 
 
 def test_si_closed_loops_h2_matches_ring_h2():
@@ -572,7 +577,7 @@ def mixed_degree_kernels():
         5,
         {
             (0, 0): first,
-            (1, 0): 0.5 * second,
+            (1, 0): scaled(0.5, second),
             (0, 1): RationalEntry([-0.3], [3.0, 1.0]),
             (-1, -1): RationalEntry([0.5, 1.0], [5.0, 2.0, 1.0]),
         },
