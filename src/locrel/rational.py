@@ -53,9 +53,22 @@ def ptrim(c):
     return c[:keep]
 
 
+def reduce_rows(ufunc, a):
+    """``ufunc.reduce(a, axis=-1)`` by columns: numpy loops a short last axis row by row, 16x slower."""
+    return reduce(ufunc, np.moveaxis(a, -1, 0)) if a.ndim > 1 and a.shape[-1] > 1 else ufunc.reduce(a, axis=-1)
+
+
 def pis_zero(c):
     """True where every coefficient along the last axis is at most ZERO in size."""
-    return np.abs(c).max(axis=-1) <= ZERO
+    return reduce_rows(np.maximum, np.abs(c)) <= ZERO
+
+
+def _degrees(magnitude, scale=None):
+    """The degree of each row of coefficient magnitudes (last axis) by the rule of ``trim_rows``."""
+    scale = reduce_rows(np.maximum, magnitude)[..., None] if scale is None else scale
+    kept = ~(magnitude <= ZERO * scale)
+    kept[..., 0] = True
+    return magnitude.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
 
 
 def trim_rows(coeffs, scale=None):
@@ -66,12 +79,7 @@ def trim_rows(coeffs, scale=None):
     default the row's largest, down to one coefficient.  Coefficients
     above each row's degree become zero.
     """
-    magnitude = np.abs(coeffs)
-    # the row maxima column by column: np.max along a short last axis loops row by row
-    scale = reduce(np.maximum, np.moveaxis(magnitude, -1, 0))[..., None] if scale is None else scale
-    kept = ~(magnitude <= ZERO * scale)
-    kept[..., 0] = True
-    degree = coeffs.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
+    degree = _degrees(np.abs(coeffs), scale)
     above = np.arange(coeffs.shape[-1]) > degree[..., None]
     return np.where(above, 0.0, coeffs), degree
 
@@ -220,9 +228,9 @@ def _cancellable_rows(nums, den):
     nums, deg = trim_rows(nums)
     roots = np.roots(ptrim(den)[::-1])
     values = np.polynomial.polynomial.polyval(roots, np.moveaxis(nums, -1, 0))
-    scale = np.maximum(np.max(np.abs(nums), axis=-1, keepdims=True), TINY)
+    scale = np.maximum(reduce_rows(np.maximum, np.abs(nums))[..., None], TINY)
     tol = 10 * MATCH * np.maximum(1.0, np.abs(roots)) ** deg[..., None]
-    return ~np.all(np.abs(values) > tol * scale, axis=-1)
+    return ~reduce_rows(np.logical_and, np.abs(values) > tol * scale)
 
 
 def distinct_denominators(entries):
@@ -384,11 +392,12 @@ def entry_array(nums, dens):
     """
     nums, dens = _as_rows(nums), _as_rows(dens)
     shape = nums.shape[:-1]
-    dens = np.broadcast_to(dens, shape + dens.shape[-1:])
     num, num_deg = trim_rows(nums)
-    den, den_deg = trim_rows(dens)
-    num_zero, den_zero = pis_zero(nums), pis_zero(dens)
-    nonfinite = ~(np.isfinite(nums).all(axis=-1) & np.isfinite(dens).all(axis=-1))
+    den, den_deg = trim_rows(dens)  # on dens as given, one row when shared; the results broadcast
+    lead = np.take_along_axis(den, den_deg[..., None], axis=-1)
+    finite = np.logical_and(*(reduce_rows(np.logical_and, np.isfinite(x)) for x in (nums, dens)))
+    den_deg, den_zero, nonfinite = (np.broadcast_to(x, shape) for x in (den_deg, pis_zero(dens), ~finite))
+    num_zero = pis_zero(nums)
     over_cap = ~num_zero & ((num_deg > DEGREE_CAP) | (den_deg > DEGREE_CAP))
     failing = (nonfinite | den_zero | over_cap).reshape(-1)
     if np.any(failing):
@@ -398,9 +407,8 @@ def entry_array(nums, dens):
         if den_zero.reshape(-1)[first]:
             raise ZeroDivisionError("denominator polynomial is zero")
         raise DegreeCapExceeded("rational entry exceeds the degree cap")
-    lead = np.take_along_axis(den, den_deg[..., None], axis=-1)
     num = (num / lead).reshape(-1, num.shape[-1])
-    den = (den / lead).reshape(-1, den.shape[-1])
+    den = np.broadcast_to(den / lead, shape + den.shape[-1:]).reshape(-1, den.shape[-1])
     # rows are copied per group of (numerator, denominator) degrees; zero entries are 0 / 1
     group = np.where(num_zero, -1, num_deg * (DEGREE_CAP + 1) + den_deg).reshape(-1)
     out, new = np.empty(group.size, dtype=object), RationalEntry.__new__
@@ -428,9 +436,9 @@ def _horner(rows, z):
 
 def _values(nums, dens, s):
     """nums[..., i, :] / dens[i] at s; a pole where |den(s)| <= EXACT max(max|den|, 1) max(1, |s|)^deg."""
-    z, magnitude = complex(s), np.abs(dens)  # the degrees trim_rows finds depend on magnitudes only
-    den = _horner(dens, z)
-    scale = np.maximum(reduce(np.maximum, magnitude.T), 1.0) * max(1.0, abs(z)) ** trim_rows(magnitude)[1]
+    z, magnitude = complex(s), np.abs(dens)
+    den, top = _horner(dens, z), reduce_rows(np.maximum, magnitude)
+    scale = np.maximum(top, 1.0) * max(1.0, abs(z)) ** _degrees(magnitude, top[..., None])
     if np.any(np.abs(den) <= EXACT * scale):
         raise SingularAtS(f"rational entry has a pole at s = {s}")
     return _horner(nums, z) / den

@@ -10,6 +10,7 @@ common denominator, and closed loops and per-frequency H2 norms are batched
 array operations on it.  The H2 sums visit one frequency of each orbit of
 the reflections f -> s f (s a sign vector) that fix the taps, weighted by
 its size; the Parseval sum is one Gramian, the kernel sum one per degree.
+Closed loops are formed once per orbit of equal symbols and gathered.
 Objects of ``RationalEntry`` are built only where a caller asks for them:
 ``dft_symbol`` and the ``phi_x_symbols`` and ``phi_u_symbols`` of a closed
 loop, built on first access.  Each such object array comes from one batch
@@ -19,7 +20,6 @@ pass of ``rational.entry_array`` over the coefficient array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .rational import (
     common_denominator,
     entry_array,
     pis_zero,
+    reduce_rows,
     trim_rows,
 )
 from .relative import is_relative
@@ -191,25 +192,27 @@ def si_h2_squared(kernel):
     return float(np.cumsum(norms)[-1])  # added one at a time, as a loop over the taps
 
 
-def _orbit_weights(kernel):
-    """Weights that visit once each orbit of the reflections that fix the taps.
+def _orbit_representatives(kernel):
+    """The smallest flat index in the orbit of each frequency, under the reflections that fix the taps.
 
     A reflection f -> s f (mod n), s a sign vector, that maps each tap to a
-    bit-for-bit equal tap fixes every symbol, and for real taps so does -s.
-    An orbit's symbols have equal H2 norms: its size weighs its first index.
+    bit-for-bit equal tap fixes every symbol.  For real taps, one whose -s
+    does conjugates them.  Returns (equal, norm): the representatives under
+    the first kind, whose orbits hold equal symbols, and under both, whose
+    orbits hold equal H2 norms; ``np.bincount(norm)`` weighs the H2 sums.
     """
     n, d = kernel.n, kernel.d
     taps = {i: [(c.dtype, c.tobytes()) for c in (e.num, e.den)] for i, e in kernel._taps.items()}
     signs = 1 - 2 * np.indices((2,) * d).reshape(d, -1).T  # -signs[j] is signs[-1 - j]
     mirrors = (np.array(list(taps), dtype=int).reshape(-1, d) * signs[:, None] % n).tolist()
     fixes = np.array([dict(zip(map(tuple, m), taps.values())) == taps for m in mirrors])
-    if not any(c.imag.any() for e in kernel._taps.values() for c in (e.num, e.den)):
-        fixes |= fixes[::-1]
-    # axes[g, i, f_i]: axis i's term of the C-order flat index of s f, for the g-th fixing s
-    axes = np.arange(n) * signs[fixes, :, None] % n * n ** np.arange(d - 1, -1, -1)[:, None]
+    real = not any(c.imag.any() for e in kernel._taps.values() for c in (e.num, e.den))
+    group = fixes | fixes[::-1] if real else fixes
+    # axes[g, i, f_i]: axis i's term of the C-order flat index of s f, for the g-th s of the group
+    axes = np.arange(n) * signs[group, :, None] % n * n ** np.arange(d - 1, -1, -1)[:, None]
     axes = axes.astype(np.min_scalar_type(n**d))  # the narrowest integers add fastest
     flat = sum(axes[:, i].reshape((-1,) + (1,) * i + (n,) + (1,) * (d - 1 - i)) for i in range(d))
-    return np.bincount(flat.min(axis=0).reshape(-1), minlength=n**d).astype(float).reshape((n,) * d)
+    return flat[fixes[group]].min(axis=0).reshape(-1), flat.min(axis=0).reshape(-1)
 
 
 def si_h2_squared_parseval(kernel):
@@ -221,8 +224,8 @@ def si_h2_squared_parseval(kernel):
     """
     coeffs, common = _symbol_coeffs(kernel)
     num = coeffs.reshape(-1, coeffs.shape[-1])
-    weight = _orbit_weights(kernel).reshape(-1)
-    live = np.flatnonzero(weight * np.any(num, axis=1))
+    weight = np.bincount(_orbit_representatives(kernel)[1], minlength=num.shape[0]).astype(float)
+    live = np.flatnonzero(weight * reduce_rows(np.logical_or, num))
     weights = np.r_[np.sum(weight[live[:1]]), np.unique(weight[live[1:]])]
     classes = [live[:1]] + [live[1:][weight[live[1:]] == w] for w in weights[1:]]
     stacked = np.zeros((len(classes), live.size, num.shape[1]), dtype=num.dtype)
@@ -267,7 +270,7 @@ def spatial_feasibility(d, n, b):
         )
     # canonical offsets need no second reduction modulo n
     grid = _offset_grid(n, d)
-    excluded = list(map(tuple, grid[np.abs(grid).max(axis=1) > b].tolist()))
+    excluded = list(zip(*grid[reduce_rows(np.maximum, np.abs(grid)) > b].T.tolist()))
     count = n**d - (2 * b + 1) ** d
     if len(excluded) != count:
         raise ConsistencyCheckFailed(
@@ -296,9 +299,10 @@ class SIClosedLoops:
     At frequency f, phi_x = phi_x_num[f] / cl_den[f] and
     phi_u = phi_u_num[f] / cl_den[f]: arrays of shape (n,)*d + (width,)
     in ascending powers of s, each cl_den[f] monic of degree degree[f]
-    and zero above it.  ``phi_x_symbols`` and ``phi_u_symbols`` give the
-    same loops as object arrays of ``RationalEntry``, built on first
-    access.
+    and zero above it; the flat rows ``_rows``, one per orbit of equal
+    symbols, are formed and the others copy them.  ``phi_x_symbols`` and
+    ``phi_u_symbols`` give the same loops as object arrays of
+    ``RationalEntry``, built on first access.
     """
 
     d: int
@@ -309,6 +313,7 @@ class SIClosedLoops:
     degree: np.ndarray
     _symbols: dict = field(default_factory=dict, init=False, repr=False)
     _weights: np.ndarray = field(default=None, init=False, repr=False)
+    _rows: np.ndarray = field(default=None, init=False, repr=False)
 
     def _objects(self, name):
         if name not in self._symbols:
@@ -347,9 +352,10 @@ class SIClosedLoops:
         return total / self.n**self.d
 
     def affine_residual(self, s):
-        """Max over frequencies of |s phi_x - phi_u - 1| at the point s."""
-        nums = np.stack((self.phi_x_num, self.phi_u_num)).reshape(2, -1, self.phi_x_num.shape[-1])
-        px, pu = _values(nums, self.cl_den.reshape(-1, self.cl_den.shape[-1]), s)
+        """Max over frequencies of |s phi_x - phi_u - 1| at the point s, over ``_rows`` when set."""
+        rows = slice(None) if self._rows is None else self._rows
+        nums = [a.reshape(-1, a.shape[-1])[rows] for a in (self.phi_x_num, self.phi_u_num)]
+        px, pu = _values(np.stack(nums), self.cl_den.reshape(-1, self.cl_den.shape[-1])[rows], s)
         return float(np.max(np.abs(s * px - pu - 1.0)))
 
 
@@ -358,39 +364,39 @@ def si_closed_loops(controller_kernel):
 
     Per frequency f with controller symbol k(s) = num/den, the loops
     are phi_x = den / (s den - num) and phi_u = num / (s den - num).
-    The denominator s den - num must not vanish identically.
+    The denominator s den - num must not vanish identically.  The loops
+    are formed at one frequency per orbit of equal symbols and gathered.
     """
     coeffs, common = _symbol_coeffs(controller_kernel)
     n, d = controller_kernel.n, controller_kernel.d
+    equal, norm = _orbit_representatives(controller_kernel)
+    first = np.flatnonzero(equal == np.arange(equal.size))
+    gather = np.searchsorted(first, equal)  # each frequency's row among the representatives
+    coeffs = coeffs.reshape(-1, coeffs.shape[-1])[first]
     width = max(coeffs.shape[-1], common.size + 1)
     num = np.zeros(coeffs.shape[:-1] + (width,), dtype=complex)
     num[..., : coeffs.shape[-1]] = coeffs
     # a vanishing symbol is 0/1, as dft_symbol gives it
     den = np.zeros_like(num)
     den[..., : common.size] = common
-    den[~np.any(coeffs, axis=-1)] = np.eye(width)[0]
+    den[~reduce_rows(np.logical_or, coeffs)] = np.eye(width)[0]
     s_den = np.concatenate((np.zeros_like(den[..., :1]), den[..., :-1]), axis=-1)
     cl_den = s_den - num
-    # row maxima column by column, as trim_rows takes them
-    largest, s_top, num_top = (reduce(np.maximum, np.moveaxis(np.abs(c), -1, 0)) for c in (cl_den, s_den, num))
+    largest, s_top, num_top = (reduce_rows(np.maximum, np.abs(c)) for c in (cl_den, s_den, num))
     clash = largest <= ZERO * np.maximum(np.maximum(s_top, num_top), 1.0)
     if np.any(clash):
-        idx = tuple(int(i) for i in np.unravel_index(np.argmax(clash), clash.shape))
+        # each representative leads its orbit, so the first in C order clashes first
+        idx = tuple(int(i) for i in np.unravel_index(first[np.argmax(clash)], (n,) * d))
         raise SymbolPoleClash(
             f"closed-loop denominator vanishes identically at frequency {idx}"
         )
     # a leading coefficient is judged against the larger of the terms that formed it
     cl_den, degree = trim_rows(cl_den, np.maximum(np.abs(s_den), np.abs(num)))
     lead = np.take_along_axis(cl_den, degree[..., None], axis=-1)
-    loops = SIClosedLoops(
-        d=d,
-        n=n,
-        phi_x_num=den / lead,
-        phi_u_num=num / lead,
-        cl_den=cl_den / lead,
-        degree=degree,
-    )
-    loops._weights = _orbit_weights(controller_kernel)
+    rows = (den / lead, num / lead, cl_den / lead, degree)
+    loops = SIClosedLoops(d, n, *(a[gather].reshape((n,) * d + a.shape[1:]) for a in rows))
+    loops._weights = np.bincount(norm, minlength=norm.size).astype(float).reshape((n,) * d)
+    loops._rows = first
     # the identity s phi_x - phi_u = 1 holds by construction; a sampled
     # residual guards against coefficient bookkeeping mistakes
     residual = loops.affine_residual(1.0 + 0.7j)

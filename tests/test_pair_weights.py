@@ -8,6 +8,10 @@ only f -> -f fixes, the orbits are the conjugate pairs.  ``si_h2_squared``
 solves the taps of each denominator degree together.  The full-grid and
 per-tap routines these replaced are kept here as references: every value
 must match them to 1e-12 relative, with the same error class.
+
+``si_closed_loops`` forms its loops once per orbit of equal symbols, at the
+orbit's smallest frequency, and gathers them onto the grid; its full-grid
+predecessor is kept here too.
 """
 
 import itertools
@@ -17,11 +21,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from locrel.errors import LocrelError, NonzeroFeedthrough, NotHurwitz, UnstableKernelEntry
-from locrel.rational import RationalEntry
+from locrel.errors import (
+    ConstraintViolated,
+    LocrelError,
+    NonzeroFeedthrough,
+    NotHurwitz,
+    SymbolPoleClash,
+    UnstableKernelEntry,
+)
+from locrel.rational import RationalEntry, _values, trim_rows
 from locrel.spatial import (
     ConvKernelArray,
-    _orbit_weights,
+    SIClosedLoops,
+    _orbit_representatives,
     _symbol_coeffs,
     dft_symbol,
     si_closed_loops,
@@ -30,6 +42,7 @@ from locrel.spatial import (
     spatial_feasibility,
 )
 from locrel.statespace import batch_h2_squared, scalar_h2_squared
+from locrel.tolerances import MATCH, ZERO
 
 
 def reference_parseval(kernel):
@@ -64,6 +77,12 @@ def reference_si_h2_squared(kernel):
         except LocrelError as exc:
             raise UnstableKernelEntry(f"tap at offset {offset} has no finite H2 norm: {exc}") from exc
     return total
+
+
+def orbit_weights(kernel):
+    """The orbit sizes that weigh the H2 sums, on the grid."""
+    norm = _orbit_representatives(kernel)[1]
+    return np.bincount(norm, minlength=norm.size).astype(float).reshape((kernel.n,) * kernel.d)
 
 
 def pair_weights(kernel):
@@ -222,7 +241,7 @@ def mirrored_kernels(draw):
 @given(st.one_of(kernels(), mirrored_kernels()), st.sampled_from([0.0, 1.0, 2.5]))
 def test_weighted_spectrum_matches_the_full_grid(case, gamma):
     kernel, is_complex = case
-    weights = _orbit_weights(kernel)
+    weights = orbit_weights(kernel)
     assert np.array_equal(weights, reference_orbit_weights(kernel))
     assert weights.sum() == kernel.n**kernel.d
     assert_same_outcome(
@@ -286,7 +305,7 @@ def test_the_first_nonzero_symbol_decides_the_parseval_error():
 def test_pair_weights_visit_each_conjugate_pair_once(d, n):
     # one tap off every axis: only the identity maps it to itself
     kernel = ConvKernelArray(d, n, {(1,) * d: RationalEntry([1.0], [1.0, 1.0])})
-    weights = _orbit_weights(kernel)
+    weights = orbit_weights(kernel)
     assert weights.shape == (n,) * d
     assert weights.sum() == n**d
     assert set(np.unique(weights).tolist()) <= {0.0, 1.0, 2.0}
@@ -299,7 +318,7 @@ def test_pair_weights_visit_each_conjugate_pair_once(d, n):
     # an imaginary part in a numerator or in a denominator
     for num, den in (([1.0j], [1.0, 1.0]), ([1.0], [1.0 + 1.0j, 1.0])):
         complex_kernel = ConvKernelArray(d, n, {(1,) * d: RationalEntry(num, den)})
-        assert np.all(_orbit_weights(complex_kernel) == 1.0)
+        assert np.all(orbit_weights(complex_kernel) == 1.0)
 
 
 @pytest.mark.parametrize("d, n", [(1, 5), (1, 6), (2, 4), (2, 5), (3, 3), (3, 4)])
@@ -307,13 +326,13 @@ def test_each_orbit_size_sits_on_its_smallest_index(d, n):
     # the origin-only tap is fixed by every reflection: orbits are products
     # of the per-axis orbits {0}, {k, n - k} and, for even n, {n/2}
     kernel = ConvKernelArray(d, n, {(0,) * d: RationalEntry([1.0], [1.0, 1.0])})
-    weights = _orbit_weights(kernel)
+    weights = orbit_weights(kernel)
     for f in np.ndindex(weights.shape):
         orbit = set(itertools.product(*[{i, -i % n} for i in f]))
         assert weights[f] == (len(orbit) if f == min(orbit) else 0.0)
     assert weights.sum() == n**d
     complex_kernel = ConvKernelArray(d, n, {(0,) * d: RationalEntry([1.0j], [1.0, 1.0])})
-    assert np.array_equal(_orbit_weights(complex_kernel), weights)
+    assert np.array_equal(orbit_weights(complex_kernel), weights)
 
 
 def diffusion(d, n, mirror_value):
@@ -328,10 +347,10 @@ def diffusion(d, n, mirror_value):
 @pytest.mark.parametrize("d, n", [(1, 7), (2, 6), (3, 5)])
 def test_a_mirrored_tap_one_ulp_apart_falls_back_to_the_pair_weights(d, n):
     exact = diffusion(d, n, 1.0)
-    assert np.array_equal(_orbit_weights(exact), reference_orbit_weights(exact))
-    assert np.max(_orbit_weights(exact)) == 2.0**d
+    assert np.array_equal(orbit_weights(exact), reference_orbit_weights(exact))
+    assert np.max(orbit_weights(exact)) == 2.0**d
     ulp = diffusion(d, n, np.nextafter(1.0, 2.0))
-    assert np.array_equal(_orbit_weights(ulp), pair_weights(ulp))
+    assert np.array_equal(orbit_weights(ulp), pair_weights(ulp))
 
 
 @pytest.mark.parametrize("d, n", [(1, 7), (1, 8), (2, 5), (2, 6), (3, 4), (3, 5)])
@@ -348,7 +367,7 @@ def test_kernels_fixed_only_by_negation_keep_the_pair_sums_bit_for_bit(d, n):
         if any(len(set(s)) > 1 and reflection_fixes(kernel, s) for s in itertools.product((1, -1), repeat=d)):
             continue
         checked += 1
-        assert np.array_equal(_orbit_weights(kernel), pair_weights(kernel))
+        assert np.array_equal(orbit_weights(kernel), pair_weights(kernel))
         assert si_h2_squared_parseval(kernel) == pair_parseval(kernel)
         loops = si_closed_loops(kernel)
         got = loops.h2_squared(1.3)
@@ -417,3 +436,184 @@ def test_feasibility_offsets_are_the_itertools_enumeration(d):
             want = reference_excluded_offsets(d, n, b)
             assert got == want
             assert all(type(c) is int for off in got for c in off)
+
+
+def reference_si_closed_loops(kernel):
+    """The loops at every frequency, each from its own symbol: (phi_x_num, phi_u_num, cl_den, degree)."""
+    coeffs, common = _symbol_coeffs(kernel)
+    width = max(coeffs.shape[-1], common.size + 1)
+    num = np.zeros(coeffs.shape[:-1] + (width,), dtype=complex)
+    num[..., : coeffs.shape[-1]] = coeffs
+    den = np.zeros_like(num)
+    den[..., : common.size] = common
+    den[~np.any(coeffs, axis=-1)] = np.eye(width)[0]
+    s_den = np.concatenate((np.zeros_like(den[..., :1]), den[..., :-1]), axis=-1)
+    cl_den = s_den - num
+    largest, s_top, num_top = (np.max(np.abs(c), axis=-1) for c in (cl_den, s_den, num))
+    clash = largest <= ZERO * np.maximum(np.maximum(s_top, num_top), 1.0)
+    if np.any(clash):
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(clash), clash.shape))
+        raise SymbolPoleClash(f"closed-loop denominator vanishes identically at frequency {idx}")
+    cl_den, degree = trim_rows(cl_den, np.maximum(np.abs(s_den), np.abs(num)))
+    lead = np.take_along_axis(cl_den, degree[..., None], axis=-1)
+    loops = den / lead, num / lead, cl_den / lead, degree
+    residual = reference_affine_residual(loops, 1.0 + 0.7j)
+    if residual > MATCH:
+        raise ConstraintViolated(f"affine identity violated: residual {residual:.3e}")
+    return loops
+
+
+def reference_affine_residual(loops, s):
+    """|s phi_x - phi_u - 1| at every frequency, maximized."""
+    phi_x_num, phi_u_num, cl_den, _ = loops
+    nums = np.stack((phi_x_num, phi_u_num)).reshape(2, -1, phi_x_num.shape[-1])
+    px, pu = _values(nums, cl_den.reshape(-1, cl_den.shape[-1]), s)
+    return float(np.max(np.abs(s * px - pu - 1.0)))
+
+
+def error_of(fn, *args):
+    try:
+        fn(*args)
+    except (LocrelError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def nudged_kernels(draw):
+    """A mirrored kernel with the real part of one tap's leading numerator coefficient moved one ulp."""
+    kernel, is_complex = draw(mirrored_kernels())
+    taps = kernel.taps()
+    offset, entry = taps[draw(st.integers(0, len(taps) - 1))]
+    num = entry.num.copy()
+    num[-1] += np.spacing(num[-1].real)
+    kernel.set_tap(offset, RationalEntry(num, entry.den))
+    return kernel, is_complex
+
+
+def loop_cases(kernel):
+    """Kind labels of a drawn case, for the coverage test."""
+    equal, norm = _orbit_representatives(kernel)
+    first = np.unique(equal).size
+    error = error_of(si_closed_loops, kernel)
+    return {
+        ("d", kernel.d),
+        ("even" if kernel.n % 2 == 0 else "odd", kernel.d),
+        ("complex" if has_complex_tap(kernel) else "real", first < equal.size),
+        ("conjugates only", bool(np.any(equal != norm) and np.all(equal == np.arange(equal.size)))),
+        ("error", "value" if error is None else error[0].__name__),
+        ("h2", None if error else outcome(si_closed_loops(kernel).h2_squared, 1.0)[0]),
+    }
+
+
+@st.composite
+def clashing_kernels(draw):
+    """Taps s/2 at 0 and -s/2 at e_axis: the symbol is s, and the loop has no denominator, where f_axis = n/2."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([k for k in SIZES[d] if k % 2 == 0]))
+    axis = draw(st.integers(0, d - 1))
+    step = tuple(int(i == axis) for i in range(d))
+    return ConvKernelArray(d, n, {(0,) * d: RationalEntry([0.0, 0.5]), step: RationalEntry([0.0, -0.5])}), False
+
+
+@st.composite
+def stable_kernels(draw):
+    """A drawn kernel with each tap k made k.num[0] / (4 (s + 2)), and -10 / (s + 2) at the origin: stable loops."""
+    kernel, is_complex = draw(st.one_of(kernels(), mirrored_kernels()))
+    taps = {offset: RationalEntry([entry.num[0] / 4], [2.0, 1.0]) for offset, entry in kernel.taps()}
+    taps[(0,) * kernel.d] = RationalEntry([-10.0], [2.0, 1.0])
+    return ConvKernelArray(kernel.d, kernel.n, taps), is_complex
+
+
+LOOP_DRAWS = st.one_of(kernels(), mirrored_kernels(), nudged_kernels(), clashing_kernels(), stable_kernels())
+
+
+def check_loops_per_orbit(kernel, gamma):
+    """si_closed_loops against its full-grid reference, on one kernel."""
+    want_error = error_of(reference_si_closed_loops, kernel)
+    assert error_of(si_closed_loops, kernel) == want_error
+    if want_error is not None:
+        return
+    want = reference_si_closed_loops(kernel)
+    loops = si_closed_loops(kernel)
+    got = loops.phi_x_num, loops.phi_u_num, loops.cl_den, loops.degree
+    equal, _ = _orbit_representatives(kernel)
+    first = np.flatnonzero(equal == np.arange(equal.size))
+    assert np.array_equal(loops._rows, first)
+    for g, w in zip(got, want):
+        g, w = g.reshape(equal.size, -1), w.reshape(equal.size, -1)
+        assert g.dtype == w.dtype
+        assert np.array_equal(g[first], w[first])
+        # off the representatives: a copy of the representative's row
+        assert np.array_equal(g, g[equal])
+        assert np.all(np.abs(g - w) <= 1e-15 * np.max(np.abs(w), axis=1, keepdims=True))
+    by_hand = SIClosedLoops(loops.d, loops.n, *want)
+    by_hand._weights = loops._weights
+    h2, want_h2 = outcome(loops.h2_squared, gamma), outcome(by_hand.h2_squared, gamma)
+    assert h2[0] == want_h2[0] and (h2[1] is want_h2[1] if h2[0] == "error" else h2[1] == want_h2[1])
+    s = 1.7 - 0.8j
+    residual = loops.affine_residual(s)
+    assert residual == reference_affine_residual([a.reshape(equal.size, -1)[first] for a in want], s)
+    loops._rows = None
+    assert loops.affine_residual(s) == residual
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(LOOP_DRAWS, st.sampled_from([0.0, 1.0, 2.5]))
+def test_loops_per_orbit_match_the_full_grid(case, gamma):
+    check_loops_per_orbit(case[0], gamma)
+
+
+def test_the_loop_draws_reach_every_kind_of_kernel():
+    seen = set()
+
+    @settings(max_examples=250, deadline=None, database=None, derandomize=True)
+    @given(LOOP_DRAWS)
+    def record(case):
+        seen.update(loop_cases(case[0]))
+
+    record()
+    for d in (1, 2, 3):
+        assert {("d", d), ("odd", d), ("even", d)} <= seen
+    assert {("real", True), ("real", False), ("complex", True), ("complex", False)} <= seen
+    assert ("conjugates only", True) in seen
+    assert {("error", "value"), ("error", "SymbolPoleClash"), ("h2", "value"), ("h2", "error")} <= seen
+
+
+@pytest.mark.parametrize("d, n", [(1, 7), (2, 6), (3, 5)])
+def test_a_mirrored_tap_one_ulp_apart_forms_every_loop(d, n):
+    exact, ulp = diffusion(d, n, 1.0), diffusion(d, n, np.nextafter(1.0, 2.0))
+    assert np.unique(_orbit_representatives(exact)[0]).size < n**d
+    # only the identity fixes the nudged taps: f -> -f joins their orbits as a conjugation, no copy
+    assert np.array_equal(_orbit_representatives(ulp)[0], np.arange(n**d))
+    for kernel in (exact, ulp):
+        check_loops_per_orbit(kernel, 1.0)
+
+
+def test_the_loop_algebra_sees_one_row_per_orbit(monkeypatch):
+    import locrel.spatial as spatial
+
+    shapes = {"trim_rows": [], "_values": []}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            shapes[name].append(args[0].shape)
+            return fn(*args)
+
+        return wrapper
+
+    for name in shapes:
+        monkeypatch.setattr(spatial, name, counting(name, getattr(spatial, name)))
+    weights = [1.0 + 0.1 * axis for axis in range(3)]
+    taps = {}
+    for axis, w in enumerate(weights):
+        for step in (1, -1):
+            taps[tuple(step if i == axis else 0 for i in range(3))] = RationalEntry([w * 2.0], [2.0, 1.0])
+    taps[0, 0, 0] = RationalEntry([-2.0 * sum(weights) * 2.0], [2.0, 1.0])
+    loops = si_closed_loops(ConvKernelArray(3, 17, taps))
+    # per axis the orbits {0} and {k, 17 - k}: 9^3 = 729 of the 4,913 frequencies
+    assert shapes["trim_rows"] == [(17, 17, 17, 1), (729, 3)]
+    assert shapes["_values"] == [(2, 729, 3)]
+    loops.affine_residual(0.3 + 2.0j)
+    assert shapes["_values"][1:] == [(2, 729, 3)]
+    assert loops.phi_x_num.shape == (17, 17, 17, 3)

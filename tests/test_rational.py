@@ -23,6 +23,7 @@ from locrel.rational import (
     pmul,
     ptrim,
     pval,
+    reduce_rows,
     trim_rows,
     try_exact_divide,
 )
@@ -492,6 +493,43 @@ def test_entry_array_matches_the_constructor_bit_for_bit(batch):
         assert g.num.flags.owndata and g.den.flags.owndata
 
 
+def _entries_or_first_error(nums, den):
+    """RationalEntry(nums[idx], den) in C order, or the first error's class and message."""
+    entries = []
+    for idx in np.ndindex(nums.shape[:-1]):
+        try:
+            entries.append(RationalEntry(nums[idx], den))
+        except (ValueError, ZeroDivisionError, DegreeCapExceeded) as exc:
+            return type(exc), str(exc)
+    return entries
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(row_batches(), st.sampled_from([None, np.nan, np.inf]), st.data())
+def test_entry_array_judges_a_shared_denominator_once(batch, bad, data):
+    nums, dens = batch
+    den = dens.reshape(-1, dens.shape[-1])[0].copy()
+    if bad is not None:
+        # a coefficient that is not finite, in some numerator or in the shared denominator
+        if data.draw(st.booleans()):
+            den[data.draw(st.integers(0, den.size - 1))] = bad
+        else:
+            rows = nums.reshape(-1, nums.shape[-1])
+            rows[data.draw(st.integers(0, rows.shape[0] - 1)), data.draw(st.integers(0, rows.shape[1] - 1))] = bad
+    want = _entries_or_first_error(nums, den)
+    for given_den in (den, np.broadcast_to(den, nums.shape[:-1] + den.shape).copy()):
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as info:
+                entry_array(nums, given_den)
+            assert (type(info.value), str(info.value)) == want
+            continue
+        got = entry_array(nums, given_den)
+        assert got.shape == nums.shape[:-1]
+        for g, w in zip(got.reshape(-1), want):
+            assert (_bits(g.num), _bits(g.den)) == (_bits(w.num), _bits(w.den))
+            assert g.num.flags.owndata and g.den.flags.owndata
+
+
 def test_entry_array_errors_follow_the_first_failing_row():
     nums = np.ones((3, 2))
     wide = np.ones(DEGREE_CAP + 2)
@@ -503,6 +541,30 @@ def test_entry_array_errors_follow_the_first_failing_row():
     # a zero numerator is 0 / 1 whatever its denominator's degree
     nums[1] = 1e-11
     assert entry_array(nums[:2], dens[:2])[1].den.tolist() == [1.0]
+
+
+def _reduced(fn, *args, **kwargs):
+    try:
+        got = np.asarray(fn(*args, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got.dtype.str, got.shape, got.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (4,), (3, 0), (3, 1), (3, 4), (2, 3, 2)])
+@pytest.mark.parametrize("ufunc", [np.maximum, np.logical_and, np.logical_or])
+def test_reduce_rows_is_the_ufunc_reduce_along_the_last_axis(shape, ufunc):
+    rng = np.random.default_rng(len(shape))
+    a = np.round(rng.standard_normal(shape))  # zeros among them
+    if a.size > 1:
+        a.reshape(-1)[1] = np.nan
+    for x in (np.abs(a), a + 1j * np.round(rng.standard_normal(shape))):
+        if ufunc is np.maximum and np.iscomplexobj(x):
+            continue
+        assert _reduced(reduce_rows, ufunc, x) == _reduced(ufunc.reduce, x, axis=-1)
+    parent_pis_zero = lambda c: np.abs(c).max(axis=-1) <= ZERO_REL_TOL  # noqa: E731
+    for c in (a * 1e-11, a.tolist()):
+        assert _reduced(pis_zero, c) == _reduced(parent_pis_zero, c)
 
 
 def test_trim_rows_follows_ptrim():
