@@ -12,6 +12,7 @@ builders run only on the entries that ``_cancellable_rows`` flags.
 from __future__ import annotations
 
 from functools import cache, reduce
+from numbers import Number
 
 import numpy as np
 
@@ -383,12 +384,13 @@ def entry_array(nums, dens):
     """Object array of RationalEntry(nums[idx], dens[idx]), built in one pass.
 
     ``nums`` holds ascending numerators along its last axis; the array
-    returned has shape ``nums.shape[:-1]``, and ``dens`` broadcasts
-    against it.  The rules of ``RationalEntry.__init__`` (finiteness, trim,
-    zero test, normalization, degree cap) are applied to all rows with array
-    operations, so every entry is bitwise the one the constructor would
-    build, and owns its coefficient arrays.  On failure the error is the
-    one the first failing row, in C order, would raise there.
+    returned has shape ``nums.shape[:-1]``, and ``dens`` broadcasts against
+    it.  The rules of ``RationalEntry.__init__`` (finiteness, trim, zero test,
+    normalization, degree cap) are applied to all rows with array operations,
+    so every entry is bitwise the one the constructor would build, and owns
+    its coefficient arrays.  On failure the error is the one the first failing
+    row, in C order, would raise there.  The spatial builders gather the result,
+    so one entry object serves every frequency of an orbit: no routine modifies an entry.
     """
     nums, dens = _as_rows(nums), _as_rows(dens)
     shape = nums.shape[:-1]
@@ -445,9 +447,10 @@ def _values(nums, dens, s):
 
 
 def _coerce_entry(value):
+    """The entry itself, or the constant entry of any ``numbers.Number``; TypeError for anything else."""
     if isinstance(value, RationalEntry):
         return value
-    if isinstance(value, (int, float, complex)):
+    if isinstance(value, Number):
         return RationalEntry([value])
     raise TypeError(f"cannot interpret {value!r} as a rational entry")
 

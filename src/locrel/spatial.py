@@ -12,9 +12,9 @@ the reflections f -> s f (s a sign vector) that fix the taps, weighted by
 its size; the Parseval sum is one Gramian, the kernel sum one per degree.
 Closed loops are formed once per orbit of equal symbols and gathered.
 Objects of ``RationalEntry`` are built only where a caller asks for them:
-``dft_symbol`` and the ``phi_x_symbols`` and ``phi_u_symbols`` of a closed
-loop, built on first access.  Each such object array comes from one batch
-pass of ``rational.entry_array`` over the coefficient array.
+``dft_symbol`` and a closed loop's ``phi_x_symbols`` and ``phi_u_symbols``
+(on first access), each one ``rational.entry_array`` pass over the rows of
+one frequency per orbit, whose frequencies then share one entry object.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .graphs import count, items, member
 from .rational import (
     RationalEntry,
     RationalMatrix,
+    _coerce_entry,
     _values,
     common_denominator,
     entry_array,
@@ -93,8 +94,7 @@ class ConvKernelArray:
         return tuple(count(o, "an offset") % self.n for o in offset)
 
     def set_tap(self, offset, entry):
-        if not isinstance(entry, RationalEntry):
-            entry = RationalEntry.constant(float(entry))
+        entry = _coerce_entry(entry)
         idx = self._grid_index(offset)
         if entry.is_zero():
             self._taps.pop(idx, None)
@@ -131,13 +131,14 @@ class ConvKernelArray:
         return kernel
 
 
-def _symbol_coeffs(kernel):
-    """Symbol numerators on the frequency grid, over the taps' common denominator.
+def _symbol_coeffs(kernel, equal):
+    """Symbol numerators at one frequency per orbit of ``equal``, over the taps' common denominator.
 
-    Returns (coeffs, common): coeffs has shape (n,)*d + (deg,), and
-    coeffs[f] holds the ascending numerator of the symbol at frequency f
-    over the monic polynomial ``common``, trimmed as ``RationalEntry``
-    stores it (a vanishing symbol is exactly zero); ValueError if they overflow.
+    Returns (coeffs, common, first, gather): coeffs[k], the ascending numerator
+    at flat frequency first[k] (the smallest of its orbit in ``equal``, from
+    ``_orbit_representatives``) over the monic ``common``, trimmed as
+    ``RationalEntry`` stores it (a vanishing symbol is exactly zero), is the
+    row of each f with gather[f] = k.  ValueError if a coefficient overflows.
     """
     taps = kernel.taps()
     common, numerators = common_denominator(entry for _, entry in taps)
@@ -146,12 +147,14 @@ def _symbol_coeffs(kernel):
     for (offset, _), num in zip(taps, numerators):
         idx = tuple(o % kernel.n for o in offset)
         coeff_grid[idx][: len(num)] = num
-    coeffs = np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, if not finite
+        coeffs = np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d)))
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("kernel symbol coefficients must be finite")
-    coeffs, _ = trim_rows(coeffs)
+    first = np.flatnonzero(equal == np.arange(equal.size))
+    coeffs, _ = trim_rows(coeffs.reshape(-1, deg)[first])
     coeffs[pis_zero(coeffs)] = 0.0
-    return coeffs, common
+    return coeffs, common, first, np.searchsorted(first, equal)
 
 
 def dft_symbol(kernel):
@@ -159,10 +162,11 @@ def dft_symbol(kernel):
 
     Returns an object array on the frequency grid; entry f is the scalar
     transfer sum_m k_m(s) exp(-2 pi i <f, m> / n), represented over the
-    taps' common denominator (coefficients are complex in general).
+    taps' common denominator (coefficients are complex in general).  The
+    frequencies of an orbit of equal symbols share one entry object.
     """
-    coeffs, common = _symbol_coeffs(kernel)
-    return entry_array(coeffs, common)
+    coeffs, common, _, gather = _symbol_coeffs(kernel, _orbit_representatives(kernel)[0])
+    return entry_array(coeffs, common)[gather].reshape((kernel.n,) * kernel.d)
 
 
 def si_h2_squared(kernel):
@@ -222,9 +226,9 @@ def si_h2_squared_parseval(kernel):
     ascending weight, is the stacked numerators of one ``batch_h2_squared``
     entry.  The first nonzero symbol leads alone, so it decides the error.
     """
-    coeffs, common = _symbol_coeffs(kernel)
-    num = coeffs.reshape(-1, coeffs.shape[-1])
-    weight = np.bincount(_orbit_representatives(kernel)[1], minlength=num.shape[0]).astype(float)
+    equal, norm = _orbit_representatives(kernel)
+    num, common, first, _ = _symbol_coeffs(kernel, equal)
+    weight = np.bincount(norm, minlength=norm.size)[first].astype(float)  # zero off ``first``
     live = np.flatnonzero(weight * reduce_rows(np.logical_or, num))
     weights = np.r_[np.sum(weight[live[:1]]), np.unique(weight[live[1:]])]
     classes = [live[:1]] + [live[1:][weight[live[1:]] == w] for w in weights[1:]]
@@ -300,9 +304,10 @@ class SIClosedLoops:
     phi_u = phi_u_num[f] / cl_den[f]: arrays of shape (n,)*d + (width,)
     in ascending powers of s, each cl_den[f] monic of degree degree[f]
     and zero above it; the flat rows ``_rows``, one per orbit of equal
-    symbols, are formed and the others copy them.  ``phi_x_symbols`` and
-    ``phi_u_symbols`` give the same loops as object arrays of
-    ``RationalEntry``, built on first access.
+    symbols, are formed and frequency f copies row ``_gather[f]`` of them.
+    ``phi_x_symbols`` and ``phi_u_symbols`` give the same loops as object
+    arrays of ``RationalEntry``, built on first access, one object per
+    orbit shared by its frequencies.
     """
 
     d: int
@@ -314,10 +319,16 @@ class SIClosedLoops:
     _symbols: dict = field(default_factory=dict, init=False, repr=False)
     _weights: np.ndarray = field(default=None, init=False, repr=False)
     _rows: np.ndarray = field(default=None, init=False, repr=False)
+    _gather: np.ndarray = field(default=None, init=False, repr=False)
+
+    def _formed(self, *arrays):
+        """The flat rows of each array that were formed: ``_rows`` when set, else all."""
+        return [a.reshape(-1, a.shape[-1])[slice(None) if self._rows is None else self._rows] for a in arrays]
 
     def _objects(self, name):
         if name not in self._symbols:
-            self._symbols[name] = entry_array(getattr(self, name), self.cl_den)
+            entries = entry_array(*self._formed(getattr(self, name), self.cl_den))
+            self._symbols[name] = (entries if self._rows is None else entries[self._gather]).reshape(self.degree.shape)
         return self._symbols[name]
 
     @property
@@ -353,9 +364,8 @@ class SIClosedLoops:
 
     def affine_residual(self, s):
         """Max over frequencies of |s phi_x - phi_u - 1| at the point s, over ``_rows`` when set."""
-        rows = slice(None) if self._rows is None else self._rows
-        nums = [a.reshape(-1, a.shape[-1])[rows] for a in (self.phi_x_num, self.phi_u_num)]
-        px, pu = _values(np.stack(nums), self.cl_den.reshape(-1, self.cl_den.shape[-1])[rows], s)
+        *nums, den = self._formed(self.phi_x_num, self.phi_u_num, self.cl_den)
+        px, pu = _values(np.stack(nums), den, s)
         return float(np.max(np.abs(s * px - pu - 1.0)))
 
 
@@ -367,12 +377,9 @@ def si_closed_loops(controller_kernel):
     The denominator s den - num must not vanish identically.  The loops
     are formed at one frequency per orbit of equal symbols and gathered.
     """
-    coeffs, common = _symbol_coeffs(controller_kernel)
     n, d = controller_kernel.n, controller_kernel.d
     equal, norm = _orbit_representatives(controller_kernel)
-    first = np.flatnonzero(equal == np.arange(equal.size))
-    gather = np.searchsorted(first, equal)  # each frequency's row among the representatives
-    coeffs = coeffs.reshape(-1, coeffs.shape[-1])[first]
+    coeffs, common, first, gather = _symbol_coeffs(controller_kernel, equal)
     width = max(coeffs.shape[-1], common.size + 1)
     num = np.zeros(coeffs.shape[:-1] + (width,), dtype=complex)
     num[..., : coeffs.shape[-1]] = coeffs
@@ -396,7 +403,7 @@ def si_closed_loops(controller_kernel):
     rows = (den / lead, num / lead, cl_den / lead, degree)
     loops = SIClosedLoops(d, n, *(a[gather].reshape((n,) * d + a.shape[1:]) for a in rows))
     loops._weights = np.bincount(norm, minlength=norm.size).astype(float).reshape((n,) * d)
-    loops._rows = first
+    loops._rows, loops._gather = first, gather
     # the identity s phi_x - phi_u = 1 holds by construction; a sampled
     # residual guards against coefficient bookkeeping mistakes
     residual = loops.affine_residual(1.0 + 0.7j)

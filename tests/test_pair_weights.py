@@ -10,8 +10,10 @@ per-tap routines these replaced are kept here as references: every value
 must match them to 1e-12 relative, with the same error class.
 
 ``si_closed_loops`` forms its loops once per orbit of equal symbols, at the
-orbit's smallest frequency, and gathers them onto the grid; its full-grid
-predecessor is kept here too.
+orbit's smallest frequency, and gathers them onto the grid; ``_symbol_coeffs``
+trims the symbol rows there too, and ``dft_symbol`` and the loops' object
+arrays gather one shared entry per orbit.  The full-grid predecessors of
+``si_closed_loops``, ``_symbol_coeffs`` and ``dft_symbol`` are kept here too.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from locrel.errors import (
     SymbolPoleClash,
     UnstableKernelEntry,
 )
-from locrel.rational import RationalEntry, _values, trim_rows
+from locrel.rational import RationalEntry, _values, common_denominator, entry_array, pis_zero, trim_rows
 from locrel.spatial import (
     ConvKernelArray,
     SIClosedLoops,
@@ -45,9 +47,32 @@ from locrel.statespace import batch_h2_squared, scalar_h2_squared
 from locrel.tolerances import MATCH, ZERO
 
 
+def full_grid_symbol_coeffs(kernel):
+    """The symbol numerators trimmed at every frequency, each from its own FFT row: (coeffs, common)."""
+    taps = kernel.taps()
+    common, numerators = common_denominator(entry for _, entry in taps)
+    deg = max([len(num) for num in numerators], default=1)
+    coeff_grid = np.zeros((kernel.n,) * kernel.d + (deg,), dtype=complex)
+    for (offset, _), num in zip(taps, numerators):
+        coeff_grid[tuple(o % kernel.n for o in offset)][: len(num)] = num
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.fft.fftn(coeff_grid, axes=tuple(range(kernel.d)))
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("kernel symbol coefficients must be finite")
+    coeffs, _ = trim_rows(coeffs)
+    coeffs[pis_zero(coeffs)] = 0.0
+    return coeffs, common
+
+
+def symbol_rows(kernel):
+    """The symbol rows that ``_symbol_coeffs`` forms, gathered onto the grid: (coeffs, common)."""
+    coeffs, common, _, gather = _symbol_coeffs(kernel, _orbit_representatives(kernel)[0])
+    return coeffs[gather].reshape((kernel.n,) * kernel.d + coeffs.shape[-1:]), common
+
+
 def reference_parseval(kernel):
     """One moment solve per frequency, summed over the whole grid."""
-    coeffs, common = _symbol_coeffs(kernel)
+    coeffs, common = full_grid_symbol_coeffs(kernel)
     num = coeffs.reshape(-1, coeffs.shape[-1])
     den = np.broadcast_to(common, (num.shape[0], common.size))
     return float(np.sum(batch_h2_squared(num, den))) / kernel.n**kernel.d
@@ -94,7 +119,7 @@ def pair_weights(kernel):
 
 def pair_parseval(kernel):
     """The Parseval sum over conjugate pairs, as it was computed before orbits."""
-    coeffs, common = _symbol_coeffs(kernel)
+    coeffs, common = full_grid_symbol_coeffs(kernel)
     num = coeffs.reshape(-1, coeffs.shape[-1])
     weight = pair_weights(kernel).reshape(-1)
     live = np.flatnonzero(weight * np.any(num, axis=1))
@@ -237,8 +262,21 @@ def mirrored_kernels(draw):
     return symmetric, is_complex
 
 
+@st.composite
+def stable_kernels(draw):
+    """A drawn kernel with each tap k made k.num[0] / (4 (s + 2)), and -10 / (s + 2) at the origin: stable loops."""
+    kernel, is_complex = draw(st.one_of(kernels(), mirrored_kernels()))
+    taps = {offset: RationalEntry([entry.num[0] / 4], [2.0, 1.0]) for offset, entry in kernel.taps()}
+    taps[(0,) * kernel.d] = RationalEntry([-10.0], [2.0, 1.0])
+    return ConvKernelArray(kernel.d, kernel.n, taps), is_complex
+
+
+# stable kernels so that the H2 comparisons see values, not only errors
+SPECTRUM_DRAWS = st.one_of(kernels(), mirrored_kernels(), stable_kernels())
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(kernels(), mirrored_kernels()), st.sampled_from([0.0, 1.0, 2.5]))
+@given(SPECTRUM_DRAWS, st.sampled_from([0.0, 1.0, 2.5]))
 def test_weighted_spectrum_matches_the_full_grid(case, gamma):
     kernel, is_complex = case
     weights = orbit_weights(kernel)
@@ -249,8 +287,7 @@ def test_weighted_spectrum_matches_the_full_grid(case, gamma):
     )
     got, want = outcome(si_h2_squared, kernel), outcome(reference_si_h2_squared, kernel)
     assert got == want or got[0] == want[0] == "value" and got[1] == pytest.approx(want[1], rel=1e-12)
-    coeffs, common = _symbol_coeffs(kernel)
-    same_bits(dft_symbol(kernel), per_entry(coeffs, common))
+    same_bits(dft_symbol(kernel), per_entry(*symbol_rows(kernel)))
     loops = outcome(si_closed_loops, kernel)
     if loops[0] == "error":
         return
@@ -262,6 +299,22 @@ def test_weighted_spectrum_matches_the_full_grid(case, gamma):
     # all ones when no reflection fixes the taps
     fixing = [s for s in itertools.product((1, -1), repeat=kernel.d) if reflection_fixes(kernel, s)]
     assert np.all(weights == 1.0) == (has_complex_tap(kernel) and len(fixing) == 1)
+
+
+def test_the_spectrum_draws_reach_values():
+    values = {"parseval": 0, "si_h2_squared": 0, "loops": 0}
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(SPECTRUM_DRAWS)
+    def record(case):
+        kernel = case[0]
+        for name, fn in (("parseval", si_h2_squared_parseval), ("si_h2_squared", si_h2_squared)):
+            values[name] += outcome(fn, kernel)[0] == "value"
+        loops = outcome(si_closed_loops, kernel)
+        values["loops"] += loops[0] == "value" and outcome(loops[1].h2_squared, 1.0)[0] == "value"
+
+    record()
+    assert min(values.values()) >= 50, values
 
 
 def test_the_property_reaches_values_and_every_error_class():
@@ -440,7 +493,7 @@ def test_feasibility_offsets_are_the_itertools_enumeration(d):
 
 def reference_si_closed_loops(kernel):
     """The loops at every frequency, each from its own symbol: (phi_x_num, phi_u_num, cl_den, degree)."""
-    coeffs, common = _symbol_coeffs(kernel)
+    coeffs, common = full_grid_symbol_coeffs(kernel)
     width = max(coeffs.shape[-1], common.size + 1)
     num = np.zeros(coeffs.shape[:-1] + (width,), dtype=complex)
     num[..., : coeffs.shape[-1]] = coeffs
@@ -516,15 +569,6 @@ def clashing_kernels(draw):
     return ConvKernelArray(d, n, {(0,) * d: RationalEntry([0.0, 0.5]), step: RationalEntry([0.0, -0.5])}), False
 
 
-@st.composite
-def stable_kernels(draw):
-    """A drawn kernel with each tap k made k.num[0] / (4 (s + 2)), and -10 / (s + 2) at the origin: stable loops."""
-    kernel, is_complex = draw(st.one_of(kernels(), mirrored_kernels()))
-    taps = {offset: RationalEntry([entry.num[0] / 4], [2.0, 1.0]) for offset, entry in kernel.taps()}
-    taps[(0,) * kernel.d] = RationalEntry([-10.0], [2.0, 1.0])
-    return ConvKernelArray(kernel.d, kernel.n, taps), is_complex
-
-
 LOOP_DRAWS = st.one_of(kernels(), mirrored_kernels(), nudged_kernels(), clashing_kernels(), stable_kernels())
 
 
@@ -551,6 +595,11 @@ def check_loops_per_orbit(kernel, gamma):
     by_hand._weights = loops._weights
     h2, want_h2 = outcome(loops.h2_squared, gamma), outcome(by_hand.h2_squared, gamma)
     assert h2[0] == want_h2[0] and (h2[1] is want_h2[1] if h2[0] == "error" else h2[1] == want_h2[1])
+    # one shared entry per orbit, bit for bit the reference's at the representatives
+    for symbols, nums in ((loops.phi_x_symbols, want[0]), (loops.phi_u_symbols, want[1])):
+        flat = symbols.reshape(-1)
+        assert all(flat[f] is flat[e] for f, e in enumerate(equal))
+        same_bits(flat[first], per_entry(*(a.reshape(equal.size, -1)[first] for a in (nums, want[2]))))
     s = 1.7 - 0.8j
     residual = loops.affine_residual(s)
     assert residual == reference_affine_residual([a.reshape(equal.size, -1)[first] for a in want], s)
@@ -593,7 +642,7 @@ def test_a_mirrored_tap_one_ulp_apart_forms_every_loop(d, n):
 def test_the_loop_algebra_sees_one_row_per_orbit(monkeypatch):
     import locrel.spatial as spatial
 
-    shapes = {"trim_rows": [], "_values": []}
+    shapes = {"trim_rows": [], "_values": [], "entry_array": []}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -610,10 +659,158 @@ def test_the_loop_algebra_sees_one_row_per_orbit(monkeypatch):
         for step in (1, -1):
             taps[tuple(step if i == axis else 0 for i in range(3))] = RationalEntry([w * 2.0], [2.0, 1.0])
     taps[0, 0, 0] = RationalEntry([-2.0 * sum(weights) * 2.0], [2.0, 1.0])
-    loops = si_closed_loops(ConvKernelArray(3, 17, taps))
-    # per axis the orbits {0} and {k, 17 - k}: 9^3 = 729 of the 4,913 frequencies
-    assert shapes["trim_rows"] == [(17, 17, 17, 1), (729, 3)]
+    kernel = ConvKernelArray(3, 17, taps)
+    loops = si_closed_loops(kernel)
+    # per axis the orbits {0} and {k, 17 - k}: 9^3 = 729 of the 4,913 frequencies;
+    # the symbol rows are trimmed there, then the loop rows
+    assert shapes["trim_rows"] == [(729, 1), (729, 3)]
     assert shapes["_values"] == [(2, 729, 3)]
     loops.affine_residual(0.3 + 2.0j)
     assert shapes["_values"][1:] == [(2, 729, 3)]
     assert loops.phi_x_num.shape == (17, 17, 17, 3)
+    # each object array is one entry_array pass over the formed rows, gathered onto the grid
+    assert loops.phi_x_symbols.shape == loops.phi_u_symbols.shape == (17, 17, 17)
+    assert shapes["entry_array"] == [(729, 3), (729, 3)]
+    for calls in shapes.values():
+        calls.clear()
+    assert dft_symbol(kernel).shape == (17, 17, 17)
+    assert shapes == {"trim_rows": [(729, 1)], "_values": [], "entry_array": [(729, 1)]}
+    shapes["trim_rows"].clear()
+    shapes["entry_array"].clear()
+    si_h2_squared_parseval(kernel)
+    assert shapes == {"trim_rows": [(729, 1)], "_values": [], "entry_array": []}
+
+
+def test_each_call_finds_the_orbits_once(monkeypatch):
+    import locrel.spatial as spatial
+
+    calls = []
+
+    def counting(kernel):
+        calls.append(kernel)
+        return _orbit_representatives(kernel)
+
+    monkeypatch.setattr(spatial, "_orbit_representatives", counting)
+    kernel = diffusion(3, 5, 1.0)
+    kernel.set_tap((0, 0, 0), RationalEntry([-10.0], [1.0, 1.0]))
+    for call in (dft_symbol, si_closed_loops, si_h2_squared_parseval):
+        calls.clear()
+        call(kernel)
+        assert calls == [kernel], call.__name__
+    calls.clear()
+    loops = si_closed_loops(kernel)
+    loops.h2_squared(1.0), loops.affine_residual(0.5j), loops.phi_x_symbols, loops.phi_u_symbols
+    si_h2_squared(kernel)
+    assert calls == [kernel]
+
+
+def full_grid_dft_symbol(kernel):
+    """Every frequency's entry from its own FFT row, as one entry_array pass over the grid."""
+    return entry_array(*full_grid_symbol_coeffs(kernel))
+
+
+def full_grid_parseval(kernel):
+    """The orbit-weighted Parseval sum read off the full grid of symbol rows."""
+    coeffs, common = full_grid_symbol_coeffs(kernel)
+    num = coeffs.reshape(-1, coeffs.shape[-1])
+    weight = orbit_weights(kernel).reshape(-1)
+    live = np.flatnonzero(weight * np.any(num, axis=-1))
+    weights = np.r_[np.sum(weight[live[:1]]), np.unique(weight[live[1:]])]
+    classes = [live[:1]] + [live[1:][weight[live[1:]] == w] for w in weights[1:]]
+    stacked = np.zeros((len(classes), live.size, num.shape[1]), dtype=num.dtype)
+    for entry, rows in zip(stacked, classes):
+        entry[: rows.size] = num[rows]
+    norms = batch_h2_squared(stacked, np.broadcast_to(common, (len(classes), common.size)))
+    return float(np.cumsum(weights * norms)[-1]) / kernel.n**kernel.d
+
+
+def first_error(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the class and message are compared, whatever they are
+        return type(exc), str(exc)
+    return None
+
+
+def unchecked_entry(num, den):
+    """A tap with the given coefficients, past the constructor's finiteness check."""
+    entry = RationalEntry.__new__(RationalEntry)
+    entry.num, entry.den = np.array(num, dtype=float), den
+    return entry
+
+
+@st.composite
+def extreme_kernels(draw):
+    """A mirrored kernel with one tap, or every tap, made huge, infinite or NaN."""
+    kernel, is_complex = draw(mirrored_kernels())
+    value = draw(st.sampled_from([1e200, 6e307, 1.7e308, np.inf, -np.inf, np.nan]))
+    taps = kernel.taps()
+    chosen = taps if draw(st.booleans()) else [taps[draw(st.integers(0, len(taps) - 1))]]
+    for offset, entry in chosen:
+        kernel.set_tap(offset, unchecked_entry([value], entry.den))
+    return kernel, is_complex
+
+
+SYMBOL_DRAWS = st.one_of(kernels(), mirrored_kernels(), nudged_kernels(), stable_kernels(), extreme_kernels())
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(SYMBOL_DRAWS)
+def test_symbols_per_orbit_match_the_full_grid(case):
+    kernel = case[0]
+    want_error = first_error(full_grid_dft_symbol, kernel)
+    assert first_error(dft_symbol, kernel) == want_error
+    assert first_error(si_h2_squared_parseval, kernel) == first_error(full_grid_parseval, kernel)
+    if first_error(full_grid_parseval, kernel) is None:
+        assert si_h2_squared_parseval(kernel) == full_grid_parseval(kernel)
+    if want_error is not None:
+        return
+    equal, _ = _orbit_representatives(kernel)
+    coeffs, common, first, gather = _symbol_coeffs(kernel, equal)
+    want_coeffs, want_common = full_grid_symbol_coeffs(kernel)
+    want_rows = want_coeffs.reshape(equal.size, -1)
+    assert (common.dtype, common.tobytes()) == (want_common.dtype, want_common.tobytes())
+    assert np.array_equal(first, np.unique(equal))
+    assert (coeffs.dtype, coeffs.tobytes()) == (want_rows.dtype, want_rows[first].tobytes())
+    # off the representatives: the representative's row, within 1e-15 of the frequency's own
+    rows = coeffs[gather]
+    assert np.all(np.abs(rows - want_rows) <= 1e-15 * np.max(np.abs(want_rows), axis=1, keepdims=True))
+    symbols, want = dft_symbol(kernel).reshape(-1), full_grid_dft_symbol(kernel).reshape(-1)
+    same_bits(symbols[first], want[first])
+    assert all(symbols[f] is symbols[e] for f, e in enumerate(equal))
+    assert len({id(entry) for entry in symbols}) == first.size
+
+
+@pytest.mark.parametrize("d, n", [(1, 1025), (2, 33), (3, 17)])
+def test_the_symbols_of_a_relative_diffusion_are_its_fft_within_rounding(d, n):
+    # the benchmark's kernels: a relative symbol is small near f = 0, where a copy of the
+    # representative's FFT row and the frequency's own row differ by more than 1e-15 of
+    # that row (8e-12 here at d = 1, n = 1025); against the largest symbol they agree to 1e-15
+    kernel = diffusion(d, n, 1.0)
+    kernel.set_tap((0,) * d, RationalEntry([-2.0 * d], [1.0, 1.0]))
+    equal, _ = _orbit_representatives(kernel)
+    coeffs, common, first, gather = _symbol_coeffs(kernel, equal)
+    want = full_grid_symbol_coeffs(kernel)[0].reshape(equal.size, -1)
+    assert first.size == ((n + 1) // 2) ** d
+    assert coeffs.tobytes() == want[first].tobytes()
+    assert np.max(np.abs(coeffs[gather] - want)) <= 1e-15 * np.max(np.abs(want))
+    symbols = dft_symbol(kernel).reshape(-1)
+    same_bits(symbols[first], full_grid_dft_symbol(kernel).reshape(-1)[first])
+    assert len({id(entry) for entry in symbols}) == first.size
+
+
+def test_the_symbol_draws_reach_every_outcome():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(SYMBOL_DRAWS)
+    def record(case):
+        kernel = case[0]
+        error = first_error(dft_symbol, kernel)
+        seen.add("value" if error is None else error[0].__name__ + ": " + error[1])
+        seen.add(("shared", np.unique(_orbit_representatives(kernel)[0]).size < kernel.n**kernel.d))
+        seen.add(("parseval", "value" if first_error(si_h2_squared_parseval, kernel) is None else "error"))
+
+    record()
+    assert {"value", "ValueError: kernel symbol coefficients must be finite", ("shared", True), ("shared", False)} <= seen
+    assert {("parseval", "value"), ("parseval", "error")} <= seen

@@ -134,6 +134,19 @@ def test_matrix_construction_and_indexing():
         RationalMatrix([[1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("value", [np.int64(2), np.float32(1.5), np.float64(-0.25), 3, 1.5, 2.0 - 0.5j, np.complex64(1j), True])
+def test_matrix_entries_take_any_number(value):
+    got, want = RationalMatrix([[value]])[0, 0], RationalEntry([value])
+    assert [(c.dtype, c.tobytes()) for c in (got.num, got.den)] == [(c.dtype, c.tobytes()) for c in (want.num, want.den)]
+    assert got.evaluate(0.5) == complex(value)
+
+
+@pytest.mark.parametrize("value", ["1.5", b"1", None, [1.0], np.array([1.0])])
+def test_matrix_entries_refuse_what_is_not_a_number(value):
+    with pytest.raises(TypeError, match="as a rational entry"):
+        RationalMatrix([[value]])
+
+
 def test_matrix_ops_match_pointwise():
     rng = np.random.default_rng(1)
     for _ in range(10):

@@ -21,10 +21,11 @@ from locrel.errors import (
     SymbolPoleClash,
     UnstableKernelEntry,
 )
-from locrel.rational import RationalEntry
+from locrel.rational import RationalEntry, RationalMatrix
 from locrel.relative import is_relative
 from locrel.spatial import (
     ConvKernelArray,
+    _orbit_representatives,
     _symbol_coeffs,
     canonical_offset,
     canonical_offsets,
@@ -504,6 +505,23 @@ def test_common_denominator_too_wide_to_trim_is_an_error():
         si_h2_squared_parseval(kernel)
 
 
+@pytest.mark.parametrize("value", [np.int64(2), np.float32(1.5), 3, 1.5, 2.0 - 0.5j, 1j, True])
+def test_a_number_is_a_constant_tap(value):
+    # set_tap and RationalMatrix share one scalar-entry rule
+    kernel = ConvKernelArray(1, 5, {(1,): value})
+    got, want = kernel.tap((1,)), RationalMatrix([[value]])[0, 0]
+    assert [(c.dtype, c.tobytes()) for c in (got.num, got.den)] == [(c.dtype, c.tobytes()) for c in (want.num, want.den)]
+    assert got.evaluate(0.5) == complex(value)
+
+
+@pytest.mark.parametrize("value", ["1.5", b"1", None, [1.0]])
+def test_a_tap_that_is_not_a_number_is_refused(value):
+    kernel = ConvKernelArray(1, 5)
+    with pytest.raises(TypeError, match="as a rational entry"):
+        kernel.set_tap((1,), value)
+    assert kernel.taps() == []
+
+
 def test_si_h2_squared_lets_programming_errors_through(monkeypatch):
     import locrel.spatial as spatial
 
@@ -659,7 +677,8 @@ def _per_entry(nums, dens):
 )
 def test_symbol_arrays_match_per_entry_construction(kernel):
     symbols = dft_symbol(kernel)
-    _same_bits(symbols, _per_entry(*_symbol_coeffs(kernel)))
+    coeffs, common, _, gather = _symbol_coeffs(kernel, _orbit_representatives(kernel)[0])
+    _same_bits(symbols, _per_entry(coeffs[gather].reshape(symbols.shape + (-1,)), common))
     loops = si_closed_loops(kernel)
     _same_bits(loops.phi_x_symbols, _per_entry(loops.phi_x_num, loops.cl_den))
     _same_bits(loops.phi_u_symbols, _per_entry(loops.phi_u_num, loops.cl_den))
@@ -707,6 +726,17 @@ def test_overflowing_taps_raise_value_error_without_a_warning(value):
         if value == 1e200:
             assert all(np.isfinite(e.num).all() for e in dft_symbol(kernel).flat)
             assert np.isfinite(si_closed_loops(kernel).cl_den).all()
+
+
+def test_symbols_that_overflow_in_the_transform_raise_without_a_warning():
+    # each tap is finite, but their sum at frequency 0 is not
+    taps = {(1, 0): RationalEntry([1e308], [1.0, 1.0]), (-1, 0): RationalEntry([1e308], [1.0, 1.0])}
+    kernel = ConvKernelArray(2, 5, taps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (dft_symbol, si_closed_loops, si_h2_squared_parseval):
+            with pytest.raises(ValueError, match="^kernel symbol coefficients must be finite$"):
+                call(kernel)
 
 
 @pytest.mark.parametrize("v", [-3e9, -5e9, -1e10, -1e12, -1e20])
